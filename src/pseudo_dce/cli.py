@@ -75,9 +75,8 @@ def _cmd_run(args) -> int:
         cfg = load_config(args.config)
         records = [run(cfg, out_dir=out, name=Path(args.config).stem)]
     for rec in records:
-        r_final = float(rec.columns["r_numeric"][-1])
-        n_final = float(rec.columns["N_numeric"][-1])
-        print(f"{rec.name}: r_final={r_final:.6g} N_final={n_final:.6g} "
+        print(f"{rec.name}: r_final={rec.r_final:.6g} "
+              f"N_final={rec.N_final:.6g} "
               f"steps={rec.n_steps} wall={rec.wall_seconds:.2f}s "
               f"-> {rec.csv_path}")
     return EXIT_OK

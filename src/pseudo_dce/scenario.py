@@ -79,6 +79,14 @@ class ScenarioConfig:
     outputs: tuple[str, ...] = CANONICAL_COLUMNS
 
     def validate(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValidationError(f"{f.name} must be finite, got {value}")
+        for name in ("rtol", "atol"):
+            if not (getattr(self, name) > 0.0):
+                raise ValidationError(
+                    f"{name} must be > 0, got {getattr(self, name)}")
         if self.zeta_mode not in ("exact", "approximate"):
             raise ValidationError(
                 f"zeta_mode must be 'exact' or 'approximate', got {self.zeta_mode!r}"
@@ -214,7 +222,10 @@ PRESETS: dict[str, tuple[tuple[str, ScenarioConfig], ...]] = {
 
 @dataclass(frozen=True)
 class RunRecord:
-    """Results of one run: columns plus provenance and timing."""
+    """Results of one run: columns plus provenance and timing.
+
+    r_final and N_final are kept whatever columns the config selects.
+    """
 
     name: str
     config: ScenarioConfig
@@ -222,6 +233,8 @@ class RunRecord:
     wall_seconds: float
     n_steps: int
     n_rejected: int
+    r_final: float
+    N_final: float
     csv_path: Optional[str] = None
     plot_path: Optional[str] = None
 
@@ -332,14 +345,14 @@ def run(cfg: ScenarioConfig, out_dir=None, name: str = "run") -> RunRecord:
         "residual_hermiticity": _residual_column(cfg, p, traj),
     }
     selected = {k: columns[k] for k in cfg.outputs}
-    wall = time.perf_counter() - started
 
     record = RunRecord(name=name, config=cfg, columns=selected,
-                       wall_seconds=wall, n_steps=traj.stats.n_steps,
-                       n_rejected=traj.stats.n_rejected)
+                       wall_seconds=0.0, n_steps=traj.stats.n_steps,
+                       n_rejected=traj.stats.n_rejected,
+                       r_final=float(traj.r[-1]), N_final=float(n_numeric[-1]))
     if out_dir is not None:
         record = write_outputs(record, out_dir)
-    return record
+    return replace(record, wall_seconds=time.perf_counter() - started)
 
 
 def write_outputs(record: RunRecord, out_dir) -> RunRecord:
@@ -439,8 +452,7 @@ def sweep(base: ScenarioConfig, axis: str, values, out_dir=None,
             continue
         cfg = rec.config
         amp = amplification_factor(cfg.alpha0_tilde, cfg.beta0_tilde, cfg.chi)
-        n_final = float(rec.columns["N_numeric"][-1])
-        lines.append(f"{float(value):.17g},{amp:.17g},{n_final:.17g}")
+        lines.append(f"{float(value):.17g},{amp:.17g},{rec.N_final:.17g}")
     summary = "\n".join(lines) + "\n"
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)

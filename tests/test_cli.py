@@ -46,6 +46,27 @@ class TestRunCommand:
         assert code == 1
         assert "pseudo-dce:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["chi = nan", "varphi0 = inf",
+                                      "rtol = -1.0"])
+    def test_bad_float_exits_one(self, tmp_path, capsys, line):
+        cfg = write_cfg(tmp_path, FAST_CFG + line + "\n")
+        code = cli.main(["run", "--config", cfg, "--out", str(tmp_path)])
+        assert code == 1
+        assert "pseudo-dce:" in capsys.readouterr().err
+
+    def test_summary_without_r_and_n_columns(self, tmp_path, capsys):
+        full = write_cfg(tmp_path, FAST_CFG, name="full.cfg")
+        reduced = write_cfg(tmp_path, FAST_CFG + "outputs = tau, W\n",
+                            name="reduced.cfg")
+        assert cli.main(["run", "--config", full, "--out", str(tmp_path)]) == 0
+        want = capsys.readouterr().out.split(" steps=")[0]
+        assert cli.main(["run", "--config", reduced,
+                         "--out", str(tmp_path)]) == 0
+        got = capsys.readouterr().out.split(" steps=")[0]
+        assert got.replace("reduced:", "full:") == want
+        header = (tmp_path / "reduced.csv").read_text().splitlines()[0]
+        assert header == "tau,W"
+
     def test_missing_config_file_exits_two(self, tmp_path, capsys):
         code = cli.main(["run", "--config", str(tmp_path / "absent.cfg"),
                          "--out", str(tmp_path)])
@@ -105,6 +126,17 @@ class TestSweepCommand:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "beta0_tilde,amplification,N_final"
         assert len(lines) == 3
+
+    def test_summary_without_n_column(self, tmp_path, capsys):
+        rows = []
+        for text in (FAST_CFG, FAST_CFG + "outputs = tau, W\n"):
+            cfg = write_cfg(tmp_path, text)
+            code = cli.main(["sweep", "--config", cfg, "--axis",
+                             "beta0_tilde", "--values", "1e-3",
+                             "--out", str(tmp_path)])
+            assert code == 0
+            rows.append(capsys.readouterr().out)
+        assert rows[0] == rows[1]
 
     def test_failing_cell_exits_two(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, FAILING_CFG)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from pseudo_dce.dyson import DysonState, bogoliubov_matrix
 from pseudo_dce.errors import (NormTooLarge, SingularEta,
@@ -235,6 +236,49 @@ class TestPropagate:
         with pytest.raises(ValueError):
             propagate(lambda t: (1.0, 0j, 0j), np.zeros(8, dtype=complex),
                       np.linspace(0.0, 1.0, 5), f)
+
+
+class TestPropagateAgainstExpm:
+    """Constant generators at small dim against expm(-i*t*H) @ psi0."""
+
+    DIM = 24
+    GRID = np.linspace(0.0, 3.0, 7)
+
+    def exact(self, c, psi0, f):
+        c_n, c2, c2d = c
+        h = (c_n * np.diag(f.n_levels + 0.5) + c2 * f.a_sq
+             + c2d * f.adag_sq)
+        return np.array([scipy.linalg.expm(-1j * t * h) @ psi0
+                         for t in self.GRID])
+
+    @pytest.mark.parametrize("case", ["mixed_parity", "odd_parity",
+                                      "non_hermitian"])
+    def test_matches_expm(self, case):
+        f = FockSpace(self.DIM)
+        basis = np.eye(self.DIM, dtype=complex)
+        if case == "mixed_parity":
+            psi0 = (basis[0] + basis[1]) / math.sqrt(2.0)
+            c = (1.0, 0.05 + 0.02j, 0.05 - 0.02j)
+        elif case == "odd_parity":
+            psi0 = basis[3]
+            c = (1.0, 0.05 + 0.02j, 0.05 - 0.02j)
+        else:
+            psi0 = (basis[0] + 0.5j * basis[2]) / math.sqrt(1.25)
+            c = (0.9, 0.04 + 0.01j, 0.01 - 0.03j)
+        res = propagate(lambda t: c, psi0, self.GRID, f,
+                        rtol=1e-11, atol=1e-14)
+        want = self.exact(c, psi0, f)
+        assert np.abs(res.amplitudes - want).max() < 1e-8
+
+    def test_single_sector_leaves_other_exactly_zero(self):
+        f = FockSpace(self.DIM)
+        c = (1.0, 0.05 + 0.02j, 0.05 - 0.02j)
+        res = propagate(lambda t: c, f.vacuum(), self.GRID, f)
+        assert np.all(res.amplitudes[:, 1::2] == 0.0)
+        assert np.any(res.amplitudes[-1, 2::2] != 0.0)
+        odd = np.eye(self.DIM, dtype=complex)[3]
+        res = propagate(lambda t: c, odd, self.GRID, f)
+        assert np.all(res.amplitudes[:, 0::2] == 0.0)
 
 
 class TestInverseMap:

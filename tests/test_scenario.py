@@ -74,6 +74,17 @@ class TestValidation:
         with pytest.raises(ValidationError):
             ScenarioConfig(**kwargs).validate()
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(chi=math.nan),
+        dict(varphi0=math.inf),
+        dict(tau_max=math.inf),
+        dict(rtol=-1.0),
+        dict(atol=0.0),
+    ])
+    def test_non_finite_or_nonpositive_tolerance_rejected(self, kwargs):
+        with pytest.raises(ValidationError):
+            ScenarioConfig(**kwargs).validate()
+
     def test_defaults_valid(self):
         ScenarioConfig().validate()
 
