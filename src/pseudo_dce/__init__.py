@@ -70,6 +70,7 @@ from .hermitize import (
     coefficients_general,
     constraint_rhs_general,
     constraint_rhs_polar,
+    guard_flow_crossings,
     hermitized_coefficients,
     hermitized_coefficients_general,
     integrate_constraints,
@@ -80,9 +81,6 @@ from .integrate import (
     IvpProblem,
     IvpSolution,
     integrate,
-    pack_complex,
-    unpack_complex,
-    wrap_complex_rhs,
 )
 from .scenario import (
     CANONICAL_COLUMNS,

@@ -35,6 +35,7 @@ from .hermitize import (
     HermitizedCoeffs,
     approx_dyson_trajectory,
     constraint_rhs_polar,
+    guard_flow_crossings,
     hermitized_coefficients,
     z_abs_from,
 )
@@ -253,12 +254,19 @@ def evolve(p: DriveParams, t_grid: np.ndarray, *,
     r0 = 0 is replaced by seed_r_eps to stay off the phi_sq pole.
     phi_sq0 defaults to the phase-locked value phi_sq(0) of the closed
     form with phi0_prime = 0.
+
+    max_step defaults to a sixteenth of the drive period.  The error
+    control alone takes longer steps, and against a tight-tolerance
+    reference they lose a factor of about 20 in N on the integrated
+    source and 2 on the approximate one; the cap costs little time.  With
+    the integrated source a step that carries the flow across chi = 1 or
+    Phi = 0 raises ChiSingular or PhiZero at the crossing.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if r0 == 0.0:
         r0 = seed_r_eps
     if max_step is None:
-        max_step = p.period() / 200.0
+        max_step = p.period() / 16.0
 
     if dyson_source == "approximate":
         if chi is None:
@@ -306,9 +314,9 @@ def evolve(p: DriveParams, t_grid: np.ndarray, *,
 
     y0 = np.array(y0_con + [r0, phi_sq0, 0.0, theta0.real, theta0.imag])
     problem = IvpProblem(rhs=rhs, t_span=(float(t_grid[0]), float(t_grid[-1])),
-                         y0=y0, t_eval=t_grid)
-    sol = integrate(problem, method="rk45", rtol=rtol, atol=atol,
-                    max_step=max_step)
+                         y0=y0, t_eval=t_grid,
+                         guard=guard_flow_crossings if n_con else None)
+    sol = integrate(problem, rtol=rtol, atol=atol, max_step=max_step)
 
     m = sol.t.size
     W = np.empty(m)
@@ -357,7 +365,7 @@ def bogoliubov_ode_oracle(p: DriveParams, t_grid: np.ndarray, *,
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if max_step is None:
-        max_step = p.period() / 200.0
+        max_step = p.period() / 16.0
 
     if dyson_source == "approximate":
         if chi is None:
@@ -401,9 +409,9 @@ def bogoliubov_ode_oracle(p: DriveParams, t_grid: np.ndarray, *,
 
     y0 = np.array(y0_con + [1.0, 0.0, 0.0, 0.0])
     problem = IvpProblem(rhs=rhs, t_span=(float(t_grid[0]), float(t_grid[-1])),
-                         y0=y0, t_eval=t_grid)
-    sol = integrate(problem, method="rk45", rtol=rtol, atol=atol,
-                    max_step=max_step)
+                         y0=y0, t_eval=t_grid,
+                         guard=guard_flow_crossings if n_con else None)
+    sol = integrate(problem, rtol=rtol, atol=atol, max_step=max_step)
     u = sol.y[:, n_con] + 1j * sol.y[:, n_con + 1]
     v = sol.y[:, n_con + 2] + 1j * sol.y[:, n_con + 3]
     return u, v

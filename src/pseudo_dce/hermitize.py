@@ -113,6 +113,32 @@ def _check_guards(s: ConstraintState, chi_guard: float):
         raise PhiZero(f"Phi = {s.Phi!r} below {_PHI_GUARD!r}")
 
 
+def guard_flow_crossings(t_old: float, t_new: float, y_at) -> None:
+    """Step guard for states that begin with (Phi, varphi, Lambda).
+
+    The pointwise guards only see the points a step samples, so a step can
+    carry the flow across chi = 1 or Phi = 0 unnoticed.  This looks for a
+    sign change of chi - 1 or Phi between the step's ends, locates the
+    earliest one on the step's dense output y_at and raises ChiSingular or
+    PhiZero naming the time and the state there.
+    """
+    def g(t: float) -> np.ndarray:
+        Phi, _, Lambda = y_at(t)[:3]
+        return np.array([Phi * Phi - Lambda - 1.0, Phi])
+
+    changed = np.flatnonzero(np.sign(g(t_old)) != np.sign(g(t_new)))
+    if changed.size == 0:
+        return
+    from scipy.optimize import brentq
+
+    t_c, k = min((brentq(lambda t: g(t)[k], t_old, t_new, xtol=1e-15), k)
+                 for k in changed)
+    Phi, varphi, Lambda = (float(x) for x in y_at(t_c)[:3])
+    error, what = (ChiSingular, "chi = 1") if k == 0 else (PhiZero, "Phi = 0")
+    raise error(f"the flow crosses {what} at tau = {t_c!r} "
+                f"(Phi = {Phi!r}, varphi = {varphi!r}, Lambda = {Lambda!r})")
+
+
 def constraint_rhs_general(s: ConstraintState, omega: PolarComplex,
                            alpha: PolarComplex, beta: PolarComplex,
                            chi_guard: float = _CHI_GUARD) -> np.ndarray:
@@ -295,12 +321,11 @@ def integrate_constraints(p: DriveParams, s0: ConstraintState,
         return constraint_rhs_polar(s, p, t, chi_guard)[:3]
 
     if max_step is None:
-        max_step = p.period() / 200.0
+        max_step = p.period() / 16.0
     problem = IvpProblem(rhs=rhs, t_span=(float(t_grid[0]), float(t_grid[-1])),
                          y0=np.array([s0.Phi, s0.varphi, s0.Lambda]),
-                         t_eval=t_grid)
-    sol = integrate(problem, method="rk45", rtol=rtol, atol=atol,
-                    max_step=max_step)
+                         t_eval=t_grid, guard=guard_flow_crossings)
+    sol = integrate(problem, rtol=rtol, atol=atol, max_step=max_step)
 
     n = sol.t.size
     z = np.empty(n)

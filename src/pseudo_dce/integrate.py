@@ -1,13 +1,13 @@
 """Initial-value-problem integrators shared by every dynamical module.
 
-Two methods: an adaptive Dormand-Prince 5(4) pair with FSAL and a
-proportional step controller, and a fixed-step classical RK4.  Both work
-on real state vectors; complex systems are handled by the pack/unpack
-helpers, which double the dimension.
+Two methods on real state vectors.  The adaptive one drives scipy's
+DOP853 stepper (Dormand-Prince 8(5,3)) one step at a time, so every
+accepted step can be handed to a guard, and fills the reporting grid from
+each step's 7th-order dense output.  The other is a fixed-step classical
+RK4, kept as an order reference.
 
-Dense output is cubic Hermite interpolation on accepted steps, so values
-requested between steps carry O(h^4) interpolation error on top of the
-integration error.  Requested grid points are never extrapolated.
+scipy.integrate is imported on first use: importing it costs about a
+third of a second, more than importing the rest of the package.
 """
 
 from __future__ import annotations
@@ -20,38 +20,11 @@ import numpy as np
 
 from .errors import NonFiniteState, StepRejected
 
-# Dormand-Prince 5(4) tableau.
-_C = np.array([0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0])
-_A = (
-    np.array([]),
-    np.array([1.0 / 5.0]),
-    np.array([3.0 / 40.0, 9.0 / 40.0]),
-    np.array([44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0]),
-    np.array([19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0]),
-    np.array(
-        [9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0,
-         -5103.0 / 18656.0]
-    ),
-    np.array(
-        [35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0,
-         11.0 / 84.0]
-    ),
-)
-_B5 = np.array(
-    [35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0,
-     11.0 / 84.0, 0.0]
-)
-# b5 - b4: weights of the embedded error estimate.
-_E = np.array(
-    [71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0, -17253.0 / 339200.0,
-     22.0 / 525.0, -1.0 / 40.0]
-)
-
-_SAFETY = 0.9
-_MIN_FACTOR = 0.2
-_MAX_FACTOR = 5.0
-# Steps below this fraction of the span abort instead of stalling.
-_MIN_STEP_FRACTION = 1e-12
+# Right-hand-side calls per DOP853 step attempt (11 new stages plus the
+# FSAL stage); dense output costs 3 more per step.
+_DOP853_EVALS = 12
+# Grid points within this fraction of the span of a step end take its value.
+_GRID_SNAP = 1e-14
 
 
 @dataclass(frozen=True)
@@ -61,13 +34,17 @@ class IvpProblem:
     rhs maps (t, y) to dy/dt with y a real 1-D array.  t_eval, when given,
     is the grid the solution is reported on; it must be increasing and lie
     inside t_span.  Without it the solution is reported on the accepted
-    steps (rk45) or the fixed grid (rk4).
+    steps (dop853) or the fixed grid (rk4).  guard, when given, is called
+    by the adaptive method after every accepted step as
+    guard(t_old, t_new, y_at), y_at the step's dense output; it raises to
+    stop the integration.
     """
 
     rhs: Callable[[float, np.ndarray], np.ndarray]
     t_span: tuple[float, float]
     y0: np.ndarray
     t_eval: Optional[Sequence[float]] = None
+    guard: Optional[Callable[[float, float, Callable], None]] = None
 
     def __post_init__(self):
         t0, t1 = self.t_span
@@ -94,9 +71,13 @@ class IvpProblem:
 
 @dataclass(frozen=True)
 class IntegrationStats:
+    """Work done: accepted and rejected steps, rhs calls, step-size range."""
+
     n_steps: int
     n_rejected: int
-    max_error_estimate: float
+    nfev: int
+    h_min: float
+    h_max: float
 
 
 @dataclass(frozen=True)
@@ -108,145 +89,84 @@ class IvpSolution:
     stats: IntegrationStats
 
 
-def pack_complex(z: np.ndarray) -> np.ndarray:
-    """Complex vector -> real vector [Re(z), Im(z)] of twice the length."""
-    z = np.asarray(z, dtype=complex)
-    return np.concatenate([z.real, z.imag])
-
-
-def unpack_complex(y: np.ndarray) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    n = y.size // 2
-    if 2 * n != y.size:
-        raise ValueError(f"real vector of even length required, got {y.size}")
-    return y[:n] + 1j * y[n:]
-
-
-def wrap_complex_rhs(f: Callable[[float, np.ndarray], np.ndarray]):
-    """Adapt a complex-valued rhs to the doubled-real convention."""
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return pack_complex(f(t, unpack_complex(y)))
-
-    return rhs
-
-
 def _check_finite(t: float, y: np.ndarray):
     if not np.all(np.isfinite(y)):
         raise NonFiniteState(f"state left the finite domain at t = {t!r}")
 
 
-def _hermite(t: float, t0: float, t1: float, y0, y1, f0, f1) -> np.ndarray:
-    """Cubic Hermite interpolant on [t0, t1] matching values and slopes."""
-    h = t1 - t0
-    s = (t - t0) / h
-    s2 = s * s
-    s3 = s2 * s
-    h00 = 2.0 * s3 - 3.0 * s2 + 1.0
-    h10 = s3 - 2.0 * s2 + s
-    h01 = -2.0 * s3 + 3.0 * s2
-    h11 = s3 - s2
-    return h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
+def _integrate_dop853(p: IvpProblem, rtol: float, atol: float,
+                      max_step: Optional[float],
+                      first_step: Optional[float]) -> IvpSolution:
+    from scipy.integrate import DOP853
 
-
-def _integrate_rk45(p: IvpProblem, rtol: float, atol: float,
-                    max_step: Optional[float],
-                    first_step: Optional[float]) -> IvpSolution:
     t0, t1 = p.t_span
-    span = t1 - t0
-    if max_step is None:
-        max_step = span / 200.0
-    if first_step is None:
-        first_step = max_step
-    h_min = _MIN_STEP_FRACTION * span
-
-    t = t0
-    y = np.array(p.y0, dtype=float)
-    _check_finite(t, y)
-    f = np.asarray(p.rhs(t, y), dtype=float)
-    if f.shape != y.shape:
-        raise ValueError(f"rhs returned shape {f.shape}, expected {y.shape}")
+    snap = _GRID_SNAP * (t1 - t0)
+    _check_finite(t0, p.y0)
+    solver = DOP853(p.rhs, t0, p.y0, t1, rtol=rtol, atol=atol,
+                    max_step=math.inf if max_step is None else max_step,
+                    first_step=first_step)
+    if solver.f.shape != p.y0.shape:
+        raise ValueError(f"rhs returned shape {solver.f.shape}, expected {p.y0.shape}")
 
     te = p.t_eval
-    out_t: list[float] = []
-    out_y: list[np.ndarray] = []
+    i = 0
     if te is None:
-        out_t.append(t)
-        out_y.append(y.copy())
-        next_eval = None
+        out_t, out_y = [t0], [p.y0]
     else:
-        next_eval = 0
-        while next_eval < te.size and te[next_eval] <= t:
-            out_t.append(float(te[next_eval]))
-            out_y.append(y.copy())
-            next_eval += 1
+        out_y = np.empty((te.size, p.y0.size))
+        # Grid points at t0 (or within roundoff before it) take y0.
+        i = int(np.searchsorted(te, t0 + snap, side="right"))
+        out_y[:i] = p.y0
 
-    h = min(first_step, max_step, span)
-    n_steps = 0
-    n_rejected = 0
-    max_err = 0.0
-    k = np.empty((7, y.size), dtype=float)
+    n_steps = n_rejected = 0
+    h_min, h_max = math.inf, 0.0
+    while solver.status == "running":
+        nfev = solver.nfev
+        # An overflow is reported below as NonFiniteState, not as a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            message = solver.step()
+        # scipy does not count rejections; each attempt costs the same calls.
+        n_rejected += (solver.nfev - nfev) // _DOP853_EVALS - 1
+        if solver.status == "failed":
+            t = float(solver.t)
+            # An overflow inside a step shows up as a step-size failure:
+            # the error estimates turn non-finite and every retry is
+            # rejected.  Tell it apart by the stage terms they sum.
+            with np.errstate(over="ignore"):
+                terms = np.abs(solver.K).T @ (np.abs(solver.E3) + np.abs(solver.E5))
+            if not np.all(np.isfinite(terms)):
+                raise NonFiniteState(f"a step overflowed the finite domain at t = {t!r}")
+            raise StepRejected(f"{message} (t = {t!r})")
+        t_old, t_new, y_new = float(solver.t_old), float(solver.t), solver.y
+        _check_finite(t_new, y_new)
+        n_steps += 1
+        h_min, h_max = min(h_min, t_new - t_old), max(h_max, t_new - t_old)
 
-    while t1 - t > 1e-14 * span:
-        h = min(h, max_step, t1 - t)
-        if h < h_min:
-            raise StepRejected(
-                f"step size {h!r} fell below {h_min!r} at t = {t!r}"
-            )
-        k[0] = f
-        for i in range(1, 7):
-            yi = y + h * (_A[i] @ k[:i])
-            k[i] = p.rhs(t + _C[i] * h, yi)
-        y_new = y + h * (_B5 @ k)
-        err_vec = h * (_E @ k)
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        with np.errstate(invalid="ignore", over="ignore"):
-            err = math.sqrt(float(np.mean((err_vec / scale) ** 2)))
-        if not math.isfinite(err):
-            # A stage probed a pole or overflowed; shrink and retry.
-            n_rejected += 1
-            h *= _MIN_FACTOR
-            continue
-        _check_finite(t + h, y_new)
-
-        if err <= 1.0:
-            t_new = t + h
-            # FSAL: stage 7 is rhs at (t_new, y_new).  Copy, not view: k is
-            # reused next step and a view would corrupt the interpolant.
-            f_new = k[6].copy()
-            if te is not None:
-                while next_eval < te.size and te[next_eval] <= t_new + 1e-14 * span:
-                    tq = float(te[next_eval])
-                    if tq >= t_new - 1e-14 * span:
-                        out_t.append(tq)
-                        out_y.append(y_new.copy())
-                    else:
-                        out_t.append(tq)
-                        out_y.append(_hermite(tq, t, t_new, y, y_new, f, f_new))
-                    next_eval += 1
-            else:
-                out_t.append(t_new)
-                out_y.append(y_new.copy())
-            t, y, f = t_new, y_new, f_new
-            n_steps += 1
-            max_err = max(max_err, err)
-            factor = _MAX_FACTOR if err == 0.0 else min(
-                _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -0.2)
-            )
-            h *= factor
+        if te is None:
+            out_t.append(t_new)
+            out_y.append(y_new)
+            j = i
         else:
-            n_rejected += 1
-            h *= max(_MIN_FACTOR, _SAFETY * err ** -0.2)
+            j = int(np.searchsorted(te, t_new + snap, side="right"))
+        if p.guard is None and j == i:
+            continue
+        y_at = solver.dense_output()
+        if p.guard is not None:
+            p.guard(t_old, t_new, y_at)
+        if j > i:
+            out_y[i:j] = y_at(te[i:j]).T
+            # Points on the step end take its value, not the interpolant's.
+            out_y[i:j][te[i:j] >= t_new - snap] = y_new
+            i = j
 
-    if te is not None:
-        # Grid points within roundoff of t1 that the last step skipped.
-        while next_eval < te.size:
-            out_t.append(float(te[next_eval]))
-            out_y.append(y.copy())
-            next_eval += 1
-
-    stats = IntegrationStats(n_steps, n_rejected, max_err)
-    return IvpSolution(np.array(out_t), np.array(out_y), stats)
+    if te is None:
+        t_out, y_out = np.array(out_t), np.array(out_y)
+    else:
+        # Grid points within roundoff past t1 take the final state.
+        out_y[i:] = solver.y
+        t_out, y_out = te.copy(), out_y
+    stats = IntegrationStats(n_steps, n_rejected, solver.nfev, h_min, h_max)
+    return IvpSolution(t_out, y_out, stats)
 
 
 def _integrate_rk4(p: IvpProblem, h: Optional[float]) -> IvpSolution:
@@ -270,6 +190,7 @@ def _integrate_rk4(p: IvpProblem, h: Optional[float]) -> IvpSolution:
         out_t.append(t)
         out_y.append(y.copy())
     n_steps = 0
+    h_min, h_max = math.inf, 0.0
 
     for target in targets:
         if target <= t:
@@ -278,6 +199,7 @@ def _integrate_rk4(p: IvpProblem, h: Optional[float]) -> IvpSolution:
             continue
         n_sub = max(1, math.ceil((target - t) / h - 1e-12))
         dt = (target - t) / n_sub
+        h_min, h_max = min(h_min, dt), max(h_max, dt)
         for i in range(n_sub):
             k1 = np.asarray(p.rhs(t, y), dtype=float)
             k2 = np.asarray(p.rhs(t + 0.5 * dt, y + 0.5 * dt * k1), dtype=float)
@@ -291,22 +213,23 @@ def _integrate_rk4(p: IvpProblem, h: Optional[float]) -> IvpSolution:
         out_t.append(t)
         out_y.append(y.copy())
 
-    stats = IntegrationStats(n_steps, 0, 0.0)
+    stats = IntegrationStats(n_steps, 0, 4 * n_steps, h_min, h_max)
     return IvpSolution(np.array(out_t), np.array(out_y), stats)
 
 
-def integrate(p: IvpProblem, method: str = "rk45", rtol: float = 1e-9,
+def integrate(p: IvpProblem, method: str = "dop853", rtol: float = 1e-9,
               atol: float = 1e-12, max_step: Optional[float] = None,
               first_step: Optional[float] = None,
               h: Optional[float] = None) -> IvpSolution:
     """Integrate the problem with the named method.
 
-    rk45 honors rtol/atol/max_step/first_step; rk4 honors only the fixed
-    step h (each reporting interval is subdivided into equal substeps of
-    size at most h, landing on grid points exactly).
+    dop853 honors rtol/atol/max_step/first_step and p.guard; max_step
+    defaults to no cap, so the error control alone sets the step.  rk4
+    honors only the fixed step h (each reporting interval is subdivided
+    into equal substeps of size at most h, landing on grid points exactly).
     """
-    if method == "rk45":
-        return _integrate_rk45(p, rtol, atol, max_step, first_step)
+    if method == "dop853":
+        return _integrate_dop853(p, rtol, atol, max_step, first_step)
     if method == "rk4":
         return _integrate_rk4(p, h)
-    raise ValueError(f"unknown method {method!r}; expected 'rk45' or 'rk4'")
+    raise ValueError(f"unknown method {method!r}; expected 'dop853' or 'rk4'")

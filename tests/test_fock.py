@@ -6,7 +6,7 @@ import scipy.linalg
 
 from pseudo_dce.dyson import DysonState, bogoliubov_matrix
 from pseudo_dce.errors import (NormTooLarge, SingularEta,
-                               TruncationUntrusted)
+                               TruncationUntrusted, ValidationError)
 from pseudo_dce.fock import (FockSpace, TruncatedState, counterpart_matrix,
                              drive_hamiltonian, eta_matrix,
                              gauss_product_matrix, inverse_map_state,
@@ -234,6 +234,12 @@ class TestPropagate:
     def test_shape_validation(self):
         f = FockSpace(16)
         with pytest.raises(ValueError):
+            propagate(lambda t: (1.0, 0j, 0j), np.zeros(8, dtype=complex),
+                      np.linspace(0.0, 1.0, 5), f)
+
+    def test_zero_state_rejected(self):
+        f = FockSpace(8)
+        with pytest.raises(ValidationError, match="zero vector"):
             propagate(lambda t: (1.0, 0j, 0j), np.zeros(8, dtype=complex),
                       np.linspace(0.0, 1.0, 5), f)
 

@@ -13,9 +13,12 @@ from pseudo_dce.hermitize import (ConstraintState, approx_dyson_trajectory,
                                   coefficients_general,
                                   constraint_rhs_general,
                                   constraint_rhs_polar,
+                                  guard_flow_crossings,
                                   hermitized_coefficients,
                                   hermitized_coefficients_general,
                                   integrate_constraints, z_abs_from)
+from pseudo_dce.dynamics import bogoliubov_ode_oracle, evolve
+from pseudo_dce.scenario import ScenarioConfig
 
 CHI_FIG = 1.0002
 VARPHI0 = 0.5 * math.pi
@@ -171,6 +174,46 @@ class TestIntegratedFlow:
         assert s.Phi == moderate_state0.Phi
         assert s.varphi == moderate_state0.varphi
         assert traj.stats.n_steps > 0
+
+
+class TestFlowCrossingGuard:
+
+    def test_chi_crossing_inside_a_step_is_caught(self, fig1_params):
+        # The fig1 flow takes chi from 1.0002 below 1 near tau = 2.28 while
+        # no grid point (nor rhs sample) comes within the 1e-9 guard.
+        s0 = ScenarioConfig().constraint0()
+        with pytest.raises(ChiSingular, match=r"tau = 2\.2"):
+            integrate_constraints(fig1_params, s0, np.linspace(0.0, 3.0, 601))
+
+    def test_guard_locates_the_crossing(self):
+        # chi - 1 = Phi^2 - Lambda - 1 falls linearly through zero at t = 0.3.
+        def y_at(t):
+            return np.array([2.0, 0.0, 2.7 + t])
+
+        with pytest.raises(ChiSingular) as info:
+            guard_flow_crossings(0.0, 1.0, y_at)
+        t_c = float(str(info.value).split("tau = ")[1].split(" ")[0])
+        assert abs(t_c - 0.3) < 1e-12
+        assert "Lambda = 3.0" in str(info.value)
+
+    def test_phi_crossing_raises_phi_zero(self):
+        with pytest.raises(PhiZero, match="Phi = 0"):
+            guard_flow_crossings(0.0, 1.0,
+                                 lambda t: np.array([0.5 - t, 0.0, -3.0]))
+
+    def test_no_crossing_passes(self):
+        guard_flow_crossings(0.0, 1.0, lambda t: np.array([0.5, 0.0, -3.0 + t]))
+
+    def test_integrated_evolve_stops_at_the_crossing(self, fig1_params):
+        # Either guard may trip first: the crossing one or a stage that
+        # lands within 1e-9 of chi = 1.
+        s0 = ScenarioConfig().constraint0()
+        tg = np.linspace(0.0, 3.0, 601)
+        with pytest.raises(ChiSingular):
+            evolve(fig1_params, tg, dyson_source="integrated", constraint0=s0)
+        with pytest.raises(ChiSingular):
+            bogoliubov_ode_oracle(fig1_params, tg, dyson_source="integrated",
+                                  constraint0=s0)
 
 
 class TestZAbsFrom:

@@ -2,12 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-import hypothesis.strategies as st
 
 from pseudo_dce.errors import NonFiniteState, StepRejected
-from pseudo_dce.integrate import (IvpProblem, integrate, pack_complex,
-                                  unpack_complex, wrap_complex_rhs)
+from pseudo_dce.integrate import IvpProblem, integrate
 
 
 def osc_rhs(t, y):
@@ -115,7 +112,64 @@ def test_stats_are_reported():
                                y0=np.array([1.0, 0.0])))
     assert sol.stats.n_steps > 0
     assert sol.stats.n_rejected >= 0
-    assert sol.stats.max_error_estimate <= 1.0
+
+
+def test_stats_count_work_on_oscillator():
+    """nfev is 12 per attempt plus set-up and dense output; h spans steps."""
+    te = np.linspace(0.0, 2.0 * math.pi, 9)
+    sol = integrate(IvpProblem(rhs=osc_rhs, t_span=(0.0, 2.0 * math.pi),
+                               y0=np.array([1.0, 0.0]), t_eval=te),
+                    rtol=1e-9, atol=1e-12)
+    st = sol.stats
+    # Two set-up calls (f0 and the initial-step probe), 12 per attempt,
+    # and 3 per dense output, which at most every accepted step needs.
+    attempts = st.n_steps + st.n_rejected
+    assert 2 + 12 * attempts <= st.nfev <= 2 + 15 * attempts
+    assert 0.0 < st.h_min <= st.h_max <= 2.0 * math.pi
+    # Without a cap the error control takes steps far above period/200.
+    assert st.h_max > 2.0 * math.pi / 200.0
+    assert st.n_steps < 200
+
+    capped = integrate(IvpProblem(rhs=osc_rhs, t_span=(0.0, 2.0 * math.pi),
+                                  y0=np.array([1.0, 0.0]), t_eval=te),
+                       rtol=1e-9, atol=1e-12, max_step=0.1)
+    assert capped.stats.h_max <= 0.1 * (1.0 + 1e-12)
+    assert capped.stats.n_steps >= 63
+
+
+def test_rejected_steps_are_counted():
+    """A first step far too long is rejected until the error passes."""
+    sol = integrate(IvpProblem(rhs=osc_rhs, t_span=(0.0, 20.0),
+                               y0=np.array([1.0, 0.0])),
+                    rtol=1e-12, atol=1e-14, first_step=10.0)
+    assert sol.stats.n_rejected >= 1
+    attempts = sol.stats.n_steps + sol.stats.n_rejected
+    assert sol.stats.nfev == 1 + 12 * attempts
+
+
+def test_rk4_stats():
+    sol = integrate(IvpProblem(rhs=lambda t, y: -y, t_span=(0.0, 1.0),
+                               y0=np.array([1.0]), t_eval=np.array([1.0])),
+                    method="rk4", h=0.1)
+    assert sol.stats.n_steps == 10
+    assert sol.stats.nfev == 40
+    assert sol.stats.h_min == pytest.approx(0.1)
+    assert sol.stats.h_max == pytest.approx(0.1)
+
+
+def test_guard_sees_every_accepted_step():
+    seen = []
+
+    def guard(t_old, t_new, y_at):
+        # The dense output reproduces the step's ends.
+        assert abs(float(y_at(t_old)[0]) - math.cos(t_old)) < 1e-8
+        seen.append((t_old, t_new))
+
+    sol = integrate(IvpProblem(rhs=osc_rhs, t_span=(0.0, 2.0 * math.pi),
+                               y0=np.array([1.0, 0.0]), guard=guard))
+    assert len(seen) == sol.stats.n_steps
+    assert seen[0][0] == 0.0 and seen[-1][1] == 2.0 * math.pi
+    assert all(a[1] == b[0] for a, b in zip(seen, seen[1:]))
 
 
 @pytest.mark.parametrize("bad_te", [
@@ -139,29 +193,3 @@ def test_unknown_method():
     p = IvpProblem(rhs=lambda t, y: -y, t_span=(0.0, 1.0), y0=np.array([1.0]))
     with pytest.raises(ValueError):
         integrate(p, method="euler")
-
-
-@given(st.lists(st.complex_numbers(max_magnitude=1e6, allow_nan=False,
-                                   allow_infinity=False),
-                min_size=1, max_size=8))
-@settings(max_examples=200, deadline=None)
-def test_pack_unpack_roundtrip(zs):
-    z = np.array(zs, dtype=complex)
-    back = unpack_complex(pack_complex(z))
-    assert np.array_equal(back, z)
-
-
-def test_unpack_rejects_odd_length():
-    with pytest.raises(ValueError):
-        unpack_complex(np.array([1.0, 2.0, 3.0]))
-
-
-def test_wrap_complex_rhs_matches_direct_integration():
-    """i*zdot = z integrated as a doubled real system: z(t) = e^{-it}."""
-    rhs = wrap_complex_rhs(lambda t, z: -1j * z)
-    sol = integrate(IvpProblem(rhs=rhs, t_span=(0.0, math.pi),
-                               y0=pack_complex(np.array([1.0 + 0j])),
-                               t_eval=np.array([math.pi])),
-                    rtol=1e-11, atol=1e-14)
-    z = unpack_complex(sol.y[-1])[0]
-    assert abs(z - (-1.0)) < 1e-9
