@@ -13,7 +13,6 @@ from .dynamics import (
     bogoliubov_uvw,
     evolve,
     mean_photon_general,
-    rotation_displacement_rhs,
     squeeze_rhs,
 )
 from .dyson import (
@@ -65,6 +64,7 @@ from .hermitize import (
     ConstraintState,
     ConstraintTrajectory,
     HermitizedCoeffs,
+    MapSource,
     approx_dyson_trajectory,
     coefficients_from_flow,
     coefficients_general,

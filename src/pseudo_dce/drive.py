@@ -9,7 +9,9 @@ bookkept with the step function h(x) = 0 for x >= 0, 1 for x < 0
 zeta = |zeta|*exp(i*[h[sin(kappa t)]*pi + pi]).
 
 Phases are stored in radians and never reduced modulo 2*pi here;
-reduction happens only at comparison time.
+reduction happens only at comparison time.  omega, omega_dot and
+zeta_signed take a scalar t or a whole grid; sin, cos and atan2 below let
+one expression serve both.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class ZetaMode(enum.Enum):
@@ -41,6 +45,21 @@ class PolarComplex:
 
     def to_complex(self) -> complex:
         return self.modulus * complex(math.cos(self.phase), math.sin(self.phase))
+
+
+def _math_or_numpy(f, g):
+    """f from math on a float, g from numpy on an array.
+
+    numpy costs about a microsecond per call on a scalar, which a
+    right-hand side pays thousands of times.  The two routes agree bit for
+    bit here; tests/test_hermitize.py compares them on whole grids.
+    """
+    return lambda *x: f(*x) if isinstance(x[0], float) else g(*x)
+
+
+sin = _math_or_numpy(math.sin, np.sin)
+cos = _math_or_numpy(math.cos, np.cos)
+atan2 = _math_or_numpy(math.atan2, np.arctan2)
 
 
 def heaviside(x: float) -> float:
@@ -97,12 +116,12 @@ class DriveParams:
 
 def omega(t: float, p: DriveParams) -> float:
     """omega(t) = omega0*(1 + eps_mod*cos(kappa t)).  Always > 0."""
-    return p.omega0 * (1.0 + p.eps_mod * math.cos(p.kappa * t))
+    return p.omega0 * (1.0 + p.eps_mod * cos(p.kappa * t))
 
 
 def omega_dot(t: float, p: DriveParams) -> float:
     """Analytic derivative of omega; never finite-differenced."""
-    return -p.omega0 * p.eps_mod * p.kappa * math.sin(p.kappa * t)
+    return -p.omega0 * p.eps_mod * p.kappa * sin(p.kappa * t)
 
 
 def zeta_signed(t: float, p: DriveParams) -> float:
@@ -114,7 +133,7 @@ def zeta_signed(t: float, p: DriveParams) -> float:
     """
     if p.zeta_mode is ZetaMode.EXACT:
         return omega_dot(t, p) / (4.0 * omega(t, p))
-    return -0.5 * p.eps_mod * p.kappa * math.sin(p.kappa * t)
+    return -0.5 * p.eps_mod * p.kappa * sin(p.kappa * t)
 
 
 def zeta(t: float, p: DriveParams) -> PolarComplex:

@@ -1,7 +1,8 @@
 """Squeeze-parameter dynamics of the Hermitian counterpart and photon numbers.
 
-The counterpart generator W*(n + 1/2) + T*a^2 + conj(T)*a^dag^2 evolves an
-invariant-based squeeze parametrization (r, phi_sq, theta) by
+The counterpart generator W*(n + 1/2) + T*a^2 + conj(T)*a^dag^2, with the
+complex pump T = |T|*exp(i*phi_T) from the hermitize module's map source,
+evolves an invariant-based squeeze parametrization (r, phi_sq, theta) by
 
     dr/dt      = -2*|T|*sin(phi_T + phi_sq)
     dphi_sq/dt = -2*W - 4*|T|*coth(2r)*cos(phi_T + phi_sq)
@@ -11,7 +12,8 @@ invariant-based squeeze parametrization (r, phi_sq, theta) by
 with the accumulated phase Omega_tilde = integral of Omega.  From two
 squeeze states the Bogoliubov triple (u, v, w) follows in closed form and
 gives the mean photon number for arbitrary Gaussian-adjacent initial
-moments; for vacuum N = sinh(r)^2 = |v|^2.
+moments; for vacuum N = sinh(r)^2 = |v|^2.  The closed forms take scalars
+or whole grids.
 
 The phi_sq equation has a coordinate pole at r = 0; callers seed r with a
 tiny positive value (evolve does this when r0 = 0) and the pole is
@@ -21,7 +23,6 @@ transient without intervention.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -30,16 +31,8 @@ import numpy as np
 
 from .drive import DriveParams, heaviside
 from .errors import ChiSingular, NegativeMeanPhoton, NotOnResonance
-from .hermitize import (
-    ConstraintState,
-    HermitizedCoeffs,
-    approx_dyson_trajectory,
-    constraint_rhs_polar,
-    guard_flow_crossings,
-    hermitized_coefficients,
-    z_abs_from,
-)
-from .integrate import IntegrationStats, IvpProblem, integrate
+from .hermitize import ConstraintState, HermitizedCoeffs, MapSource
+from .integrate import IntegrationStats
 
 _RESONANCE_TOL = 1e-12
 _DEFAULT_SEED = 1e-8
@@ -94,17 +87,6 @@ def squeeze_rhs(r: float, phi_sq: float, c: HermitizedCoeffs) -> tuple[float, fl
     return dr, dphi, Omega
 
 
-def rotation_displacement_rhs(s: SqueezeState,
-                              c: HermitizedCoeffs) -> tuple[complex, float]:
-    """(dtheta/dt, Omega) at the given state.
-
-    Omega is real, so the displacement evolves by phase only and |theta|
-    is conserved exactly by the continuous flow.
-    """
-    _, _, Omega = squeeze_rhs(s.r, s.phi_sq, c)
-    return -1j * Omega * s.theta, Omega
-
-
 def amplification_factor(alpha0_tilde: float, beta0_tilde: float,
                          chi: float) -> float:
     """Growth-rate ratio |alpha0_tilde - chi*beta0_tilde| / |chi - 1|.
@@ -140,8 +122,8 @@ def analytic_squeeze(t: float, p: DriveParams, chi: float, r0: float,
     big_a = amplification_factor(p.alpha0_tilde, p.beta0_tilde, chi)
     th = 4.0 * p.omega0 * t
     r = r0 + (p.eps_mod * big_a / 8.0) * (
-        math.cos(phi0_prime) * (th - math.sin(th))
-        - math.sin(phi0_prime) * (1.0 - math.cos(th))
+        math.cos(phi0_prime) * (th - np.sin(th))
+        - math.sin(phi0_prime) * (1.0 - np.cos(th))
     )
     phi_sq = (phi0_prime - 0.5 * math.pi
               - heaviside(1.0 - chi) * math.pi
@@ -154,16 +136,16 @@ def bogoliubov_uvw(s0: SqueezeState, s: SqueezeState) -> BogoliubovTriple:
     """Bogoliubov triple connecting two squeeze states of one evolution.
 
     Uses the accumulated phase difference Omega_tilde(s) - Omega_tilde(s0).
-    |u|^2 - |v|^2 = 1 identically.
+    |u|^2 - |v|^2 = 1 identically.  The fields of s may be arrays.
     """
     dom = s.Omega_tilde - s0.Omega_tilde
-    c0, s0h = math.cosh(s0.r), math.sinh(s0.r)
-    c1, s1h = math.cosh(s.r), math.sinh(s.r)
-    e_m = cmath.exp(-1j * dom)
-    u = e_m * c0 * c1 - cmath.exp(1j * (dom + s.phi_sq - s0.phi_sq)) * s0h * s1h
-    v = cmath.exp(1j * (dom + s.phi_sq)) * c0 * s1h - cmath.exp(
+    c0, s0h = np.cosh(s0.r), np.sinh(s0.r)
+    c1, s1h = np.cosh(s.r), np.sinh(s.r)
+    e_m = np.exp(-1j * dom)
+    u = e_m * c0 * c1 - np.exp(1j * (dom + s.phi_sq - s0.phi_sq)) * s0h * s1h
+    v = np.exp(1j * (dom + s.phi_sq)) * c0 * s1h - np.exp(
         -1j * (dom - s0.phi_sq)) * s0h * c1
-    w = s0.theta * e_m * c1 + s0.theta.conjugate() * cmath.exp(
+    w = s0.theta * e_m * c1 + np.conj(s0.theta) * np.exp(
         1j * (dom + s.phi_sq)) * s1h
     return BogoliubovTriple(u=u, v=v, w=w)
 
@@ -174,7 +156,7 @@ def mean_photon_general(triple: BogoliubovTriple,
 
     Vacuum moments give N = |v|^2 + |w|^2.  Raises NegativeMeanPhoton when
     the assembled value is below -1e-9; smaller negative roundoff is
-    clamped to zero.
+    clamped to zero.  The triple may hold arrays.
     """
     u, v, w = triple.u, triple.v, triple.w
     a2 = moments.a_sq
@@ -185,10 +167,11 @@ def mean_photon_general(triple: BogoliubovTriple,
            + v * u.conjugate() * a2.conjugate()
            + (w * v.conjugate() + u * w.conjugate()) * a1
            + (w * u.conjugate() + v * w.conjugate()) * a1.conjugate())
-    n = val.real
-    if n < -1e-9:
-        raise NegativeMeanPhoton(f"assembled mean photon number {n!r} < -1e-9")
-    return max(0.0, n)
+    n = np.real(val)
+    if np.count_nonzero(n < -1e-9):
+        raise NegativeMeanPhoton(
+            f"assembled mean photon number {float(np.min(n))!r} < -1e-9")
+    return np.maximum(0.0, n)
 
 
 @dataclass(frozen=True)
@@ -207,36 +190,24 @@ class Trajectory:
     chi: np.ndarray
     varphi: np.ndarray
     Lambda: np.ndarray
+    residual_hermiticity: np.ndarray
     stats: IntegrationStats
 
-    def squeeze_state(self, i: int) -> SqueezeState:
-        return SqueezeState(r=float(self.r[i]), phi_sq=float(self.phi_sq[i]),
-                            theta=complex(self.theta[i]),
-                            Omega_tilde=float(self.Omega_tilde[i]))
-
-    def constraint_state(self, i: int) -> ConstraintState:
-        return ConstraintState(z_abs=min(1.0, z_abs_from(float(self.Phi[i]),
-                                                         float(self.Lambda[i]))),
-                               Phi=float(self.Phi[i]),
-                               varphi=float(self.varphi[i]),
-                               Lambda=float(self.Lambda[i]))
+    def squeeze_state(self, i) -> SqueezeState:
+        """The state at grid point i; arrays when i is a slice."""
+        return SqueezeState(r=self.r[i], phi_sq=self.phi_sq[i], theta=self.theta[i],
+                            Omega_tilde=self.Omega_tilde[i])
 
     def coeffs(self, i: int) -> HermitizedCoeffs:
         return HermitizedCoeffs(W=float(self.W[i]), T_abs=float(self.T_abs[i]),
                                 phi_T=float(self.phi_T[i]))
 
-    def bogoliubov(self, i: int) -> BogoliubovTriple:
+    def bogoliubov(self, i=slice(None)) -> BogoliubovTriple:
+        """Triple from the first grid point to point i, by default to each."""
         return bogoliubov_uvw(self.squeeze_state(0), self.squeeze_state(i))
 
     def mean_photon(self, moments: InitialMoments = InitialMoments()) -> np.ndarray:
-        return np.array([mean_photon_general(self.bogoliubov(i), moments)
-                         for i in range(self.t.size)])
-
-
-def _constraint_from_vec(y) -> ConstraintState:
-    Phi, phi, Lambda = float(y[0]), float(y[1]), float(y[2])
-    return ConstraintState(z_abs=min(1.0, z_abs_from(Phi, Lambda)),
-                           Phi=Phi, varphi=phi, Lambda=Lambda)
+        return mean_photon_general(self.bogoliubov(), moments)
 
 
 def evolve(p: DriveParams, t_grid: np.ndarray, *,
@@ -248,12 +219,11 @@ def evolve(p: DriveParams, t_grid: np.ndarray, *,
            atol: float = 1e-12, max_step: Optional[float] = None) -> Trajectory:
     """Evolve the squeeze parameters over t_grid.
 
-    dyson_source selects where the counterpart coefficients come from:
-    "approximate" uses the closed-form map trajectory at the given chi;
-    "integrated" co-integrates the hermitization flow from constraint0.
-    r0 = 0 is replaced by seed_r_eps to stay off the phi_sq pole.
-    phi_sq0 defaults to the phase-locked value phi_sq(0) of the closed
-    form with phi0_prime = 0.
+    dyson_source, chi, varphi0 and constraint0 choose the map source the
+    counterpart coefficients come from (hermitize.MapSource).  r0 = 0 is
+    replaced by seed_r_eps to stay off the phi_sq pole.  phi_sq0 defaults
+    to the phase-locked value phi_sq(0) of the closed form with
+    phi0_prime = 0.
 
     max_step defaults to a sixteenth of the drive period.  The error
     control alone takes longer steps, and against a tight-tolerance
@@ -262,86 +232,33 @@ def evolve(p: DriveParams, t_grid: np.ndarray, *,
     the integrated source a step that carries the flow across chi = 1 or
     Phi = 0 raises ChiSingular or PhiZero at the crossing.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
+    src = MapSource(p, dyson_source, chi=chi, varphi0=varphi0,
+                    constraint0=constraint0)
+    n = len(src.y0)
     if r0 == 0.0:
         r0 = seed_r_eps
-    if max_step is None:
-        max_step = p.period() / 16.0
-
-    if dyson_source == "approximate":
-        if chi is None:
-            raise ValueError("approximate dyson_source requires chi")
-        if phi_sq0 is None:
-            _, phi_sq0 = analytic_squeeze(0.0, p, chi, r0, 0.0)
-
-        def coeffs_at(t: float, y) -> HermitizedCoeffs:
-            s = approx_dyson_trajectory(t, p, varphi0, chi)
-            return hermitized_coefficients(s, p, t)
-
-        n_con = 0
-        y0_con: list[float] = []
-    elif dyson_source == "integrated":
-        if constraint0 is None:
-            raise ValueError("integrated dyson_source requires constraint0")
-        if phi_sq0 is None:
-            _, phi_sq0 = analytic_squeeze(0.0, p, constraint0.chi, r0, 0.0)
-
-        def coeffs_at(t: float, y) -> HermitizedCoeffs:
-            return hermitized_coefficients(_constraint_from_vec(y), p, t)
-
-        n_con = 3
-        y0_con = [constraint0.Phi, constraint0.varphi, constraint0.Lambda]
-    else:
-        raise ValueError(
-            f"dyson_source must be 'approximate' or 'integrated', got {dyson_source!r}"
-        )
+    if phi_sq0 is None:
+        _, phi_sq0 = analytic_squeeze(0.0, p, src.chi0, r0, 0.0)
 
     def rhs(t, y):
-        out = np.empty_like(y)
-        if n_con:
-            out[:3] = constraint_rhs_polar(_constraint_from_vec(y), p, t)[:3]
-        c = coeffs_at(t, y)
-        r, phi_sq = y[n_con], y[n_con + 1]
-        dr, dphi, Omega = squeeze_rhs(r, phi_sq, c)
-        th = complex(y[n_con + 3], y[n_con + 4])
-        dth = -1j * Omega * th
-        out[n_con] = dr
-        out[n_con + 1] = dphi
-        out[n_con + 2] = Omega
-        out[n_con + 3] = dth.real
-        out[n_con + 4] = dth.imag
-        return out
+        # Python floats: arithmetic on numpy scalars is several times slower.
+        t, y = float(t), y.tolist()
+        m = src.at(t, y)
+        c = HermitizedCoeffs.from_complex(m.W, m.T)
+        dr, dphi, Omega = squeeze_rhs(y[n], y[n + 1], c)
+        dth = -1j * Omega * complex(y[n + 3], y[n + 4])
+        return np.array([*m.rates[:n], dr, dphi, Omega, dth.real, dth.imag])
 
-    y0 = np.array(y0_con + [r0, phi_sq0, 0.0, theta0.real, theta0.imag])
-    problem = IvpProblem(rhs=rhs, t_span=(float(t_grid[0]), float(t_grid[-1])),
-                         y0=y0, t_eval=t_grid,
-                         guard=guard_flow_crossings if n_con else None)
-    sol = integrate(problem, rtol=rtol, atol=atol, max_step=max_step)
-
-    m = sol.t.size
-    W = np.empty(m)
-    T_abs = np.empty(m)
-    phi_T = np.empty(m)
-    Phi = np.empty(m)
-    chi_arr = np.empty(m)
-    varphi_arr = np.empty(m)
-    Lambda_arr = np.empty(m)
-    for i in range(m):
-        ti = float(sol.t[i])
-        if n_con:
-            s = _constraint_from_vec(sol.y[i])
-        else:
-            s = approx_dyson_trajectory(ti, p, varphi0, chi)
-        c = hermitized_coefficients(s, p, ti)
-        W[i], T_abs[i], phi_T[i] = c.W, c.T_abs, c.phi_T
-        Phi[i], chi_arr[i] = s.Phi, s.chi
-        varphi_arr[i], Lambda_arr[i] = s.varphi, s.Lambda
-
-    theta = sol.y[:, n_con + 3] + 1j * sol.y[:, n_con + 4]
-    return Trajectory(t=sol.t, r=sol.y[:, n_con], phi_sq=sol.y[:, n_con + 1],
-                      Omega_tilde=sol.y[:, n_con + 2], theta=theta,
-                      W=W, T_abs=T_abs, phi_T=phi_T, Phi=Phi, chi=chi_arr,
-                      varphi=varphi_arr, Lambda=Lambda_arr, stats=sol.stats)
+    sol = src.integrate(rhs, (r0, phi_sq0, 0.0, theta0.real, theta0.imag),
+                        t_grid, rtol, atol, max_step)
+    m = src.at(sol.t, sol.y.T)
+    c = HermitizedCoeffs.from_complex(m.W, m.T)
+    return Trajectory(t=sol.t, r=sol.y[:, n], phi_sq=sol.y[:, n + 1],
+                      Omega_tilde=sol.y[:, n + 2],
+                      theta=sol.y[:, n + 3] + 1j * sol.y[:, n + 4],
+                      W=c.W, T_abs=c.T_abs, phi_T=c.phi_T, Phi=m.Phi, chi=m.chi,
+                      varphi=m.varphi, Lambda=m.Lambda,
+                      residual_hermiticity=src.residual(sol.t, m), stats=sol.stats)
 
 
 def bogoliubov_ode_oracle(p: DriveParams, t_grid: np.ndarray, *,
@@ -363,55 +280,21 @@ def bogoliubov_ode_oracle(p: DriveParams, t_grid: np.ndarray, *,
     integrated from (u, v) = (1, 0) as a real 4-vector.  Vacuum photon
     number along this route is |v|^2.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if max_step is None:
-        max_step = p.period() / 16.0
-
-    if dyson_source == "approximate":
-        if chi is None:
-            raise ValueError("approximate dyson_source requires chi")
-
-        def coeffs_at(t: float, y) -> HermitizedCoeffs:
-            return hermitized_coefficients(
-                approx_dyson_trajectory(t, p, varphi0, chi), p, t)
-
-        n_con = 0
-        y0_con: list[float] = []
-    elif dyson_source == "integrated":
-        if constraint0 is None:
-            raise ValueError("integrated dyson_source requires constraint0")
-
-        def coeffs_at(t: float, y) -> HermitizedCoeffs:
-            return hermitized_coefficients(_constraint_from_vec(y), p, t)
-
-        n_con = 3
-        y0_con = [constraint0.Phi, constraint0.varphi, constraint0.Lambda]
-    else:
-        raise ValueError(
-            f"dyson_source must be 'approximate' or 'integrated', got {dyson_source!r}"
-        )
+    src = MapSource(p, dyson_source, chi=chi, varphi0=varphi0,
+                    constraint0=constraint0)
+    n = len(src.y0)
 
     def rhs(t, y):
-        out = np.empty_like(y)
-        if n_con:
-            out[:3] = constraint_rhs_polar(_constraint_from_vec(y), p, t)[:3]
-        c = coeffs_at(t, y)
-        u = complex(y[n_con], y[n_con + 1])
-        v = complex(y[n_con + 2], y[n_con + 3])
-        pump = 2.0 * c.T_abs * cmath.exp(-1j * c.phi_T)
-        du = -1j * (c.W * u + pump * v.conjugate())
-        dv = -1j * (c.W * v + pump * u.conjugate())
-        out[n_con] = du.real
-        out[n_con + 1] = du.imag
-        out[n_con + 2] = dv.real
-        out[n_con + 3] = dv.imag
-        return out
+        t, y = float(t), y.tolist()
+        m = src.at(t, y)
+        u = complex(y[n], y[n + 1])
+        v = complex(y[n + 2], y[n + 3])
+        pump = 2.0 * m.T.conjugate()
+        du = -1j * (m.W * u + pump * v.conjugate())
+        dv = -1j * (m.W * v + pump * u.conjugate())
+        return np.array([*m.rates[:n], du.real, du.imag, dv.real, dv.imag])
 
-    y0 = np.array(y0_con + [1.0, 0.0, 0.0, 0.0])
-    problem = IvpProblem(rhs=rhs, t_span=(float(t_grid[0]), float(t_grid[-1])),
-                         y0=y0, t_eval=t_grid,
-                         guard=guard_flow_crossings if n_con else None)
-    sol = integrate(problem, rtol=rtol, atol=atol, max_step=max_step)
-    u = sol.y[:, n_con] + 1j * sol.y[:, n_con + 1]
-    v = sol.y[:, n_con + 2] + 1j * sol.y[:, n_con + 3]
+    sol = src.integrate(rhs, (1.0, 0.0, 0.0, 0.0), t_grid, rtol, atol, max_step)
+    u = sol.y[:, n] + 1j * sol.y[:, n + 1]
+    v = sol.y[:, n + 2] + 1j * sol.y[:, n + 3]
     return u, v

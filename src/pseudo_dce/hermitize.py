@@ -8,14 +8,21 @@ coefficients (lam, Lambda) of the map, h is again quadratic,
 
 and Hermiticity of h requires W real and V = conj(T).  Those two
 conditions close into a first-order flow for the map coordinates
-(Phi, varphi, Lambda); on the flow the surviving coefficients are
-W (a real frequency) and T = |T|*exp(i*phi_T).
+(Phi, varphi, Lambda); on the flow the surviving coefficients are the
+real frequency W and the complex pump
 
-Sign bookkeeping uses the negativity indicator h(x) from the drive
-module.  The overall sign of h above is a convention choice that cancels
-in every observable; the functions here return W, T, V such that the
-Hermitian counterpart generator is W*(n+1/2) + T*a^2 + conj(T)*a^dag^2
-with the signs produced by the coefficient formulas directly.
+    W = omega - 2*zeta*Phi*(at - bt)*sin(varphi)/(chi - 1),
+    T = -i*zeta*(at - chi*bt)/(1 - chi),
+
+with zeta the signed parametric strength of the drive module.  The
+overall sign of h above is a convention choice that cancels in every
+observable; the functions here return W, T, V such that the Hermitian
+counterpart generator is W*(n+1/2) + T*a^2 + conj(T)*a^dag^2 with the
+signs produced by the coefficient formulas directly.
+
+A MapSource supplies the map along the drive, closed-form or integrated,
+and evaluates it with W and T by one set of expressions, for a scalar
+time inside a right-hand side and for the whole output grid afterwards.
 """
 
 from __future__ import annotations
@@ -23,13 +30,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .drive import DriveParams, PolarComplex, alpha_beta, heaviside, omega as drive_omega, zeta_signed
+from .drive import (DriveParams, PolarComplex, atan2, cos, omega as drive_omega,
+                    sin, zeta_signed)
 from .errors import ChiSingular, PhiZero, ZeroLambda
-from .integrate import IvpProblem, IntegrationStats, integrate
+from .integrate import IvpProblem, IvpSolution, IntegrationStats, integrate
 
 _CHI_GUARD = 1e-9
 _PHI_GUARD = 1e-12
@@ -54,28 +62,31 @@ class ConstraintState:
     def chi(self) -> float:
         return self.Phi * self.Phi - self.Lambda
 
-    @property
-    def lam(self) -> complex:
-        return self.Phi * cmath.exp(-1j * self.varphi)
-
 
 @dataclass(frozen=True)
 class HermitizedCoeffs:
-    """Hermitian-counterpart coefficients: frequency W and pump T in polar form."""
+    """Hermitian-counterpart coefficients: frequency W and pump T in polar form.
+
+    phi_T = arg T lies in (-pi, pi].  The fields hold scalars or arrays.
+    """
 
     W: float
     T_abs: float
     phi_T: float
 
+    @classmethod
+    def from_complex(cls, W, T) -> "HermitizedCoeffs":
+        return cls(W, abs(T), atan2(T.imag, T.real))
+
     def T(self) -> complex:
         return self.T_abs * cmath.exp(1j * self.phi_T)
 
 
-def z_abs_from(Phi: float, Lambda: float) -> float:
-    """|z| = -2*Phi/(chi + 1) with chi = Phi^2 - Lambda."""
+def z_abs_from(Phi, Lambda):
+    """|z| = -2*Phi/(chi + 1) with chi = Phi^2 - Lambda; scalars or arrays."""
     chi = Phi * Phi - Lambda
     denom = chi + 1.0
-    if denom == 0.0:
+    if np.count_nonzero(denom == 0.0):
         raise ChiSingular("chi = -1 leaves |z| undetermined")
     return -2.0 * Phi / denom
 
@@ -88,9 +99,9 @@ def coefficients_general(lam: complex, Lambda: float, omega: complex,
     No constraint is assumed: W may be complex and V need not equal
     conj(T).  Their failure to do so measures how far the supplied
     (lam, Lambda, dlam/dt, dLambda/dt) are from the hermitization flow.
-    Raises ZeroLambda when Lambda vanishes.
+    Takes scalars or arrays.  Raises ZeroLambda when Lambda vanishes.
     """
-    if Lambda == 0.0:
+    if np.count_nonzero(Lambda == 0.0):
         raise ZeroLambda("mapped coefficients are undefined at Lambda = 0")
     lam_c = lam.conjugate()
     dlam_c = dlam_dt.conjugate()
@@ -104,13 +115,21 @@ def coefficients_general(lam: complex, Lambda: float, omega: complex,
     return W, T, V
 
 
-def _check_guards(s: ConstraintState, chi_guard: float):
-    if abs(s.chi - 1.0) < chi_guard:
-        raise ChiSingular(
-            f"chi = {s.chi!r} within {chi_guard!r} of the chi = 1 singularity"
-        )
-    if abs(s.Phi) < _PHI_GUARD:
-        raise PhiZero(f"Phi = {s.Phi!r} below {_PHI_GUARD!r}")
+def _check_guards(t, Phi, varphi, Lambda, phi_guard: float = _PHI_GUARD):
+    """Raise ChiSingular or PhiZero at the first point within 1e-9 of chi = 1
+    or phi_guard of Phi = 0, naming its tau (t may be None) and state."""
+    chi = Phi * Phi - Lambda
+    bad = (abs(chi - 1.0) < _CHI_GUARD) | (abs(Phi) < phi_guard)
+    if not (bad.any() if isinstance(bad, np.ndarray) else bad):
+        return
+    i = np.argmax(bad)
+    Phi, varphi, Lambda, chi = (float(np.ravel(x)[i]) for x in (Phi, varphi, Lambda, chi))
+    state = ("" if t is None else f" at tau = {float(np.ravel(t)[i])!r}") + (
+        f" (Phi = {Phi!r}, varphi = {varphi!r}, Lambda = {Lambda!r})")
+    if abs(chi - 1.0) < _CHI_GUARD:
+        raise ChiSingular(f"chi = {chi!r} within {_CHI_GUARD!r} of the "
+                          f"chi = 1 singularity{state}")
+    raise PhiZero(f"Phi = {Phi!r} below {phi_guard!r}{state}")
 
 
 def guard_flow_crossings(t_old: float, t_new: float, y_at) -> None:
@@ -140,15 +159,14 @@ def guard_flow_crossings(t_old: float, t_new: float, y_at) -> None:
 
 
 def constraint_rhs_general(s: ConstraintState, omega: PolarComplex,
-                           alpha: PolarComplex, beta: PolarComplex,
-                           chi_guard: float = _CHI_GUARD) -> np.ndarray:
+                           alpha: PolarComplex, beta: PolarComplex) -> np.ndarray:
     """Hermitization flow for arbitrary polar inputs.
 
     Returns [dPhi/dt, dvarphi/dt, dLambda/dt, d|z|/dt].  The first three
     drive the integration; the |z| rate is redundant (|z| follows from
     chi) and is returned for consistency monitoring.
     """
-    _check_guards(s, chi_guard)
+    _check_guards(None, s.Phi, s.varphi, s.Lambda)
     chi = s.chi
     Phi = s.Phi
     phi = s.varphi
@@ -179,63 +197,72 @@ def constraint_rhs_general(s: ConstraintState, omega: PolarComplex,
     return np.array([dPhi, dphi, dLambda, dz])
 
 
-def constraint_rhs_polar(s: ConstraintState, p: DriveParams, t: float,
-                         chi_guard: float = _CHI_GUARD) -> np.ndarray:
-    """Hermitization flow specialized to the modulated drive.
-
-    Same output layout as constraint_rhs_general; uses the signed zeta
-    directly so no phase bookkeeping is needed.
-    """
-    _check_guards(s, chi_guard)
-    chi = s.chi
-    Phi = s.Phi
-    phi = s.varphi
-    zs = zeta_signed(t, p)
+def _flow_rates(p: DriveParams, w, zs, Phi, varphi, Lambda):
+    """(dPhi/dt, dvarphi/dt, dLambda/dt) of the flow for the modulated drive,
+    at drive frequency w = omega(t) and signed strength zs = zeta(t)."""
+    chi = Phi * Phi - Lambda
     at = p.alpha0_tilde
     bt = p.beta0_tilde
-    cosphi = math.cos(phi)
+    cosphi = cos(varphi)
 
     dPhi = (2.0 * zs / (1.0 - chi)) * (
         at * (1.0 - Phi * Phi) + bt * ((2.0 * chi - 1.0) * Phi * Phi - chi * chi)
     ) * cosphi
-    dphi = 2.0 * drive_omega(t, p) - (2.0 * zs / ((1.0 - chi) * Phi)) * (
+    dphi = 2.0 * w - (2.0 * zs / ((1.0 - chi) * Phi)) * (
         at * (1.0 - Phi * Phi) + bt * (Phi * Phi - chi * chi)
-    ) * math.sin(phi)
+    ) * sin(varphi)
     dLambda = (4.0 * zs * Phi * (Phi * Phi - chi) / (chi - 1.0)) * (
         at - bt * (2.0 * chi - 1.0)
     ) * cosphi
-    dz = 2.0 * zs * s.z_abs * s.z_abs * (at - bt * chi) * cosphi + (s.z_abs / Phi) * dPhi
+    return dPhi, dphi, dLambda
+
+
+def constraint_rhs_polar(s: ConstraintState, p: DriveParams,
+                         t: float) -> np.ndarray:
+    """Hermitization flow specialized to the modulated drive.
+
+    Same output layout as constraint_rhs_general; uses the signed zeta
+    directly so no phase bookkeeping is needed.  The fields of s and t
+    may be arrays of one shape; the rates then stack along axis 0.
+    """
+    _check_guards(t, s.Phi, s.varphi, s.Lambda)
+    zs = zeta_signed(t, p)
+    dPhi, dphi, dLambda = _flow_rates(p, drive_omega(t, p), zs,
+                                      s.Phi, s.varphi, s.Lambda)
+    z = s.z_abs
+    dz = (2.0 * zs * z * z * (p.alpha0_tilde - p.beta0_tilde * s.chi)
+          * cos(s.varphi) + (z / s.Phi) * dPhi)
     return np.array([dPhi, dphi, dLambda, dz])
 
 
-def hermitized_coefficients(s: ConstraintState, p: DriveParams, t: float,
-                            chi_guard: float = _CHI_GUARD) -> HermitizedCoeffs:
+def _counterpart(p: DriveParams, w, zs, Phi, varphi, Lambda):
+    """(chi, W, T) on the flow for the modulated drive, w and zs as in
+    _flow_rates."""
+    chi = Phi * Phi - Lambda
+    at = p.alpha0_tilde
+    bt = p.beta0_tilde
+    W = w - 2.0 * zs * Phi * (at - bt) * sin(varphi) / (chi - 1.0)
+    T = -1j * (zs * (at - bt * chi) / (1.0 - chi))
+    return chi, W, T
+
+
+def hermitized_coefficients(s: ConstraintState, p: DriveParams,
+                            t: float) -> HermitizedCoeffs:
     """On-flow coefficients (W, |T|, phi_T) for the modulated drive.
 
     W = omega - 2*zeta*Phi*(at - bt)*sin(varphi)/(chi - 1)
-    |T| = |zeta*(at - bt*chi)/(1 - chi)|
-    phi_T = h[sin(kappa t)]*pi + h(1 - chi)*pi + h(at - chi*bt)*pi + pi/2
+    T = -i*zeta*(at - bt*chi)/(1 - chi), phi_T = arg T in (-pi, pi]
     """
-    chi = s.chi
-    if abs(chi - 1.0) < chi_guard:
-        raise ChiSingular(
-            f"chi = {chi!r} within {chi_guard!r} of the chi = 1 singularity"
-        )
-    zs = zeta_signed(t, p)
-    at = p.alpha0_tilde
-    bt = p.beta0_tilde
-    W = drive_omega(t, p) - 2.0 * zs * s.Phi * (at - bt) * math.sin(s.varphi) / (chi - 1.0)
-    T_abs = abs(zs * (at - bt * chi) / (1.0 - chi))
-    phi_T = (heaviside(math.sin(p.kappa * t)) * math.pi
-             + heaviside(1.0 - chi) * math.pi
-             + heaviside(at - chi * bt) * math.pi
-             + 0.5 * math.pi)
-    return HermitizedCoeffs(W=W, T_abs=T_abs, phi_T=phi_T)
+    # W and T divide by chi - 1 but not by Phi.
+    _check_guards(t, s.Phi, s.varphi, s.Lambda, phi_guard=0.0)
+    _, W, T = _counterpart(p, drive_omega(t, p), zeta_signed(t, p),
+                           s.Phi, s.varphi, s.Lambda)
+    return HermitizedCoeffs.from_complex(W, T)
 
 
 def hermitized_coefficients_general(s: ConstraintState, omega: PolarComplex,
-                                    alpha: PolarComplex, beta: PolarComplex,
-                                    chi_guard: float = _CHI_GUARD) -> HermitizedCoeffs:
+                                    alpha: PolarComplex,
+                                    beta: PolarComplex) -> HermitizedCoeffs:
     """On-flow coefficients for arbitrary polar inputs.
 
     W comes from the general frequency formula; T is assembled as a full
@@ -244,7 +271,7 @@ def hermitized_coefficients_general(s: ConstraintState, omega: PolarComplex,
     correct quadrant without case analysis.  Reduces to the polar route
     on the modulated drive to machine precision.
     """
-    _check_guards(s, chi_guard)
+    _check_guards(None, s.Phi, s.varphi, s.Lambda)
     chi = s.chi
     Phi = s.Phi
     phi = s.varphi
@@ -275,6 +302,125 @@ def approx_dyson_trajectory(t: float, p: DriveParams, varphi0: float,
     )
 
 
+def _raw_coefficients(p: DriveParams, t, Phi, varphi, Lambda, rates):
+    """coefficients_general for the modulated drive, map rates given."""
+    dPhi, dvarphi, dLambda = rates
+    rot = np.exp(-1j * varphi)
+    zs = zeta_signed(t, p)
+    return coefficients_general(
+        lam=Phi * rot, Lambda=Lambda, omega=drive_omega(t, p),
+        alpha=-1j * p.alpha0_tilde * zs, beta=1j * p.beta0_tilde * zs,
+        dlam_dt=(dPhi - 1j * Phi * dvarphi) * rot, dLambda_dt=dLambda,
+    )
+
+
+def coefficients_from_flow(s: ConstraintState, p: DriveParams,
+                           t: float) -> tuple[complex, complex, complex]:
+    """Raw (W, T, V) with the map derivatives taken from the flow itself.
+
+    On the hermitization flow Im(W) and V - conj(T) vanish identically,
+    so their residuals measure integration error.
+    """
+    rates = constraint_rhs_polar(s, p, t)[:3]
+    return _raw_coefficients(p, t, s.Phi, s.varphi, s.Lambda, rates)
+
+
+class MapPoint(NamedTuple):
+    """A map source evaluated at one time or along a grid.
+
+    rates holds (dPhi/dt, dvarphi/dt, dLambda/dt) of the source's map.
+    """
+
+    Phi: np.ndarray
+    varphi: np.ndarray
+    Lambda: np.ndarray
+    chi: np.ndarray
+    W: np.ndarray
+    T: np.ndarray
+    rates: tuple
+
+
+class MapSource:
+    """Where the counterpart coefficients come from: a Dyson map along the drive.
+
+    dyson_source "approximate" uses the closed-form map trajectory at the
+    given chi and varphi0; "integrated" co-integrates the hermitization
+    flow from constraint0.  The argument the other source needs is
+    ignored.  y0 is the prefix the source puts in front of a caller's
+    state vector (empty, or Phi, varphi, Lambda) and guard the step guard
+    that prefix needs.  The methods take a scalar t with one state vector
+    y, or the output grid with the transposed (n, m) solution array.
+    """
+
+    def __init__(self, p: DriveParams, dyson_source: str = "approximate",
+                 chi: Optional[float] = None, varphi0: float = 0.5 * math.pi,
+                 constraint0: Optional[ConstraintState] = None):
+        self.p = p
+        if dyson_source == "approximate":
+            if chi is None:
+                raise ValueError("approximate dyson_source requires chi")
+            # chi is frozen, so the pointwise chi = 1 guard is checked once.
+            if abs(chi - 1.0) < _CHI_GUARD:
+                raise ChiSingular(f"chi = {chi!r} within {_CHI_GUARD!r} of "
+                                  f"the chi = 1 singularity at every tau")
+
+            s0 = approx_dyson_trajectory(0.0, p, varphi0, chi)
+            self.chi0, self.y0, self.guard = chi, (), None
+            # Phi and Lambda are frozen; adding 0*t gives them the shape of t.
+            self.coordinates = lambda t, y: (s0.Phi + 0.0 * t,
+                                             varphi0 + 2.0 * p.omega0 * t,
+                                             s0.Lambda + 0.0 * t)
+            self.rates = lambda *_: (0.0, 2.0 * p.omega0, 0.0)
+        elif dyson_source == "integrated":
+            if constraint0 is None:
+                raise ValueError("integrated dyson_source requires constraint0")
+
+            def rates(t, w, zs, Phi, varphi, Lambda):
+                _check_guards(t, Phi, varphi, Lambda)
+                return _flow_rates(p, w, zs, Phi, varphi, Lambda)
+
+            s0 = constraint0
+            self.chi0, self.y0 = s0.chi, (s0.Phi, s0.varphi, s0.Lambda)
+            self.guard = guard_flow_crossings
+            self.coordinates = lambda t, y: (y[0], y[1], y[2])
+            self.rates = rates
+        else:
+            raise ValueError(f"dyson_source must be 'approximate' or "
+                             f"'integrated', got {dyson_source!r}")
+
+    def at(self, t, y) -> MapPoint:
+        Phi, varphi, Lambda = self.coordinates(t, y)
+        w, zs = drive_omega(t, self.p), zeta_signed(t, self.p)
+        rates = self.rates(t, w, zs, Phi, varphi, Lambda)
+        chi, W, T = _counterpart(self.p, w, zs, Phi, varphi, Lambda)
+        return MapPoint(Phi, varphi, Lambda, chi, W, T, rates)
+
+    def residual(self, t, m: MapPoint):
+        """|Im W| + |V - conj(T)| of the raw mapped coefficients.
+
+        The map derivatives are the source's own, so the residual vanishes
+        on the hermitization flow up to integration error and reports the
+        closed form's constraint violation for the approximate source.
+        """
+        W, T, V = _raw_coefficients(self.p, t, m.Phi, m.varphi, m.Lambda,
+                                    m.rates)
+        return abs(W.imag) + abs(V - T.conjugate())
+
+    def integrate(self, rhs, y0, t_grid: np.ndarray, rtol: float,
+                  atol: float, max_step: Optional[float]) -> IvpSolution:
+        """Integrate rhs from the prefix followed by y0, reported on t_grid.
+
+        max_step defaults to a sixteenth of the drive period.
+        """
+        t_grid = np.asarray(t_grid, dtype=float)
+        if max_step is None:
+            max_step = self.p.period() / 16.0
+        problem = IvpProblem(rhs=rhs, t_span=(float(t_grid[0]), float(t_grid[-1])),
+                             y0=np.array(self.y0 + tuple(y0)), t_eval=t_grid,
+                             guard=self.guard)
+        return integrate(problem, rtol=rtol, atol=atol, max_step=max_step)
+
+
 @dataclass(frozen=True)
 class ConstraintTrajectory:
     """Columnar flow history with the |z|-consistency residual."""
@@ -296,71 +442,33 @@ class ConstraintTrajectory:
         )
 
 
-def _state_from_vec(y: np.ndarray) -> ConstraintState:
-    Phi, phi, Lambda = float(y[0]), float(y[1]), float(y[2])
-    return ConstraintState(z_abs=min(1.0, z_abs_from(Phi, Lambda)),
-                           Phi=Phi, varphi=phi, Lambda=Lambda)
-
-
 def integrate_constraints(p: DriveParams, s0: ConstraintState,
                           t_grid: np.ndarray, rtol: float = 1e-9,
                           atol: float = 1e-12,
-                          max_step: Optional[float] = None,
-                          chi_guard: float = _CHI_GUARD) -> ConstraintTrajectory:
+                          max_step: Optional[float] = None) -> ConstraintTrajectory:
     """Integrate the hermitization flow for the modulated drive.
 
     State vector is (Phi, varphi, Lambda); |z| is reconstructed from chi
     at every output point.  z_residual reports |d/dt of the reconstructed
     |z| minus the flow's own |z| rate|, which stays at the integration
     tolerance when the redundant equations are mutually consistent.
+    A step that carries the flow across chi = 1 or Phi = 0 raises
+    ChiSingular or PhiZero at the crossing.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-
+    src = MapSource(p, "integrated", constraint0=s0)
     def rhs(t, y):
-        s = _state_from_vec(y)
-        return constraint_rhs_polar(s, p, t, chi_guard)[:3]
+        t = float(t)
+        return np.array(src.rates(t, drive_omega(t, p), zeta_signed(t, p), *y.tolist()))
 
-    if max_step is None:
-        max_step = p.period() / 16.0
-    problem = IvpProblem(rhs=rhs, t_span=(float(t_grid[0]), float(t_grid[-1])),
-                         y0=np.array([s0.Phi, s0.varphi, s0.Lambda]),
-                         t_eval=t_grid, guard=guard_flow_crossings)
-    sol = integrate(problem, rtol=rtol, atol=atol, max_step=max_step)
-
-    n = sol.t.size
-    z = np.empty(n)
-    res = np.empty(n)
-    for i in range(n):
-        Phi, phi, Lambda = sol.y[i]
-        chi = Phi * Phi - Lambda
-        s = _state_from_vec(sol.y[i])
-        z[i] = s.z_abs
-        full = constraint_rhs_polar(s, p, float(sol.t[i]), chi_guard)
-        dPhi, dLambda, dz_flow = full[0], full[2], full[3]
-        dchi = 2.0 * Phi * dPhi - dLambda
-        # d|z|/dt of the reconstruction |z| = -2*Phi/(chi+1).
-        dz_rec = (-2.0 * dPhi * (chi + 1.0) + 2.0 * Phi * dchi) / (chi + 1.0) ** 2
-        res[i] = abs(dz_rec - dz_flow)
-    return ConstraintTrajectory(t=sol.t, z_abs=z, Phi=sol.y[:, 0],
-                                varphi=sol.y[:, 1], Lambda=sol.y[:, 2],
-                                z_residual=res, stats=sol.stats)
-
-
-def coefficients_from_flow(s: ConstraintState, p: DriveParams, t: float,
-                           chi_guard: float = _CHI_GUARD
-                           ) -> tuple[complex, complex, complex]:
-    """Raw (W, T, V) with the map derivatives taken from the flow itself.
-
-    On the hermitization flow Im(W) and V - conj(T) vanish identically,
-    so their residuals measure integration error.
-    """
-    d = constraint_rhs_polar(s, p, t, chi_guard)
-    dPhi, dphi, dLambda = d[0], d[1], d[2]
-    lam = s.lam
-    dlam = (dPhi - 1j * s.Phi * dphi) * cmath.exp(-1j * s.varphi)
-    a_pol, b_pol = alpha_beta(t, p)
-    return coefficients_general(
-        lam=lam, Lambda=s.Lambda, omega=complex(drive_omega(t, p)),
-        alpha=a_pol.to_complex(), beta=b_pol.to_complex(),
-        dlam_dt=dlam, dLambda_dt=dLambda,
-    )
+    sol = src.integrate(rhs, (), t_grid, rtol, atol, max_step)
+    Phi, varphi, Lambda = sol.y.T
+    z = np.minimum(1.0, z_abs_from(Phi, Lambda))
+    dPhi, _, dLambda, dz_flow = constraint_rhs_polar(
+        ConstraintState(z_abs=z, Phi=Phi, varphi=varphi, Lambda=Lambda), p, sol.t)
+    chi = Phi * Phi - Lambda
+    dchi = 2.0 * Phi * dPhi - dLambda
+    # d|z|/dt of the reconstruction |z| = -2*Phi/(chi+1).
+    dz_rec = (-2.0 * dPhi * (chi + 1.0) + 2.0 * Phi * dchi) / (chi + 1.0) ** 2
+    return ConstraintTrajectory(t=sol.t, z_abs=z, Phi=Phi, varphi=varphi,
+                                Lambda=Lambda, z_residual=np.abs(dz_rec - dz_flow),
+                                stats=sol.stats)

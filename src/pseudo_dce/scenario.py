@@ -17,23 +17,16 @@ from typing import Optional
 
 import numpy as np
 
-from .drive import DriveParams, ZetaMode, alpha_beta, omega as drive_omega
+from .drive import DriveParams, ZetaMode
 from .dynamics import (
-    InitialMoments,
     analytic_squeeze,
     amplification_factor,
     bogoliubov_ode_oracle,
-    bogoliubov_uvw,
     evolve,
-    mean_photon_general,
 )
 from .errors import (NotOnResonance, ParseError, PseudoDceError,
                      ValidationError)
-from .hermitize import (
-    ConstraintState,
-    coefficients_general,
-    constraint_rhs_polar,
-)
+from .hermitize import ConstraintState
 
 CANONICAL_COLUMNS = (
     "tau",
@@ -52,6 +45,10 @@ CANONICAL_COLUMNS = (
     "varphi",
     "residual_hermiticity",
 )
+
+# Grid size above which a config is refused before anything allocates:
+# 15 float64 columns at 1e7 points take 1.2 GB, over 3,000 times a preset grid.
+_MAX_GRID_POINTS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -115,6 +112,7 @@ class ScenarioConfig:
             self.drive_params()
         except ValueError as exc:
             raise ValidationError(str(exc)) from exc
+        self.grid_size()
 
     def drive_params(self) -> DriveParams:
         return DriveParams(
@@ -123,11 +121,25 @@ class ScenarioConfig:
             zeta_mode=ZetaMode(self.zeta_mode),
         )
 
+    def grid_size(self) -> int:
+        """Number of output points, computed without allocating them.
+
+        Raises ValidationError unless it lies in [2, _MAX_GRID_POINTS].
+        """
+        periods = self.tau_max / self.omega0 / self.drive_params().period()
+        try:
+            n = int(math.ceil(periods * self.grid_per_period)) + 1
+        except OverflowError:  # an infinite product, or an int beyond float
+            n = math.inf
+        if not 2 <= n <= _MAX_GRID_POINTS:
+            raise ValidationError(
+                f"tau_max = {self.tau_max} with grid_per_period = "
+                f"{self.grid_per_period} gives {n:.3g} grid points; the grid "
+                f"must have 2 to {_MAX_GRID_POINTS}")
+        return n
+
     def time_grid(self) -> np.ndarray:
-        p = self.drive_params()
-        t_max = self.tau_max / self.omega0
-        n = int(math.ceil(t_max / p.period() * self.grid_per_period)) + 1
-        return np.linspace(0.0, t_max, n)
+        return np.linspace(0.0, self.tau_max / self.omega0, self.grid_size())
 
     def constraint0(self) -> ConstraintState:
         phi0 = -0.5 * self.z_abs * (self.chi + 1.0)
@@ -242,99 +254,40 @@ class RunRecord:
         return self.columns[name]
 
 
-def _residual_column(cfg: ScenarioConfig, p: DriveParams, traj) -> np.ndarray:
-    """|Im W| + |V - conj(T)| of the raw mapped coefficients.
-
-    The map derivatives are those of the source actually used: the flow
-    right-hand side for the integrated source, the closed form's own
-    derivatives for the approximate source (whose constraint violation
-    this column then reports honestly).
-    """
-    out = np.empty(traj.t.size)
-    approximate = cfg.dyson_source == "approximate"
-    for i in range(traj.t.size):
-        t = float(traj.t[i])
-        s = traj.constraint_state(i)
-        if approximate:
-            dlam = -2j * p.omega0 * s.lam
-            dLam = 0.0
-        else:
-            d = constraint_rhs_polar(s, p, t)
-            dlam = (d[0] - 1j * s.Phi * d[1]) * np.exp(-1j * s.varphi)
-            dLam = float(d[2])
-        a_pol, b_pol = alpha_beta(t, p)
-        W, T, V = coefficients_general(
-            lam=s.lam, Lambda=s.Lambda, omega=complex(drive_omega(t, p)),
-            alpha=a_pol.to_complex(), beta=b_pol.to_complex(),
-            dlam_dt=dlam, dLambda_dt=dLam,
-        )
-        out[i] = abs(W.imag) + abs(V - T.conjugate())
-    return out
-
-
 def run(cfg: ScenarioConfig, out_dir=None, name: str = "run") -> RunRecord:
     """Execute a scenario and optionally write <name>.csv and <name>.gp."""
     cfg.validate()
     started = time.perf_counter()
     p = cfg.drive_params()
     t_grid = cfg.time_grid()
-
-    evolve_kwargs = dict(
-        dyson_source=cfg.dyson_source, varphi0=cfg.varphi0, r0=cfg.r0,
-        theta0=0j, seed_r_eps=cfg.seed_r_eps, rtol=cfg.rtol, atol=cfg.atol,
-    )
+    common = dict(dyson_source=cfg.dyson_source, chi=cfg.chi,
+                  varphi0=cfg.varphi0, constraint0=cfg.constraint0(),
+                  rtol=cfg.rtol, atol=cfg.atol)
     try:
-        _, phi_sq0 = analytic_squeeze(0.0, p, cfg.chi, cfg.r0, cfg.phi0_prime)
-        on_resonance = True
+        r_analytic, phi_analytic = analytic_squeeze(
+            t_grid, p, cfg.chi, cfg.r0, cfg.phi0_prime)
+        phi_sq0 = phi_analytic[0]
     except NotOnResonance:
+        r_analytic = phi_analytic = np.full(t_grid.size, np.nan)
         phi_sq0 = cfg.phi0_prime
-        on_resonance = False
-    evolve_kwargs["phi_sq0"] = phi_sq0
-    if cfg.dyson_source == "approximate":
-        evolve_kwargs["chi"] = cfg.chi
-    else:
-        evolve_kwargs["constraint0"] = cfg.constraint0()
 
-    traj = evolve(p, t_grid, **evolve_kwargs)
-
-    tau = traj.t * cfg.omega0
-    m = tau.size
-    r_analytic = np.full(m, np.nan)
-    phi_analytic = np.full(m, np.nan)
-    if on_resonance:
-        for i in range(m):
-            r_analytic[i], phi_analytic[i] = analytic_squeeze(
-                float(traj.t[i]), p, cfg.chi, cfg.r0, cfg.phi0_prime)
-
-    s0 = traj.squeeze_state(0)
-    vacuum = InitialMoments()
-    n_numeric = np.empty(m)
-    for i in range(m):
-        n_numeric[i] = mean_photon_general(
-            bogoliubov_uvw(s0, traj.squeeze_state(i)), vacuum)
-    n_analytic = np.sinh(r_analytic) ** 2
-
+    traj = evolve(p, t_grid, r0=cfg.r0, phi_sq0=phi_sq0, theta0=0j,
+                  seed_r_eps=cfg.seed_r_eps, **common)
+    n_numeric = traj.mean_photon()
     if cfg.oracle:
-        oracle_kwargs = dict(dyson_source=cfg.dyson_source,
-                             varphi0=cfg.varphi0, rtol=cfg.rtol,
-                             atol=cfg.atol)
-        if cfg.dyson_source == "approximate":
-            oracle_kwargs["chi"] = cfg.chi
-        else:
-            oracle_kwargs["constraint0"] = cfg.constraint0()
-        _, v = bogoliubov_ode_oracle(p, t_grid, **oracle_kwargs)
+        _, v = bogoliubov_ode_oracle(p, t_grid, **common)
         n_oracle = np.abs(v) ** 2
     else:
-        n_oracle = np.full(m, np.nan)
+        n_oracle = np.full(traj.t.size, np.nan)
 
     columns = {
-        "tau": tau,
+        "tau": traj.t * cfg.omega0,
         "r_numeric": traj.r,
         "r_analytic": r_analytic,
         "phi_numeric_raw": traj.phi_sq,
         "phi_analytic_raw": phi_analytic,
         "N_numeric": n_numeric,
-        "N_analytic": n_analytic,
+        "N_analytic": np.sinh(r_analytic) ** 2,
         "N_oracle": n_oracle,
         "W": traj.W,
         "T_abs": traj.T_abs,
@@ -342,7 +295,7 @@ def run(cfg: ScenarioConfig, out_dir=None, name: str = "run") -> RunRecord:
         "Phi": traj.Phi,
         "chi": traj.chi,
         "varphi": traj.varphi,
-        "residual_hermiticity": _residual_column(cfg, p, traj),
+        "residual_hermiticity": traj.residual_hermiticity,
     }
     selected = {k: columns[k] for k in cfg.outputs}
 

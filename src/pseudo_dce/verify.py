@@ -26,12 +26,11 @@ from .drive import (DriveParams, PolarComplex, ZetaMode, alpha_beta,
 from .dyson import (DysonState, bogoliubov_matrix, epsilon_from_phi,
                     gauss_coefficients, phi_from_z)
 from .dynamics import (amplification_factor, analytic_squeeze,
-                       bogoliubov_ode_oracle, bogoliubov_uvw, evolve,
-                       mean_photon_general, squeeze_rhs, InitialMoments)
+                       bogoliubov_ode_oracle, evolve, squeeze_rhs)
 from .fock import (FockSpace, eta_matrix, metric, nonhermitian_expectation,
                    map_observable, propagate, drive_hamiltonian,
                    quasi_hermiticity_residual)
-from .hermitize import (ConstraintState, approx_dyson_trajectory,
+from .hermitize import (ConstraintState, HermitizedCoeffs, MapSource,
                         coefficients_from_flow, constraint_rhs_general,
                         constraint_rhs_polar, hermitized_coefficients,
                         hermitized_coefficients_general, integrate_constraints)
@@ -191,12 +190,10 @@ def check_flow_residuals() -> tuple[bool, str]:
     tg = np.linspace(0.0, 50.0, 1001)
     traj = integrate_constraints(p, _moderate_state0(), tg,
                                  rtol=1e-11, atol=1e-14)
-    im_w = v_t = 0.0
-    for i in range(tg.size):
-        s = traj.state_at(i)
-        W, T, V = coefficients_from_flow(s, p, float(tg[i]))
-        im_w = max(im_w, abs(W.imag))
-        v_t = max(v_t, abs(V - np.conj(T)))
+    W, T, V = coefficients_from_flow(
+        ConstraintState(traj.z_abs, traj.Phi, traj.varphi, traj.Lambda), p, tg)
+    im_w = float(np.abs(W.imag).max())
+    v_t = float(np.abs(V - np.conj(T)).max())
     zres = float(np.abs(traj.z_residual).max())
     ok1, d1 = _bound("max|Im W|", im_w, 1e-7)
     ok2, d2 = _bound("max|V-conj(T)|", v_t, 1e-7)
@@ -259,12 +256,8 @@ def identity_suite_trajectories() -> list[tuple[str, np.ndarray, np.ndarray]]:
     t30 = np.linspace(0.0, 30.0, 601)  # r(30) ~ 6.8, inside the float floor
     traj = evolve(_FIG1, t30, dyson_source="approximate", chi=_CHI_FIG,
                   varphi0=_VARPHI0, rtol=1e-11, atol=1e-14)
-    s0 = traj.squeeze_state(0)
-    triples = [bogoliubov_uvw(s0, traj.squeeze_state(i))
-               for i in range(t30.size)]
-    out.append(("closed-form uvw r<=7",
-                np.array([tr.u for tr in triples]),
-                np.array([tr.v for tr in triples])))
+    tri = traj.bogoliubov()
+    out.append(("closed-form uvw r<=7", tri.u, tri.v))
     return out
 
 
@@ -309,11 +302,7 @@ def check_route_agreement() -> tuple[bool, str]:
     traj = evolve(_FIG1, tg, dyson_source="approximate", chi=_CHI_FIG,
                   varphi0=_VARPHI0, rtol=1e-11, atol=1e-14)
     n_sq = np.sinh(traj.r) ** 2
-    s0 = traj.squeeze_state(0)
-    vacuum = InitialMoments()
-    n_uvw = np.array([mean_photon_general(
-        bogoliubov_uvw(s0, traj.squeeze_state(i)), vacuum)
-        for i in range(tg.size)])
+    n_uvw = traj.mean_photon()
     _, v = bogoliubov_ode_oracle(_FIG1, tg, dyson_source="approximate",
                                  chi=_CHI_FIG, varphi0=_VARPHI0,
                                  rtol=1e-11, atol=1e-14)
@@ -395,16 +384,13 @@ def check_fault_injection() -> tuple[bool, str]:
     p = _HERMITIAN
     t_grid = np.linspace(0.0, 10.0, 2001)
     h = float(t_grid[1] - t_grid[0])
+    m = MapSource(p, chi=_CHI_FIG, varphi0=_VARPHI0).at(t_grid, ())
+    _, phi0 = analytic_squeeze(0.0, p, _CHI_FIG, 1e-8, 0.0)
 
     def step(flip: bool) -> float:
-        r, phi = 1e-8, None
-        c0 = hermitized_coefficients(
-            approx_dyson_trajectory(0.0, p, _VARPHI0, _CHI_FIG), p, 0.0)
-        _, phi0 = analytic_squeeze(0.0, p, _CHI_FIG, 1e-8, 0.0)
-        phi = phi0
-        for t in t_grid[:-1]:
-            c = hermitized_coefficients(
-                approx_dyson_trajectory(t, p, _VARPHI0, _CHI_FIG), p, t)
+        r, phi = 1e-8, phi0
+        for k in range(t_grid.size - 1):
+            c = HermitizedCoeffs.from_complex(m.W[k], m.T[k])
             dr, dphi, _ = squeeze_rhs(r, phi, c)
             if flip:
                 dr = -dr
@@ -533,12 +519,11 @@ def check_fock_three_route() -> tuple[bool, str]:
     """Schroedinger propagation vs sinh^2 r inside the truncation trust
     window (r <= 1.8 for dim=128; the tail bias crosses 1e-3 near r=1.85)."""
     f = FockSpace(128)
+    src = MapSource(_FIG1, chi=_CHI_FIG, varphi0=_VARPHI0)
 
     def coeffs(t: float):
-        c = hermitized_coefficients(
-            approx_dyson_trajectory(t, _FIG1, _VARPHI0, _CHI_FIG), _FIG1, t)
-        tt = c.T()
-        return c.W, tt, np.conj(tt)
+        m = src.at(t, ())
+        return m.W, m.T, m.T.conjugate()
 
     tg = np.linspace(0.0, 16.0, 321)
     res = propagate(coeffs, f.vacuum(), tg, f, rtol=1e-10, atol=1e-13)

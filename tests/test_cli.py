@@ -54,6 +54,14 @@ class TestRunCommand:
         assert code == 1
         assert "pseudo-dce:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["tau_max = 1e15",
+                                      "grid_per_period = " + "9" * 400])
+    def test_oversized_grid_exits_one(self, tmp_path, capsys, line):
+        cfg = write_cfg(tmp_path, line + "\n")
+        code = cli.main(["run", "--config", cfg, "--out", str(tmp_path)])
+        assert code == 1
+        assert "grid points" in capsys.readouterr().err
+
     def test_summary_without_r_and_n_columns(self, tmp_path, capsys):
         full = write_cfg(tmp_path, FAST_CFG, name="full.cfg")
         reduced = write_cfg(tmp_path, FAST_CFG + "outputs = tau, W\n",

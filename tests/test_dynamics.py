@@ -11,7 +11,7 @@ from pseudo_dce.dynamics import (BogoliubovTriple, InitialMoments,
                                  SqueezeState, amplification_factor,
                                  analytic_squeeze, bogoliubov_ode_oracle,
                                  bogoliubov_uvw, evolve, mean_photon_general,
-                                 rotation_displacement_rhs, squeeze_rhs)
+                                 squeeze_rhs)
 from pseudo_dce.errors import (ChiSingular, NegativeMeanPhoton,
                                NotOnResonance)
 from pseudo_dce.fock import FockSpace, propagate
@@ -47,27 +47,14 @@ class TestSqueezeRhs:
         assert abs(dr - 2.0 * c.T_abs) < 1e-15
         assert abs(dphi + 2.0 * c.W) < 1e-15
 
+    def test_unsqueezed_rate_is_bare_frequency(self):
+        # tanh(0) = 0: a live pump leaves the displacement rate at W.
+        c = HermitizedCoeffs(W=1.7, T_abs=0.1, phi_T=0.3)
+        _, _, omega = squeeze_rhs(0.0, 0.2, c)
+        assert omega == c.W
+
 
 class TestRotationDisplacement:
-
-    def test_zero_displacement_stays_zero(self):
-        c = HermitizedCoeffs(W=1.0, T_abs=0.1, phi_T=0.3)
-        dtheta, _ = rotation_displacement_rhs(
-            SqueezeState(r=0.5, phi_sq=0.2, theta=0j), c)
-        assert dtheta == 0j
-
-    def test_rate_is_pure_rotation(self):
-        c = HermitizedCoeffs(W=1.0, T_abs=0.1, phi_T=0.3)
-        s = SqueezeState(r=0.5, phi_sq=0.2, theta=0.3 + 0.4j)
-        dtheta, omega = rotation_displacement_rhs(s, c)
-        assert abs((dtheta / s.theta).real) < 1e-15
-        assert abs(abs(dtheta) - abs(omega) * abs(s.theta)) < 1e-15
-
-    def test_unsqueezed_rate_is_bare_frequency(self):
-        c = HermitizedCoeffs(W=1.7, T_abs=0.1, phi_T=0.3)
-        _, omega = rotation_displacement_rhs(
-            SqueezeState(r=0.0, phi_sq=0.2, theta=1j), c)
-        assert omega == c.W
 
     def test_modulus_conserved_along_evolution(self, fig1_params):
         tg = np.linspace(0.0, 3.0, 151)

@@ -8,7 +8,8 @@ from pseudo_dce.drive import (DriveParams, PolarComplex, alpha_beta,
 from pseudo_dce.dyson import DysonState
 from pseudo_dce.errors import ChiSingular, PhiZero, ZeroLambda
 from pseudo_dce.fock import FockSpace, drive_hamiltonian, eta_matrix
-from pseudo_dce.hermitize import (ConstraintState, approx_dyson_trajectory,
+from pseudo_dce.hermitize import (ConstraintState, MapSource,
+                                  approx_dyson_trajectory,
                                   coefficients_from_flow,
                                   coefficients_general,
                                   constraint_rhs_general,
@@ -209,11 +210,48 @@ class TestFlowCrossingGuard:
         # lands within 1e-9 of chi = 1.
         s0 = ScenarioConfig().constraint0()
         tg = np.linspace(0.0, 3.0, 601)
-        with pytest.raises(ChiSingular):
+        with pytest.raises(ChiSingular, match=r"tau = "):
             evolve(fig1_params, tg, dyson_source="integrated", constraint0=s0)
-        with pytest.raises(ChiSingular):
+        with pytest.raises(ChiSingular, match=r"tau = "):
             bogoliubov_ode_oracle(fig1_params, tg, dyson_source="integrated",
                                   constraint0=s0)
+
+
+class TestMapSource:
+    # One set of expressions serves the right-hand side (a scalar t) and
+    # the output columns (the whole grid); the two routes must agree.
+
+    def test_grid_matches_scalar_route_on_the_approximate_map(self, fig1_params):
+        tg = np.linspace(0.0, 50.0, 3185)
+        m = MapSource(fig1_params, chi=CHI_FIG, varphi0=VARPHI0).at(tg, ())
+        for i in range(0, tg.size, 49):
+            t = float(tg[i])
+            c = hermitized_coefficients(
+                approx_dyson_trajectory(t, fig1_params, VARPHI0, CHI_FIG),
+                fig1_params, t)
+            assert m.W[i] == c.W
+            assert abs(m.T[i] - c.T()) <= 1e-15 * abs(m.T[i])
+
+    def test_grid_matches_scalar_route_on_the_integrated_map(
+            self, moderate_params, moderate_state0):
+        tg = np.linspace(0.0, 25.0, 501)
+        flow = integrate_constraints(moderate_params, moderate_state0, tg)
+        src = MapSource(moderate_params, "integrated", constraint0=moderate_state0)
+        m = src.at(tg, np.array([flow.Phi, flow.varphi, flow.Lambda]))
+        residual = src.residual(tg, m)
+        for i in range(0, tg.size, 7):
+            s, t = flow.state_at(i), float(tg[i])
+            c = hermitized_coefficients(s, moderate_params, t)
+            assert m.W[i] == c.W
+            assert abs(m.T[i] - c.T()) <= 1e-15 * abs(m.T[i])
+            W, T, V = coefficients_from_flow(s, moderate_params, t)
+            assert abs(residual[i] - (abs(W.imag) + abs(V - np.conj(T)))) <= 1e-15
+
+    def test_bad_source_rejected(self, fig1_params):
+        with pytest.raises(ValueError, match="dyson_source"):
+            MapSource(fig1_params, "exact", chi=CHI_FIG)
+        with pytest.raises(ChiSingular, match="every tau"):
+            MapSource(fig1_params, chi=1.0)
 
 
 class TestZAbsFrom:

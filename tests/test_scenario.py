@@ -1,13 +1,25 @@
+import dataclasses
 import math
 from pathlib import Path
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from pseudo_dce.errors import ParseError, ValidationError
+from pseudo_dce.errors import ParseError, PseudoDceError, ValidationError
 from pseudo_dce.scenario import (CANONICAL_COLUMNS, PRESETS, RunRecord,
                                  ScenarioConfig, SweepFailure, load_config,
                                  parse_config, run, run_preset, sweep)
+
+CONFIG_KEYS = [f.name for f in dataclasses.fields(ScenarioConfig)]
+ADVERSARIAL_VALUES = st.one_of(
+    st.sampled_from(["", "inf", "-inf", "nan", "1e999", "-0", "=", "1=2",
+                     "==", "on", "integrated", "tau, W", "5e-324"]),
+    st.integers(-10 ** 400, 10 ** 400).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.text(max_size=12),
+)
 
 
 def fast_config(**overrides):
@@ -55,6 +67,25 @@ class TestParseConfig:
         path = tmp_path / "case.cfg"
         path.write_text("eps_mod = 0.02\n")
         assert load_config(path).eps_mod == 0.02
+
+    @pytest.mark.parametrize("text", [
+        "tau_max = 1e15\n",
+        "grid_per_period = " + "9" * 400 + "\n",
+        "tau_max = 5e-324\n",
+    ])
+    def test_grid_size_bounded_before_allocating(self, text):
+        with pytest.raises(ValidationError, match="grid points"):
+            parse_config(text)
+
+    @given(st.lists(st.tuples(st.sampled_from(CONFIG_KEYS), ADVERSARIAL_VALUES),
+                    max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_only_package_errors_escape(self, lines):
+        text = "\n".join(f"{key} = {value}" for key, value in lines)
+        try:
+            parse_config(text)
+        except PseudoDceError:
+            pass
 
 
 class TestValidation:
