@@ -10,8 +10,8 @@ zeta = |zeta|*exp(i*[h[sin(kappa t)]*pi + pi]).
 
 Phases are stored in radians and never reduced modulo 2*pi here;
 reduction happens only at comparison time.  omega, omega_dot and
-zeta_signed take a scalar t or a whole grid; sin, cos and atan2 below let
-one expression serve both.
+zeta_signed take a scalar t or a whole grid; sin and cos below let one
+expression serve both.
 """
 
 from __future__ import annotations
@@ -51,15 +51,14 @@ def _math_or_numpy(f, g):
     """f from math on a float, g from numpy on an array.
 
     numpy costs about a microsecond per call on a scalar, which a
-    right-hand side pays thousands of times.  The two routes agree bit for
-    bit here; tests/test_hermitize.py compares them on whole grids.
+    right-hand side pays thousands of times.  The two routes must agree
+    bit for bit; tests/test_hermitize.py compares them on whole grids.
     """
-    return lambda *x: f(*x) if isinstance(x[0], float) else g(*x)
+    return lambda x: f(x) if isinstance(x, float) else g(x)
 
 
 sin = _math_or_numpy(math.sin, np.sin)
 cos = _math_or_numpy(math.cos, np.cos)
-atan2 = _math_or_numpy(math.atan2, np.arctan2)
 
 
 def heaviside(x: float) -> float:

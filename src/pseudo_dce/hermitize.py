@@ -34,8 +34,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .drive import (DriveParams, PolarComplex, atan2, cos, omega as drive_omega,
-                    sin, zeta_signed)
+from .drive import (DriveParams, PolarComplex, cos, omega as drive_omega, sin,
+                    zeta_signed)
 from .errors import ChiSingular, PhiZero, ZeroLambda
 from .integrate import IvpProblem, IvpSolution, IntegrationStats, integrate
 
@@ -76,7 +76,8 @@ class HermitizedCoeffs:
 
     @classmethod
     def from_complex(cls, W, T) -> "HermitizedCoeffs":
-        return cls(W, abs(T), atan2(T.imag, T.real))
+        return cls(W, abs(T),
+                   cmath.phase(T) if isinstance(T, complex) else np.angle(T))
 
     def T(self) -> complex:
         return self.T_abs * cmath.exp(1j * self.phi_T)
@@ -389,6 +390,7 @@ class MapSource:
                              f"'integrated', got {dyson_source!r}")
 
     def at(self, t, y) -> MapPoint:
+        """The map, its rates, chi, W and T at t."""
         Phi, varphi, Lambda = self.coordinates(t, y)
         w, zs = drive_omega(t, self.p), zeta_signed(t, self.p)
         rates = self.rates(t, w, zs, Phi, varphi, Lambda)
