@@ -83,7 +83,7 @@ class TruncatedState:
         return weighted / total
 
 
-def squeeze_trust_bound(dim: int, n_edge: int = _EDGE_LEVELS) -> float:
+def squeeze_trust_bound(dim: int) -> float:
     """Largest squeeze r whose photon number the truncation resolves.
 
     Conservative rule sinh(r)^2 <= dim/20, which keeps the occupied tail
@@ -92,7 +92,6 @@ def squeeze_trust_bound(dim: int, n_edge: int = _EDGE_LEVELS) -> float:
     runs untrusted at r values below this bound (at the bound the edge
     population is 3.0e-5 at dim 128).
     """
-    del n_edge
     return math.asinh(math.sqrt(dim / 20.0))
 
 
@@ -268,7 +267,6 @@ def propagate(coeffs: CoeffFn, psi0: np.ndarray, t_grid: np.ndarray,
     error control in a few long steps whose phase is good to about 6e-12
     only, and the cap brings it to roundoff.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (f.dim,):
         raise ValueError(f"psi0 must have shape ({f.dim},), got {psi0.shape}")
@@ -294,12 +292,10 @@ def propagate(coeffs: CoeffFn, psi0: np.ndarray, t_grid: np.ndarray,
         d[shift:] += (-1j * c2d) * (weight * psi[:-shift])
         return d.view(float)
 
-    problem = IvpProblem(rhs=rhs,
-                         t_span=(float(t_grid[0]), float(t_grid[-1])),
-                         y0=np.ascontiguousarray(psi0[sector]).view(float),
-                         t_eval=t_grid)
+    problem = IvpProblem(rhs=rhs, t_eval=t_grid,
+                         y0=np.ascontiguousarray(psi0[sector]).view(float))
     if max_step is None:
-        max_step = (problem.t_span[1] - problem.t_span[0]) / 200.0
+        max_step = (problem.t_eval[-1] - problem.t_eval[0]) / 200.0
     sol = integrate(problem, rtol=rtol, atol=atol, max_step=max_step)
 
     amps = np.zeros((sol.t.size, f.dim), dtype=complex)

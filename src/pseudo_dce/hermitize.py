@@ -414,12 +414,10 @@ class MapSource:
 
         max_step defaults to a sixteenth of the drive period.
         """
-        t_grid = np.asarray(t_grid, dtype=float)
         if max_step is None:
             max_step = self.p.period() / 16.0
-        problem = IvpProblem(rhs=rhs, t_span=(float(t_grid[0]), float(t_grid[-1])),
-                             y0=np.array(self.y0 + tuple(y0)), t_eval=t_grid,
-                             guard=self.guard)
+        problem = IvpProblem(rhs=rhs, t_eval=t_grid,
+                             y0=np.array(self.y0 + tuple(y0)), guard=self.guard)
         return integrate(problem, rtol=rtol, atol=atol, max_step=max_step)
 
 

@@ -95,6 +95,10 @@ class ScenarioConfig:
             )
         if not (self.tau_max > 0.0):
             raise ValidationError(f"tau_max must be > 0, got {self.tau_max}")
+        if (not isinstance(self.grid_per_period, int)
+                or isinstance(self.grid_per_period, bool)):
+            raise ValidationError(
+                f"grid_per_period must be an integer, got {self.grid_per_period!r}")
         if self.grid_per_period < 200:
             raise ValidationError(
                 f"grid_per_period must be at least 200, got {self.grid_per_period}"
@@ -105,6 +109,11 @@ class ScenarioConfig:
             raise ValidationError(f"seed_r_eps must be > 0, got {self.seed_r_eps}")
         if abs(self.chi - 1.0) < 1e-9:
             raise ValidationError(f"chi = {self.chi} is at the chi = 1 singularity")
+        if not isinstance(self.oracle, bool):
+            raise ValidationError(f"oracle must be a boolean, got {self.oracle!r}")
+        if not isinstance(self.outputs, tuple) or not self.outputs:
+            raise ValidationError(
+                f"outputs must be a nonempty tuple of column names, got {self.outputs!r}")
         for col in self.outputs:
             if col not in CANONICAL_COLUMNS:
                 raise ValidationError(f"unknown output column {col!r}")
@@ -315,10 +324,8 @@ def write_outputs(record: RunRecord, out_dir) -> RunRecord:
     csv_path = out / f"{record.name}.csv"
     cols = list(record.columns)
     rows = np.column_stack([record.columns[c] for c in cols])
-    lines = [",".join(cols)]
-    for row in rows:
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    csv_path.write_text("\n".join(lines) + "\n")
+    np.savetxt(csv_path, rows, fmt="%.17g", delimiter=",",
+               header=",".join(cols), comments="")
 
     plot_path = out / f"{record.name}.gp"
     plot_path.write_text(_plot_script(record.name, cols))
@@ -388,10 +395,15 @@ def sweep(base: ScenarioConfig, axis: str, values, out_dir=None,
         raise ValidationError(f"unknown sweep axis {axis!r}")
     jobs = []
     for i, value in enumerate(values):
+        if (_FIELD_TYPES[axis] == "int" and isinstance(value, float)
+                and value.is_integer()):
+            value = int(value)
         cfg = replace(base, **{axis: value})
         cfg.validate()
         jobs.append((cfg, out_dir, f"sweep_{axis}_{i}"))
 
+    # More workers than cells would only start idle processes.
+    workers = min(workers, len(jobs))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
             records = list(ex.map(_sweep_one, jobs))

@@ -1,12 +1,17 @@
+import concurrent.futures
+import string
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from pseudo_dce import cli
 from pseudo_dce.verify import VerifyReport
 
 FAST_CFG = "tau_max = 10\noracle = off\n"
 FAILING_CFG = "tau_max = 10\noracle = off\ndyson_source = integrated\n"
+SHORT_CFG = "tau_max = 1\noracle = off\n"
 
 
 def write_cfg(tmp_path, text, name="case.cfg"):
@@ -172,6 +177,114 @@ class TestSweepCommand:
         code = cli.main(["sweep", "--config", cfg, "--axis", "gamma",
                          "--values", "0.1"])
         assert code == 1
+
+    @pytest.mark.parametrize("axis", ["outputs", "oracle", "grid_per_period"])
+    def test_non_numeric_axis_exits_one(self, tmp_path, capsys, axis):
+        cfg = write_cfg(tmp_path, SHORT_CFG)
+        code = cli.main(["sweep", "--config", cfg, "--axis", axis,
+                         "--values", "300.5", "--out", str(tmp_path)])
+        assert code == 1
+        assert f"{axis} must be" in capsys.readouterr().err
+
+    def test_whole_number_values_set_integer_fields(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SHORT_CFG)
+        code = cli.main(["sweep", "--config", cfg, "--axis", "grid_per_period",
+                         "--values", "200,400", "--out", str(tmp_path)])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("200,")
+
+    def test_pool_is_capped_at_the_cell_count(self, tmp_path, monkeypatch,
+                                              capsys):
+        sizes = []
+
+        class SerialPool:
+            # Records the requested size and maps in this process.
+            def __init__(self, max_workers):
+                assert max_workers <= 2
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            SerialPool)
+        cfg = write_cfg(tmp_path, SHORT_CFG)
+        code = cli.main(["sweep", "--config", cfg, "--axis", "beta0_tilde",
+                         "--values", "1e-3,1e-4", "--workers", "100000",
+                         "--out", str(tmp_path)])
+        assert code == 0
+        assert sizes == [2]
+
+
+FUZZ_CONFIGS = (
+    SHORT_CFG,
+    "tau_max = 0.5\n",
+    "tau_max = 1\ndyson_source = integrated\noracle = off\n",
+    "tau_max = 1\noracle = off\noutputs = tau, N_numeric\n",
+    "tau_max = 1\neps_mod = 1.5\n",
+    "tau_max = 1\nnot a config line\n",
+)
+# No digits: a junk number could ask for a grid of millions of points.
+JUNK = st.text(alphabet=string.ascii_letters + "-=_.,:/ ", max_size=8)
+NUMBERS = st.sampled_from(["0", "-0", "1", "-1", "0.5", "1.5", "2", "300.5",
+                           "1e-300", "1e308", "nan", "inf", "-inf"])
+# Every field of another type than float, and a few float ones.  tau_max is
+# left out so that no drawn value lengthens a run past one time unit.
+AXES = st.sampled_from(["outputs", "oracle", "grid_per_period", "zeta_mode",
+                        "dyson_source", "chi", "kappa", "r0", "gamma"])
+# Junk tokens include real flags out of place, with whatever follows them.
+STRAY = st.one_of(JUNK, st.sampled_from(["--config", "--preset", "--axis",
+                                         "--values", "--workers", "--level",
+                                         "-h"]))
+MOSTLY = st.sampled_from([True] * 7 + [False])
+
+
+@st.composite
+def _argv(draw, cfg_paths):
+    """An argument vector for run or sweep: real flags, junk flags and values.
+
+    Each real flag of the command is present, with a real value, most of
+    the time, so many vectors reach a run.
+    """
+    command = draw(st.sampled_from(["run", "sweep"]))
+    config = st.sampled_from(cfg_paths + ["absent.cfg"])
+    if command == "run":
+        real = {"--config": config}
+    else:
+        real = {"--config": config,
+                "--axis": AXES,
+                "--values": st.lists(NUMBERS, min_size=1, max_size=3).map(",".join),
+                "--workers": st.integers(0, 2).map(str)}
+    argv = [command]
+    for flag, good in real.items():
+        if draw(MOSTLY):
+            argv += [flag, draw(good if draw(MOSTLY) else JUNK)]
+    for _ in range(draw(st.integers(0, 2))):
+        argv.insert(draw(st.integers(1, len(argv))), draw(STRAY))
+    return argv
+
+
+class TestArgvFuzz:
+
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_only_documented_exit_codes(self, tmp_path, capsys, data):
+        paths = [write_cfg(tmp_path, text, name=f"fuzz{i}.cfg")
+                 for i, text in enumerate(FUZZ_CONFIGS)]
+        argv = data.draw(_argv(paths)) + ["--out", str(tmp_path / "out")]
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        capsys.readouterr()
+        assert code in (0, 1, 2, 3), argv
 
 
 def test_no_command_exits_one():

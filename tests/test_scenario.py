@@ -100,6 +100,11 @@ class TestValidation:
         dict(zeta_mode="sloppy"),
         dict(dyson_source="exact"),
         dict(outputs=("tau", "momentum")),
+        dict(outputs=300.5),
+        dict(outputs=()),
+        dict(oracle=300.5),
+        dict(grid_per_period=300.5),
+        dict(grid_per_period=True),
     ])
     def test_rejected(self, kwargs):
         with pytest.raises(ValidationError):
