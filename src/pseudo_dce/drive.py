@@ -112,6 +112,11 @@ class DriveParams:
     def period(self) -> float:
         return 2.0 * math.pi / self.kappa
 
+    def on_resonance(self) -> bool:
+        """kappa = 2*omega0 to 1e-12: the closed forms hold, and the
+        frozen-chi map's W and T repeat every period."""
+        return abs(self.kappa - 2.0 * self.omega0) <= 1e-12
+
 
 def omega(t: float, p: DriveParams) -> float:
     """omega(t) = omega0*(1 + eps_mod*cos(kappa t)).  Always > 0."""

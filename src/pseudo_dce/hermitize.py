@@ -349,8 +349,10 @@ class MapSource:
     flow from constraint0.  The argument the other source needs is
     ignored.  y0 is the prefix the source puts in front of a caller's
     state vector (empty, or Phi, varphi, Lambda) and guard the step guard
-    that prefix needs.  The methods take a scalar t with one state vector
-    y, or the output grid with the transposed (n, m) solution array.
+    that prefix needs.  period is the time after which W and T repeat:
+    the drive period for the approximate source on resonance, else inf.
+    The methods take a scalar t with one state vector y, or the output
+    grid with the transposed (n, m) solution array.
     """
 
     def __init__(self, p: DriveParams, dyson_source: str = "approximate",
@@ -367,6 +369,7 @@ class MapSource:
 
             s0 = approx_dyson_trajectory(0.0, p, varphi0, chi)
             self.chi0, self.y0, self.guard = chi, (), None
+            self.period = p.period() if p.on_resonance() else math.inf
             # Phi and Lambda are frozen; adding 0*t gives them the shape of t.
             self.coordinates = lambda t, y: (s0.Phi + 0.0 * t,
                                              varphi0 + 2.0 * p.omega0 * t,
@@ -382,7 +385,7 @@ class MapSource:
 
             s0 = constraint0
             self.chi0, self.y0 = s0.chi, (s0.Phi, s0.varphi, s0.Lambda)
-            self.guard = guard_flow_crossings
+            self.guard, self.period = guard_flow_crossings, math.inf
             self.coordinates = lambda t, y: (y[0], y[1], y[2])
             self.rates = rates
         else:

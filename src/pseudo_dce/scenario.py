@@ -374,6 +374,7 @@ class SweepFailure:
 
     name: str
     error: str
+    error_type: str
 
 
 def _sweep_one(args):
@@ -381,7 +382,8 @@ def _sweep_one(args):
     try:
         return run(cfg, out_dir=out_dir, name=name)
     except PseudoDceError as exc:
-        return SweepFailure(name=name, error=f"{type(exc).__name__}: {exc}")
+        kind = type(exc).__name__
+        return SweepFailure(name=name, error=f"{kind}: {exc}", error_type=kind)
 
 
 def sweep(base: ScenarioConfig, axis: str, values, out_dir=None,
@@ -389,7 +391,8 @@ def sweep(base: ScenarioConfig, axis: str, values, out_dir=None,
     """Run the base scenario once per value of one configuration key.
 
     Returns the records (input order) and the summary CSV text with one
-    row per value: value, amplification factor, final photon number.
+    row per value: value, amplification factor, final photon number; a
+    failed cell's row reads value, "failed", the error's type name.
     """
     if axis not in _FIELD_TYPES:
         raise ValidationError(f"unknown sweep axis {axis!r}")
@@ -413,7 +416,7 @@ def sweep(base: ScenarioConfig, axis: str, values, out_dir=None,
     lines = [f"{axis},amplification,N_final"]
     for value, rec in zip(values, records):
         if isinstance(rec, SweepFailure):
-            lines.append(f"{float(value):.17g},failed,failed")
+            lines.append(f"{float(value):.17g},failed,{rec.error_type}")
             continue
         cfg = rec.config
         amp = amplification_factor(cfg.alpha0_tilde, cfg.beta0_tilde, cfg.chi)

@@ -157,7 +157,7 @@ class TestSweepCommand:
                          "--values", "1e-3", "--out", str(tmp_path)])
         assert code == 2
         captured = capsys.readouterr()
-        assert "failed,failed" in captured.out
+        assert "0.001,failed,ChiSingular" in captured.out.splitlines()
         assert "ChiSingular" in captured.err
 
     def test_bad_values_exit_one(self, tmp_path, capsys):

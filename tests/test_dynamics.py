@@ -15,8 +15,10 @@ from pseudo_dce.dynamics import (BogoliubovTriple, InitialMoments,
 from pseudo_dce.errors import (ChiSingular, NegativeMeanPhoton,
                                NotOnResonance)
 from pseudo_dce.fock import FockSpace, propagate
-from pseudo_dce.hermitize import (HermitizedCoeffs, approx_dyson_trajectory,
+from pseudo_dce.hermitize import (HermitizedCoeffs, MapSource,
+                                  approx_dyson_trajectory,
                                   hermitized_coefficients)
+from pseudo_dce.integrate import IvpProblem, integrate
 
 CHI_FIG = 1.0002
 VARPHI0 = 0.5 * math.pi
@@ -201,10 +203,8 @@ class TestEvolve:
                                          dyson_source="approximate",
                                          chi=CHI_FIG, varphi0=VARPHI0,
                                          rtol=1e-11, atol=1e-14)
-        worst = 0.0
-        for i in range(tg.size):
-            tri = traj.bogoliubov(i)
-            worst = max(worst, abs(tri.u - u_o[i]), abs(tri.v - v_o[i]))
+        tri = traj.bogoliubov()
+        worst = max(np.abs(tri.u - u_o).max(), np.abs(tri.v - v_o).max())
         assert worst < 1e-7, f"oracle deviation {worst}"
 
     def test_second_moment_matches_number_basis(self, hermitian_params):
@@ -237,3 +237,101 @@ class TestEvolve:
         n = traj.mean_photon()
         assert n.shape == tg.shape
         assert np.all(n >= 0.0)
+
+
+def _direct_uv(p, tg, rtol=1e-13, atol=1e-16):
+    """The oracle's (u, conj v) flow on the frozen-chi map, integrated over
+    all of tg without the map-source layer."""
+    def rhs(t, y):
+        s = approx_dyson_trajectory(t, p, VARPHI0, CHI_FIG)
+        c = hermitized_coefficients(s, p, t)
+        pump = 2.0 * c.T().conjugate()
+        u, v = complex(y[0], y[1]), complex(y[2], y[3])
+        du = -1j * (c.W * u + pump * v.conjugate())
+        dv = -1j * (c.W * v + pump * u.conjugate())
+        return np.array([du.real, du.imag, dv.real, dv.imag])
+
+    sol = integrate(IvpProblem(rhs, tg, np.array([1.0, 0.0, 0.0, 0.0])),
+                    rtol=rtol, atol=atol, max_step=p.period() / 64.0)
+    return sol.y[:, 0] + 1j * sol.y[:, 1], sol.y[:, 2] + 1j * sol.y[:, 3]
+
+
+class TestMonodromyOracle:
+    """On resonance the oracle integrates one period and composes the rest."""
+
+    def _worst(self, p, tg):
+        u, v = bogoliubov_ode_oracle(p, tg, dyson_source="approximate",
+                                     chi=CHI_FIG, varphi0=VARPHI0,
+                                     rtol=1e-11, atol=1e-14)
+        u_ref, v_ref = _direct_uv(p, tg)
+        scale = np.abs(u_ref)
+        return max((np.abs(u - u_ref) / scale).max(),
+                   (np.abs(v - v_ref) / scale).max())
+
+    def test_matches_direct_integration(self, fig1_params):
+        # fig3_solid's drive over 16.5 periods; N reaches about 3.5e9.
+        tg = np.linspace(0.0, 16.5 * fig1_params.period(), 3301)
+        assert self._worst(fig1_params, tg) < 1e-10
+
+    def test_period_aligned_grid(self, fig1_params):
+        # Every 200th point sits on a whole period, where floor and mod
+        # meet rounding edges and phases repeat across periods.
+        tg = np.linspace(0.0, 10.0 * fig1_params.period(), 2001)
+        assert self._worst(fig1_params, tg) < 1e-10
+
+    @pytest.mark.parametrize("periods", [5.2, 0.7])
+    def test_grid_starting_after_zero(self, fig1_params, periods):
+        t0 = 1.3
+        tg = np.linspace(t0, t0 + periods * fig1_params.period(), 777)
+        assert self._worst(fig1_params, tg) < 1e-10
+
+    def test_unit_determinant_at_tau_200(self, hermitian_params):
+        # 64 periods of composition keep |u|^2 - |v|^2 = 1 to about 2e-14;
+        # the direct full-span integration drifts to about 1e-12 here.
+        tg = np.linspace(0.0, 200.0, 12001)
+        u, v = bogoliubov_ode_oracle(hermitian_params, tg,
+                                     dyson_source="approximate", chi=CHI_FIG,
+                                     varphi0=VARPHI0, rtol=1e-13, atol=1e-16)
+        drift = np.abs(np.abs(u) ** 2 - np.abs(v) ** 2 - 1.0).max()
+        assert drift < 1e-13, f"|u|^2 - |v|^2 - 1 drift {drift}"
+
+    def _integration_grids(self, monkeypatch):
+        seen = []
+        original = MapSource.integrate
+
+        def spy(src, rhs, y0, t_grid, *args):
+            sol = original(src, rhs, y0, t_grid, *args)
+            seen.append(sol)
+            return sol
+
+        monkeypatch.setattr(MapSource, "integrate", spy)
+        return seen
+
+    def test_resonant_run_integrates_one_period(self, fig1_params,
+                                                monkeypatch):
+        seen = self._integration_grids(monkeypatch)
+        tg = np.linspace(0.0, 50.0, 3185)
+        bogoliubov_ode_oracle(fig1_params, tg, dyson_source="approximate",
+                              chi=CHI_FIG, varphi0=VARPHI0)
+        (sol,) = seen
+        assert sol.t[0] == 0.0 and sol.t[-1] == fig1_params.period()
+
+    @pytest.mark.parametrize("source", ["off_resonance", "integrated"])
+    def test_aperiodic_source_keeps_direct_result(self, moderate_params,
+                                                  moderate_state0, source,
+                                                  monkeypatch):
+        seen = self._integration_grids(monkeypatch)
+        if source == "off_resonance":
+            p = DriveParams(omega0=1.0, eps_mod=0.01, kappa=1.93,
+                            alpha0_tilde=0.01, beta0_tilde=0.001)
+            kw = dict(dyson_source="approximate", chi=CHI_FIG)
+        else:
+            p = moderate_params
+            kw = dict(dyson_source="integrated", constraint0=moderate_state0)
+        tg = np.linspace(0.0, 25.0, 1601)
+        u, v = bogoliubov_ode_oracle(p, tg, varphi0=VARPHI0, **kw)
+        (sol,) = seen
+        assert np.array_equal(sol.t, tg)
+        y = sol.y[:, -4:]
+        assert np.array_equal(u, y[:, 0] + 1j * y[:, 1])
+        assert np.array_equal(v, y[:, 2] + 1j * y[:, 3])

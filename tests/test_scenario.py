@@ -217,7 +217,7 @@ class TestSweep:
         records, summary = sweep(base, "beta0_tilde", [1e-3], out_dir=None)
         assert isinstance(records[0], SweepFailure)
         assert "ChiSingular" in records[0].error
-        assert summary.splitlines()[1].endswith("failed,failed")
+        assert summary.splitlines()[1] == "0.001,failed,ChiSingular"
 
     def test_unknown_axis(self):
         with pytest.raises(ValidationError):
