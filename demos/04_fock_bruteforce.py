@@ -133,7 +133,8 @@ def main():
     print(f"vacuum propagated under the counterpart generator "
           f"(dim = {f_big.dim}), tau <= {tg[-1]:g}:")
     print(f"  norm drift {prop.norm_drift:.2e}, "
-          f"max edge population {prop.max_edge_population:.2e}")
+          f"max edge population {prop.max_edge_population:.2e} "
+          f"(trusted: {prop.trusted})")
     print(f"  photon number vs squeeze route for r <= {r_trust:.2f}: "
           f"{rel:.2e}")
     print(f"  r reaches {traj.r[-1]:.2f} by tau = {tg[-1]:g}; past the trust"

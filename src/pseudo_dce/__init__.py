@@ -46,7 +46,6 @@ from .errors import (
 from .fock import (
     FockSpace,
     PropagationResult,
-    TruncatedState,
     counterpart_matrix,
     drive_hamiltonian,
     eta_matrix,

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .errors import ParseError, PseudoDceError, ValidationError
-from .scenario import SweepFailure, load_config, run, run_preset, sweep
+from .scenario import PRESETS, SweepFailure, load_config, run, run_preset, sweep
 from .verify import run_verify
 
 EXIT_OK = 0
@@ -40,7 +40,7 @@ def _build_parser() -> _Parser:
     group = p_run.add_mutually_exclusive_group(required=True)
     group.add_argument("--config", metavar="FILE",
                        help="flat key = value scenario file")
-    group.add_argument("--preset", choices=("fig1", "fig2", "fig3"),
+    group.add_argument("--preset", choices=tuple(PRESETS),
                        help="named figure preset")
     p_run.add_argument("--out", metavar="DIR", default=None,
                        help="output directory (default: $PSEUDO_DCE_OUT "

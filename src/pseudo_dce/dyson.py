@@ -61,13 +61,23 @@ class GaussCoefficients:
 
 
 def _d_over_xi(eps_map: float, xi: float) -> float:
-    """D/Xi = cosh(Xi) - eps_map*sinh(Xi)/Xi, series-evaluated for tiny Xi."""
+    """D/Xi = cosh(Xi) - eps_map*sinh(Xi)/Xi, series-evaluated for tiny Xi;
+    raises OutOfDomain where cosh overflows, DegenerateDenominator at D = 0."""
+    if xi > 700.0:
+        raise OutOfDomain(f"xi = {xi:.3e} overflows cosh in double precision")
     if xi < _XI_SERIES_CUTOFF:
         x2 = xi * xi
-        return (1.0 - eps_map) + x2 * (0.5 - eps_map / 6.0) + x2 * x2 * (
+        d_norm = (1.0 - eps_map) + x2 * (0.5 - eps_map / 6.0) + x2 * x2 * (
             1.0 / 24.0 - eps_map / 120.0
         )
-    return math.cosh(xi) - eps_map * math.sinh(xi) / xi
+    else:
+        d_norm = math.cosh(xi) - eps_map * math.sinh(xi) / xi
+    if abs(d_norm) < _DEGENERATE_TOL * max(1.0, math.cosh(xi)):
+        raise DegenerateDenominator(
+            "Xi*cosh(Xi) - eps_map*sinh(Xi) vanishes at "
+            f"eps_map={eps_map!r}, Xi={xi!r}"
+        )
+    return d_norm
 
 
 def _sinh_over_xi(xi: float) -> float:
@@ -92,14 +102,7 @@ def gauss_coefficients(eps_map: float, mu: complex) -> GaussCoefficients:
             "hyperbolic regime"
         )
     xi = math.sqrt(xi2)
-    if xi > 700.0:
-        raise OutOfDomain(f"xi = {xi:.3e} overflows cosh in double precision")
     d_norm = _d_over_xi(eps_map, xi)
-    if abs(d_norm) < _DEGENERATE_TOL * max(1.0, math.cosh(xi)):
-        raise DegenerateDenominator(
-            f"Xi*cosh(Xi) - eps_map*sinh(Xi) vanishes at eps_map={eps_map!r}, "
-            f"mu={mu!r}"
-        )
     lam = 2.0 * mu.conjugate() * _sinh_over_xi(xi) / d_norm
     big_lambda = 1.0 / (d_norm * d_norm)
     return GaussCoefficients(lam=lam, Lambda=big_lambda, xi=xi)
@@ -117,14 +120,7 @@ def phi_from_z(z_abs: float, eps_map: float) -> tuple[float, float]:
     if not (0.0 < z_abs <= 1.0):
         raise OutOfDomain(f"|z| must lie in (0, 1], got {z_abs}")
     xi = eps_map * math.sqrt(max(0.0, 1.0 - z_abs * z_abs))
-    if xi > 700.0:
-        raise OutOfDomain(f"xi = {xi:.3e} overflows cosh in double precision")
     d_norm = _d_over_xi(eps_map, xi)
-    if abs(d_norm) < _DEGENERATE_TOL * max(1.0, math.cosh(xi)):
-        raise DegenerateDenominator(
-            f"decomposition denominator vanishes at eps_map={eps_map!r}, "
-            f"|z|={z_abs!r}"
-        )
     phi = eps_map * z_abs * _sinh_over_xi(xi) / d_norm
     chi = -2.0 * phi / z_abs - 1.0
     return phi, chi

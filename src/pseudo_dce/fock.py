@@ -7,9 +7,11 @@ Wave-function propagation under quadratic generators (`propagate`) forms
 no matrix: it applies a^2 and a^dag^2 as O(dim) shifted slices on the
 parity sectors the initial state occupies.
 
-Truncation policy: results are trusted only while the top n_edge (10 by
-default) Fock levels stay essentially unpopulated; helpers expose that
-edge population so callers can flag or reject runs that touch the lid.
+Truncation policy: one rule, squeeze_trust_bound(dim) (sinh(r)^2 <=
+dim/20).  `propagate` turns it into its flag through the closed-form
+squeezed-vacuum populations: a run is trusted while the population of the
+top _EDGE_LEVELS (10) levels stays below what a squeezed vacuum at the bound
+puts there.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .hermitize import HermitizedCoeffs
 from .integrate import IntegrationStats, IvpProblem, integrate
 
 _EDGE_LEVELS = 10
-_EDGE_TOL = 1e-12
+_MAP_LEAK_TOL = 1e-12
 _EXPM_MAX_NORM = 600.0
 _COND_LIMIT = 1e14
 
@@ -56,43 +58,34 @@ class FockSpace:
         return psi
 
 
-@dataclass(frozen=True)
-class TruncatedState:
-    """State amplitudes with the truncation-trust metric attached."""
-
-    amplitudes: np.ndarray
-    n_edge: int = _EDGE_LEVELS
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    @property
-    def edge_population(self) -> float:
-        """Population of the top n_edge levels, relative to the total."""
-        total = float(np.vdot(self.amplitudes, self.amplitudes).real)
-        if total == 0.0:
-            return 0.0
-        edge = self.amplitudes[-self.n_edge:]
-        return float(np.vdot(edge, edge).real) / total
-
-    def mean_photon(self, f: FockSpace) -> float:
-        total = float(np.vdot(self.amplitudes, self.amplitudes).real)
-        weighted = float(
-            np.sum(f.n_levels * np.abs(self.amplitudes) ** 2))
-        return weighted / total
-
-
 def squeeze_trust_bound(dim: int) -> float:
     """Largest squeeze r whose photon number the truncation resolves.
 
     Conservative rule sinh(r)^2 <= dim/20, which keeps the occupied tail
-    well below the lid for a squeezed vacuum.  It is looser than the edge
-    flag of `propagate`: at its default edge_tol = 1e-12 that flag marks
-    runs untrusted at r values below this bound (at the bound the edge
-    population is 3.0e-5 at dim 128).
+    well below the lid for a squeezed vacuum.  It is the module's only
+    trust rule: `propagate` flags runs against the edge population this r
+    implies (`_edge_limit`).
     """
     return math.asinh(math.sqrt(dim / 20.0))
+
+
+def _edge_limit(dim: int) -> float:
+    """Population a squeezed vacuum at r = squeeze_trust_bound(dim) puts on
+    the top _EDGE_LEVELS levels and beyond.
+
+    Counted as 1 - sum of p_2k = tanh(r)^(2k) (2k)!/(4^k (k!)^2) / cosh(r)
+    (Gerry & Knight, Introductory Quantum Optics, ch. 7) over the even
+    levels below the lid.  For dim <= _EDGE_LEVELS no level lies below it
+    and the limit is 1, which no edge population stays under.
+    """
+    r = squeeze_trust_bound(dim)
+    t2 = math.tanh(r) ** 2
+    p = 1.0 / math.cosh(r)
+    below = 0.0
+    for n in range(0, dim - _EDGE_LEVELS, 2):
+        below += p
+        p *= t2 * (n + 1) / (n + 2)
+    return 1.0 - below
 
 
 def matrix_exponential(m: np.ndarray, max_norm: float = _EXPM_MAX_NORM) -> np.ndarray:
@@ -118,7 +111,17 @@ def gauss_product_matrix(lam: complex, big_lambda: float, f: FockSpace) -> np.nd
     element of the product inside the truncation is exact (no leakage
     through the lid for this factor ordering).
     """
-    dim = f.dim
+    if big_lambda <= 0.0:
+        raise ValueError(f"Lambda must be positive, got {big_lambda}")
+    half_log = 0.5 * math.log(big_lambda)
+    diag = np.exp(half_log * (f.n_levels + 0.5)).astype(complex)
+    # exp(conj(lam)*K-) is the raising factor at conj(lam), transposed.
+    down = _raising_factor(complex(lam).conjugate(), f.dim).T.copy()
+    return (_raising_factor(lam, f.dim) * diag[np.newaxis, :]) @ down
+
+
+def _raising_factor(lam: complex, dim: int) -> np.ndarray:
+    """exp(lam*K+) on the truncation from its exact Fock-basis series."""
     up = np.zeros((dim, dim), dtype=complex)
     for n in range(dim):
         term = 1.0 + 0j
@@ -129,34 +132,18 @@ def gauss_product_matrix(lam: complex, big_lambda: float, f: FockSpace) -> np.nd
             m = n + 2 * k
             term *= (lam / 2.0) / k * math.sqrt(m * (m - 1))
             up[m, n] = term
-    if big_lambda <= 0.0:
-        raise ValueError(f"Lambda must be positive, got {big_lambda}")
-    half_log = 0.5 * math.log(big_lambda)
-    diag = np.exp(half_log * (f.n_levels + 0.5)).astype(complex)
-    down = np.zeros((dim, dim), dtype=complex)
-    lam_c = complex(lam).conjugate()
-    for n in range(dim):
-        term = 1.0 + 0j
-        down[n, n] = term
-        k = 0
-        while n + 2 * (k + 1) < dim:
-            k += 1
-            m = n + 2 * k
-            term *= (lam_c / 2.0) / k * math.sqrt(m * (m - 1))
-            down[n, m] = term
-    return (up * diag[np.newaxis, :]) @ down
+    return up
 
 
 def eta_matrix(eps_map: float, mu: complex, f: FockSpace,
-               form: str = "exponential", check_edge: bool = False,
-               edge_tol: float = _EDGE_TOL) -> np.ndarray:
+               form: str = "exponential", check_edge: bool = False) -> np.ndarray:
     """The map as a dim x dim matrix.
 
     form "exponential" exponentiates the generator directly (suffers
     genuine truncation error near the lid); form "gauss" assembles the
     factorized product (exact within the truncation).  With check_edge,
     raises TruncationUntrusted when any column from the trusted block
-    leaks more than edge_tol of its norm into the top levels.
+    leaks more than 1e-12 of its norm into the top levels.
     """
     if form == "exponential":
         gen = (eps_map * f.number_plus_half()
@@ -174,10 +161,10 @@ def eta_matrix(eps_map: float, mu: complex, f: FockSpace,
         col_norms = np.linalg.norm(eta[:, :trusted], axis=0)
         edge_norms = np.linalg.norm(eta[trusted:, :trusted], axis=0)
         leak = float(np.max(edge_norms / col_norms))
-        if leak > edge_tol:
+        if leak > _MAP_LEAK_TOL:
             raise TruncationUntrusted(
                 f"map couples trusted levels to the lid at {leak:.3e} "
-                f"(> {edge_tol:.1e})"
+                f"(> {_MAP_LEAK_TOL:.1e})"
             )
     return eta
 
@@ -189,17 +176,16 @@ def metric(eta: np.ndarray) -> np.ndarray:
 
 def quasi_hermiticity_residual(H: np.ndarray, theta_center: np.ndarray,
                                theta_plus: np.ndarray,
-                               theta_minus: np.ndarray, h: float,
-                               n_edge: int = _EDGE_LEVELS) -> float:
+                               theta_minus: np.ndarray, h: float) -> float:
     """Relative Frobenius residual of H^dag*Theta - Theta*H = i*dTheta/dt.
 
     The time derivative is the central difference of the two offset
     metrics; the norm is taken on the sub-block that excludes the top
-    n_edge levels in both indices.
+    _EDGE_LEVELS levels in both indices.
     """
     dtheta = (theta_plus - theta_minus) / (2.0 * h)
     residual = H.conj().T @ theta_center - theta_center @ H - 1j * dtheta
-    cut = residual.shape[0] - n_edge
+    cut = residual.shape[0] - _EDGE_LEVELS
     sub = residual[:cut, :cut]
     ref = theta_center[:cut, :cut]
     return float(np.linalg.norm(sub) / np.linalg.norm(ref))
@@ -230,9 +216,6 @@ class PropagationResult:
     trusted: bool
     stats: IntegrationStats
 
-    def state_at(self, i: int) -> TruncatedState:
-        return TruncatedState(amplitudes=self.amplitudes[i])
-
     def mean_photon(self, f: FockSpace) -> np.ndarray:
         probs = np.abs(self.amplitudes) ** 2
         totals = probs.sum(axis=1)
@@ -244,18 +227,18 @@ CoeffFn = Callable[[float], tuple[complex, complex, complex]]
 
 def propagate(coeffs: CoeffFn, psi0: np.ndarray, t_grid: np.ndarray,
               f: FockSpace, rtol: float = 1e-9, atol: float = 1e-12,
-              max_step: Optional[float] = None, strict: bool = False,
-              edge_tol: float = _EDGE_TOL) -> PropagationResult:
+              max_step: Optional[float] = None,
+              strict: bool = False) -> PropagationResult:
     """Integrate i dpsi/dt = H(t) psi with H = c_n*(n+1/2) + c2*a^2 + c2d*a^dag^2.
 
     coeffs(t) returns (c_n, c2, c2d); Hermitian generators have
     c2d = conj(c2) and real c_n, in which case norm_drift measures
-    integrator quality.  Edge population is sampled on the reporting
-    grid; if it ever exceeds edge_tol the result is flagged untrusted
-    (and raises TruncationUntrusted when strict).  The default
-    edge_tol = 1e-12 is stricter than squeeze_trust_bound: a squeezed
-    vacuum is flagged untrusted at r values below that bound (edge
-    population 3.0e-5 at dim 128 at the bound).
+    integrator quality.  The population of the top _EDGE_LEVELS levels
+    is sampled on the reporting grid; the result is trusted while it
+    stays below what a squeezed vacuum at r = squeeze_trust_bound(dim)
+    puts there (3.6e-5 at dim 128, 1.7e-5 at dim 264; every run at
+    dim <= 10 is untrusted), and strict raises TruncationUntrusted
+    otherwise.
 
     Parity rule: H never mixes even and odd levels, so only the parity
     sectors psi0 occupies are integrated; the other sector's amplitudes
@@ -305,10 +288,12 @@ def propagate(coeffs: CoeffFn, psi0: np.ndarray, t_grid: np.ndarray,
     probs = np.abs(amps) ** 2
     edge = probs[:, -_EDGE_LEVELS:].sum(axis=1) / probs.sum(axis=1)
     max_edge = float(np.max(edge))
-    trusted = max_edge <= edge_tol
+    limit = _edge_limit(f.dim)
+    trusted = max_edge < limit
     if strict and not trusted:
         raise TruncationUntrusted(
-            f"edge population reached {max_edge:.3e} (> {edge_tol:.1e})"
+            f"edge population reached {max_edge:.3e} (squeezed vacuum at "
+            f"the trust bound: {limit:.3e})"
         )
     return PropagationResult(t=sol.t, amplitudes=amps, norm_drift=norm_drift,
                              max_edge_population=max_edge, trusted=trusted,
@@ -327,19 +312,18 @@ def nonhermitian_expectation(eta: np.ndarray, psi: np.ndarray,
     return complex(np.vdot(left, right))
 
 
-def inverse_map_state(eta: np.ndarray, psi: np.ndarray,
-                      cond_limit: float = _COND_LIMIT) -> np.ndarray:
+def inverse_map_state(eta: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """eta^{-1} psi with a conditioning guard (SingularEta beyond it)."""
-    cond = float(np.linalg.cond(eta))
-    if not math.isfinite(cond) or cond > cond_limit:
-        raise SingularEta(f"map condition number {cond:.3e} exceeds {cond_limit:.1e}")
-    return np.linalg.solve(eta, psi)
+    return _solve_conditioned(eta, psi)
 
 
-def map_observable(eta: np.ndarray, observable: np.ndarray,
-                   cond_limit: float = _COND_LIMIT) -> np.ndarray:
+def map_observable(eta: np.ndarray, observable: np.ndarray) -> np.ndarray:
     """eta^{-1} O eta, the observable carried to the non-Hermitian side."""
+    return _solve_conditioned(eta, observable @ eta)
+
+
+def _solve_conditioned(eta: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     cond = float(np.linalg.cond(eta))
-    if not math.isfinite(cond) or cond > cond_limit:
-        raise SingularEta(f"map condition number {cond:.3e} exceeds {cond_limit:.1e}")
-    return np.linalg.solve(eta, observable @ eta)
+    if not math.isfinite(cond) or cond > _COND_LIMIT:
+        raise SingularEta(f"map condition number {cond:.3e} exceeds {_COND_LIMIT:.1e}")
+    return np.linalg.solve(eta, rhs)

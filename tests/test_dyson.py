@@ -37,16 +37,24 @@ class TestGaussCoefficients:
         with pytest.raises(ImaginaryXi):
             gauss_coefficients(0.1, 0.5)
 
-    def test_degenerate_denominator(self):
-        # Xi = 1 exactly makes cosh(1) - eps*sinh(1) vanish.
-        eps0 = 1.0 / math.tanh(1.0)
-        mu = math.sqrt(eps0 * eps0 - 1.0) / 2.0
+    # Xi = 1 exactly makes cosh(1) - eps*sinh(1) vanish; on phi_from_z that
+    # is |z| = 1/cosh(1) at eps = coth(1).
+    @pytest.mark.parametrize("call", [
+        lambda: gauss_coefficients(1.0 / math.tanh(1.0),
+                                   math.sqrt(1.0 / math.tanh(1.0) ** 2 - 1.0) / 2.0),
+        lambda: phi_from_z(0.6480542736638856, 1.0 / math.tanh(1.0)),
+    ], ids=["gauss_coefficients", "phi_from_z"])
+    def test_degenerate_denominator(self, call):
         with pytest.raises(DegenerateDenominator):
-            gauss_coefficients(eps0, mu)
+            call()
 
-    def test_overflow_guard(self):
+    @pytest.mark.parametrize("call", [
+        lambda: gauss_coefficients(800.0, 0.0),
+        lambda: phi_from_z(0.5, 900.0),
+    ], ids=["gauss_coefficients", "phi_from_z"])
+    def test_overflow_guard(self, call):
         with pytest.raises(OutOfDomain):
-            gauss_coefficients(800.0, 0.0)
+            call()
 
 
 class TestPhiFromZ:

@@ -4,16 +4,19 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from pseudo_dce.drive import DriveParams
+from pseudo_dce.dynamics import evolve
 from pseudo_dce.dyson import DysonState, bogoliubov_matrix
 from pseudo_dce.errors import (NormTooLarge, SingularEta,
                                TruncationUntrusted, ValidationError)
-from pseudo_dce.fock import (FockSpace, TruncatedState, counterpart_matrix,
+from pseudo_dce.fock import (FockSpace, _edge_limit, counterpart_matrix,
                              drive_hamiltonian, eta_matrix,
                              gauss_product_matrix, inverse_map_state,
                              map_observable, matrix_exponential, metric,
                              nonhermitian_expectation, propagate,
                              quasi_hermiticity_residual, squeeze_trust_bound)
-from pseudo_dce.hermitize import HermitizedCoeffs
+from pseudo_dce.hermitize import (HermitizedCoeffs, approx_dyson_trajectory,
+                                  hermitized_coefficients)
 
 TRUSTED = slice(0, 25)
 
@@ -207,9 +210,8 @@ class TestPropagate:
         f = FockSpace(32)
         res = propagate(lambda t: (1.0, 0j, 0j), f.vacuum(),
                         np.linspace(0.0, 5.0, 26), f)
-        state = TruncatedState(amplitudes=res.amplitudes[-1])
-        assert state.mean_photon(f) < 1e-20
-        assert state.edge_population == 0.0
+        assert res.mean_photon(f)[-1] < 1e-20
+        assert res.max_edge_population == 0.0
 
     def test_norm_preserved_by_hermitian_generator(self):
         f = FockSpace(64)
@@ -242,6 +244,64 @@ class TestPropagate:
         with pytest.raises(ValidationError, match="zero vector"):
             propagate(lambda t: (1.0, 0j, 0j), np.zeros(8, dtype=complex),
                       np.linspace(0.0, 1.0, 5), f)
+
+
+class TestTrustRule:
+    """propagate's flag is squeeze_trust_bound read through the closed-form
+    squeezed-vacuum populations."""
+
+    FIG1 = DriveParams(omega0=1.0, eps_mod=0.01, kappa=2.0,
+                       alpha0_tilde=0.01, beta0_tilde=0.001)
+    CHI = 1.0002
+    VARPHI0 = 0.5 * math.pi
+
+    def fig1_vacuum(self, dim, r_end, strict=False):
+        """The fig1 vacuum up to the first 0.005 grid time with r >= r_end."""
+        fine = np.linspace(0.0, 8.0, 1601)
+        r = evolve(self.FIG1, fine, chi=self.CHI, varphi0=self.VARPHI0,
+                   rtol=1e-10, atol=1e-13).r
+        t_end = float(fine[np.argmax(r >= r_end)])
+
+        def coeffs(t):
+            c = hermitized_coefficients(
+                approx_dyson_trajectory(t, self.FIG1, self.VARPHI0, self.CHI),
+                self.FIG1, t)
+            return c.W, c.T(), c.T().conjugate()
+
+        f = FockSpace(dim)
+        return propagate(coeffs, f.vacuum(), np.linspace(0.0, t_end, 81), f,
+                         strict=strict)
+
+    def test_trusted_up_to_the_bound(self):
+        res = self.fig1_vacuum(64, squeeze_trust_bound(64))
+        assert res.trusted, res.max_edge_population
+        self.fig1_vacuum(64, squeeze_trust_bound(64), strict=True)
+
+    def test_flagged_past_the_bound(self):
+        res = self.fig1_vacuum(64, squeeze_trust_bound(64) + 0.1)
+        assert not res.trusted, res.max_edge_population
+        with pytest.raises(TruncationUntrusted):
+            self.fig1_vacuum(64, squeeze_trust_bound(64) + 0.1, strict=True)
+
+    @pytest.mark.parametrize("dim", [4, 10])
+    def test_small_dims_never_trusted(self, dim):
+        # Every level is an edge level, so even the vacuum fills the edge.
+        assert _edge_limit(dim) == 1.0
+        f = FockSpace(dim)
+        res = propagate(lambda t: (1.0, 0j, 0j), f.vacuum(),
+                        np.linspace(0.0, 1.0, 5), f)
+        assert not res.trusted
+
+    @pytest.mark.parametrize("dim", [16, 128, 264])
+    def test_limit_matches_closed_form(self, dim):
+        # p_2k = tanh(r)^(2k) (2k)!/(4^k (k!)^2) / cosh(r), summed over the
+        # even levels below the top ten.
+        r = squeeze_trust_bound(dim)
+        below = sum(math.exp(2 * k * math.log(math.tanh(r))
+                             + math.lgamma(2 * k + 1) - k * math.log(4.0)
+                             - 2.0 * math.lgamma(k + 1) - math.log(math.cosh(r)))
+                    for k in range(dim) if 2 * k < dim - 10)
+        assert abs(_edge_limit(dim) - (1.0 - below)) < 1e-12
 
 
 class TestPropagateAgainstExpm:
