@@ -26,10 +26,7 @@ def main():
     p = DriveParams(omega0=1.0, eps_mod=0.01, kappa=2.0,
                     alpha0_tilde=0.6, beta0_tilde=0.2)
     # Initial map chosen self-consistently: |z| = -2*Phi/(chi + 1).
-    chi0, z0 = -2.25, 0.8
-    phi0 = -z0 * (chi0 + 1.0) / 2.0
-    state0 = ConstraintState(z_abs=z0, Phi=phi0, varphi=0.5 * np.pi,
-                             Lambda=phi0 * phi0 - chi0)
+    state0 = ConstraintState.from_chi(-2.25, 0.8, 0.5 * np.pi)
 
     tau = np.linspace(0.0, 30.0, 601)
     flow = integrate_constraints(p, state0, tau, rtol=1e-11)

@@ -21,6 +21,7 @@ import numpy as np
 from pseudo_dce.drive import DriveParams
 from pseudo_dce.dynamics import (amplification_factor, analytic_squeeze,
                                  bogoliubov_ode_oracle, evolve)
+from pseudo_dce.hermitize import MapSource
 
 CHI = 1.0002
 TAU_MAX = 25.0
@@ -44,7 +45,7 @@ def main():
     n_final = {}
     for label, p in drives:
         amp = amplification_factor(p.alpha0_tilde, p.beta0_tilde, CHI)
-        traj = evolve(p, tg, chi=CHI, rtol=1e-10)
+        traj = evolve(MapSource(p, chi=CHI), tg, rtol=1e-10)
         n = traj.mean_photon()
         n_final[label] = n[-1]
         print(f"{label:<26} {amp:11.3f} {traj.r[-1]:10.4f} {n[-1]:12.4e}")
@@ -53,8 +54,9 @@ def main():
     print()
 
     p = drives[1][1]
-    traj = evolve(p, tg, chi=CHI, rtol=1e-10)
-    u, v = bogoliubov_ode_oracle(p, tg, chi=CHI, rtol=1e-10)
+    src = MapSource(p, chi=CHI)
+    traj = evolve(src, tg, rtol=1e-10)
+    u, v = bogoliubov_ode_oracle(src, tg, rtol=1e-10)
     n_sq = traj.mean_photon()
     n_uv = np.abs(v) ** 2
 

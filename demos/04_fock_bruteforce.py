@@ -33,9 +33,9 @@ from pseudo_dce.dyson import DysonState
 from pseudo_dce.fock import (FockSpace, drive_hamiltonian, eta_matrix,
                              inverse_map_state, metric, propagate,
                              quasi_hermiticity_residual, squeeze_trust_bound)
-from pseudo_dce.hermitize import (ConstraintState, approx_dyson_trajectory,
-                                  coefficients_general, hermitized_coefficients,
-                                  integrate_constraints)
+from pseudo_dce.hermitize import (ConstraintState, MapSource,
+                                  approx_dyson_trajectory, coefficients_general,
+                                  hermitized_coefficients, integrate_constraints)
 
 CHI = 1.0002
 FIG = DriveParams(omega0=1.0, eps_mod=0.01, kappa=2.0,
@@ -45,10 +45,7 @@ MODERATE = DriveParams(omega0=1.0, eps_mod=0.01, kappa=2.0,
 
 
 def moderate_state0() -> ConstraintState:
-    chi0, z0 = -2.25, 0.8
-    phi0 = -z0 * (chi0 + 1.0) / 2.0
-    return ConstraintState(z_abs=z0, Phi=phi0, varphi=0.5 * math.pi,
-                           Lambda=phi0 * phi0 - chi0)
+    return ConstraintState.from_chi(-2.25, 0.8, 0.5 * math.pi)
 
 
 def main():
@@ -117,7 +114,7 @@ def main():
     f_big = FockSpace(128)
     r_trust = squeeze_trust_bound(f_big.dim)
     tg = np.linspace(0.0, 10.0, 201)
-    traj = evolve(FIG, tg, chi=CHI, rtol=1e-10)
+    traj = evolve(MapSource(FIG, chi=CHI), tg, rtol=1e-10)
 
     def coeffs(ts: float):
         st = approx_dyson_trajectory(ts, FIG, varphi0=0.5 * math.pi, chi=CHI)

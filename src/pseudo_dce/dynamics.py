@@ -31,7 +31,7 @@ import numpy as np
 
 from .drive import DriveParams, heaviside
 from .errors import ChiSingular, NegativeMeanPhoton, NotOnResonance
-from .hermitize import ConstraintState, HermitizedCoeffs, MapSource
+from .hermitize import HermitizedCoeffs, MapSource
 from .integrate import IntegrationStats
 
 _DEFAULT_SEED = 1e-8
@@ -197,10 +197,6 @@ class Trajectory:
         return SqueezeState(r=self.r[i], phi_sq=self.phi_sq[i], theta=self.theta[i],
                             Omega_tilde=self.Omega_tilde[i])
 
-    def coeffs(self, i: int) -> HermitizedCoeffs:
-        return HermitizedCoeffs(W=float(self.W[i]), T_abs=float(self.T_abs[i]),
-                                phi_T=float(self.phi_T[i]))
-
     def bogoliubov(self, i=slice(None)) -> BogoliubovTriple:
         """Triple from the first grid point to point i, by default to each."""
         return bogoliubov_uvw(self.squeeze_state(0), self.squeeze_state(i))
@@ -209,35 +205,27 @@ class Trajectory:
         return mean_photon_general(self.bogoliubov(), moments)
 
 
-def evolve(p: DriveParams, t_grid: np.ndarray, *,
-           dyson_source: str = "approximate", chi: Optional[float] = None,
-           varphi0: float = 0.5 * math.pi, r0: float = 0.0,
+def evolve(src: MapSource, t_grid: np.ndarray, *, r0: float = 0.0,
            phi_sq0: Optional[float] = None, theta0: complex = 0j,
-           constraint0: Optional[ConstraintState] = None,
            seed_r_eps: float = _DEFAULT_SEED, rtol: float = 1e-9,
            atol: float = 1e-12, max_step: Optional[float] = None) -> Trajectory:
-    """Evolve the squeeze parameters over t_grid.
+    """Evolve the squeeze parameters over t_grid on the map source src.
 
-    dyson_source, chi, varphi0 and constraint0 choose the map source the
-    counterpart coefficients come from (hermitize.MapSource).  r0 = 0 is
-    replaced by seed_r_eps to stay off the phi_sq pole.  phi_sq0 defaults
-    to the phase-locked value phi_sq(0) of the closed form with
+    src supplies the counterpart coefficients and the drive, src.p.  r0 =
+    0 is replaced by seed_r_eps to stay off the phi_sq pole.  phi_sq0
+    defaults to the phase-locked value phi_sq(0) of the closed form with
     phi0_prime = 0.
 
-    max_step defaults to a sixteenth of the drive period.  The error
-    control alone takes longer steps, and against a tight-tolerance
-    reference they lose a factor of about 20 in N on the integrated
-    source and 2 on the approximate one; the cap costs little time.  With
-    the integrated source a step that carries the flow across chi = 1 or
-    Phi = 0 raises ChiSingular or PhiZero at the crossing.
+    max_step defaults to a sixteenth of the drive period
+    (MapSource.integrate).  With the integrated source a step that
+    carries the flow across chi = 1 or Phi = 0 raises ChiSingular or
+    PhiZero at the crossing.
     """
-    src = MapSource(p, dyson_source, chi=chi, varphi0=varphi0,
-                    constraint0=constraint0)
     n = len(src.y0)
     if r0 == 0.0:
         r0 = seed_r_eps
     if phi_sq0 is None:
-        _, phi_sq0 = analytic_squeeze(0.0, p, src.chi0, r0, 0.0)
+        _, phi_sq0 = analytic_squeeze(0.0, src.p, src.chi0, r0, 0.0)
 
     def rhs(t, y):
         # Python floats: arithmetic on numpy scalars is several times slower.
@@ -260,13 +248,8 @@ def evolve(p: DriveParams, t_grid: np.ndarray, *,
                       residual_hermiticity=src.residual(sol.t, m), stats=sol.stats)
 
 
-def bogoliubov_ode_oracle(p: DriveParams, t_grid: np.ndarray, *,
-                          dyson_source: str = "approximate",
-                          chi: Optional[float] = None,
-                          varphi0: float = 0.5 * math.pi,
-                          constraint0: Optional[ConstraintState] = None,
-                          rtol: float = 1e-9, atol: float = 1e-12,
-                          max_step: Optional[float] = None
+def bogoliubov_ode_oracle(src: MapSource, t_grid: np.ndarray, *,
+                          rtol: float = 1e-9, atol: float = 1e-12
                           ) -> tuple[np.ndarray, np.ndarray]:
     """Independent (u, v) evolution for cross-checking the squeeze route.
 
@@ -288,8 +271,6 @@ def bogoliubov_ode_oracle(p: DriveParams, t_grid: np.ndarray, *,
     route shares nothing with evolve's polar (r, phi_sq) ODE beyond W and
     T, so each stays an independent check on the other.
     """
-    src = MapSource(p, dyson_source, chi=chi, varphi0=varphi0,
-                    constraint0=constraint0)
     n = len(src.y0)
 
     def rhs(t, y):
@@ -309,7 +290,7 @@ def bogoliubov_ode_oracle(p: DriveParams, t_grid: np.ndarray, *,
     end = t0 + period if whole[-1] > 0 else t_grid[-1]
     t_one, row = np.unique(np.append(np.clip(t_grid - whole * period, t0, end), end),
                            return_inverse=True)
-    sol = src.integrate(rhs, (1.0, 0.0, 0.0, 0.0), t_one, rtol, atol, max_step)
+    sol = src.integrate(rhs, (1.0, 0.0, 0.0, 0.0), t_one, rtol, atol)
     u = sol.y[:, n] + 1j * sol.y[:, n + 1]
     v = sol.y[:, n + 2] + 1j * sol.y[:, n + 3]
     m_T = np.array([[u[-1], v[-1]], [np.conj(v[-1]), np.conj(u[-1])]])

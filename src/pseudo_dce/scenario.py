@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
+import os
 import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -26,7 +27,7 @@ from .dynamics import (
 )
 from .errors import (NotOnResonance, ParseError, PseudoDceError,
                      ValidationError)
-from .hermitize import ConstraintState
+from .hermitize import ConstraintState, MapSource
 
 CANONICAL_COLUMNS = (
     "tau",
@@ -151,11 +152,7 @@ class ScenarioConfig:
         return np.linspace(0.0, self.tau_max / self.omega0, self.grid_size())
 
     def constraint0(self) -> ConstraintState:
-        phi0 = -0.5 * self.z_abs * (self.chi + 1.0)
-        return ConstraintState(
-            z_abs=self.z_abs, Phi=phi0, varphi=self.varphi0,
-            Lambda=phi0 * phi0 - self.chi,
-        )
+        return ConstraintState.from_chi(self.chi, self.z_abs, self.varphi0)
 
 
 _BOOL_WORDS = {"true": True, "on": True, "yes": True, "1": True,
@@ -226,7 +223,15 @@ def parse_config(text: str) -> ScenarioConfig:
 
 
 def load_config(path) -> ScenarioConfig:
-    return parse_config(Path(path).read_text())
+    """Parse the UTF-8 scenario file at path.
+
+    A file that cannot be read, or is not UTF-8 text, raises OSError.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: not UTF-8 text ({exc})") from exc
+    return parse_config(text)
 
 
 # Figure presets.  fig3 carries three series; the others one each.
@@ -269,9 +274,8 @@ def run(cfg: ScenarioConfig, out_dir=None, name: str = "run") -> RunRecord:
     started = time.perf_counter()
     p = cfg.drive_params()
     t_grid = cfg.time_grid()
-    common = dict(dyson_source=cfg.dyson_source, chi=cfg.chi,
-                  varphi0=cfg.varphi0, constraint0=cfg.constraint0(),
-                  rtol=cfg.rtol, atol=cfg.atol)
+    src = MapSource(p, cfg.dyson_source, chi=cfg.chi, varphi0=cfg.varphi0,
+                    constraint0=cfg.constraint0())
     try:
         r_analytic, phi_analytic = analytic_squeeze(
             t_grid, p, cfg.chi, cfg.r0, cfg.phi0_prime)
@@ -280,11 +284,11 @@ def run(cfg: ScenarioConfig, out_dir=None, name: str = "run") -> RunRecord:
         r_analytic = phi_analytic = np.full(t_grid.size, np.nan)
         phi_sq0 = cfg.phi0_prime
 
-    traj = evolve(p, t_grid, r0=cfg.r0, phi_sq0=phi_sq0, theta0=0j,
-                  seed_r_eps=cfg.seed_r_eps, **common)
+    traj = evolve(src, t_grid, r0=cfg.r0, phi_sq0=phi_sq0, theta0=0j,
+                  seed_r_eps=cfg.seed_r_eps, rtol=cfg.rtol, atol=cfg.atol)
     n_numeric = traj.mean_photon()
     if cfg.oracle:
-        _, v = bogoliubov_ode_oracle(p, t_grid, **common)
+        _, v = bogoliubov_ode_oracle(src, t_grid, rtol=cfg.rtol, atol=cfg.atol)
         n_oracle = np.abs(v) ** 2
     else:
         n_oracle = np.full(traj.t.size, np.nan)
@@ -393,9 +397,12 @@ def sweep(base: ScenarioConfig, axis: str, values, out_dir=None,
     Returns the records (input order) and the summary CSV text with one
     row per value: value, amplification factor, final photon number; a
     failed cell's row reads value, "failed", the error's type name.
+    At most one worker process is started per cell and per CPU.
     """
     if axis not in _FIELD_TYPES:
         raise ValidationError(f"unknown sweep axis {axis!r}")
+    if workers < 1:
+        raise ValidationError(f"workers must be at least 1, got {workers}")
     jobs = []
     for i, value in enumerate(values):
         if (_FIELD_TYPES[axis] == "int" and isinstance(value, float)
@@ -405,8 +412,8 @@ def sweep(base: ScenarioConfig, axis: str, values, out_dir=None,
         cfg.validate()
         jobs.append((cfg, out_dir, f"sweep_{axis}_{i}"))
 
-    # More workers than cells would only start idle processes.
-    workers = min(workers, len(jobs))
+    # Workers beyond the cells or the CPUs would only idle or compete.
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
             records = list(ex.map(_sweep_one, jobs))

@@ -47,13 +47,13 @@ _MODERATE = DriveParams(omega0=1.0, eps_mod=0.01, kappa=2.0,
                         alpha0_tilde=0.6, beta0_tilde=0.2)
 _CHI_FIG = 1.0002
 _VARPHI0 = 0.5 * math.pi
+# The frozen-chi maps every squeeze-route check runs on.
+_FIG1_SOURCE = MapSource(_FIG1, chi=_CHI_FIG, varphi0=_VARPHI0)
+_HERMITIAN_SOURCE = MapSource(_HERMITIAN, chi=_CHI_FIG, varphi0=_VARPHI0)
 
 
 def _moderate_state0() -> ConstraintState:
-    chi0, z0 = -2.25, 0.8
-    phi0 = -z0 * (chi0 + 1.0) / 2.0
-    return ConstraintState(z_abs=z0, Phi=phi0, varphi=_VARPHI0,
-                           Lambda=phi0 * phi0 - chi0)
+    return ConstraintState.from_chi(-2.25, 0.8, _VARPHI0)
 
 
 @dataclass
@@ -203,9 +203,7 @@ def check_flow_residuals() -> tuple[bool, str]:
 
 def check_flow_fixed_point() -> tuple[bool, str]:
     """The z=1 locked state is stationary where the drive vanishes."""
-    chi = _CHI_FIG
-    s = ConstraintState(z_abs=1.0, Phi=-(chi + 1.0) / 2.0, varphi=0.3,
-                        Lambda=((chi + 1.0) / 2.0) ** 2 - chi)
+    s = ConstraintState.from_chi(_CHI_FIG, 1.0, 0.3)
     d = constraint_rhs_polar(s, _FIG1, 0.0)  # zeta(0) = 0
     worst = max(abs(float(d[0])), abs(float(d[2])), abs(float(d[3])))
     dphi_err = abs(float(d[1]) - 2.0 * drive_omega(0.0, _FIG1))
@@ -216,8 +214,7 @@ def check_flow_fixed_point() -> tuple[bool, str]:
 
 def check_hermitian_baseline() -> tuple[bool, str]:
     tg = np.linspace(0.0, 10.0, 201)
-    traj = evolve(_HERMITIAN, tg, dyson_source="approximate", chi=_CHI_FIG,
-                  varphi0=_VARPHI0, rtol=1e-10, atol=1e-13)
+    traj = evolve(_HERMITIAN_SOURCE, tg, rtol=1e-10, atol=1e-13)
     r_ref, _ = analytic_squeeze(10.0, _HERMITIAN, _CHI_FIG, 1e-8, 0.0)
     rel = abs(traj.r[-1] - r_ref) / r_ref
     return _bound("r(10) vs closed form rel", rel, 1e-2)
@@ -225,8 +222,7 @@ def check_hermitian_baseline() -> tuple[bool, str]:
 
 def check_analytic_r() -> tuple[bool, str]:
     tg = np.linspace(0.0, 50.0, 1001)
-    traj = evolve(_FIG1, tg, dyson_source="approximate", chi=_CHI_FIG,
-                  varphi0=_VARPHI0, rtol=1e-10, atol=1e-13)
+    traj = evolve(_FIG1_SOURCE, tg, rtol=1e-10, atol=1e-13)
     mask = tg >= 10.0
     r_ref, _ = analytic_squeeze(tg[mask], _FIG1, _CHI_FIG, 1e-8, 0.0)
     worst = float(np.max(np.abs(traj.r[mask] - r_ref) / r_ref))
@@ -242,18 +238,13 @@ def identity_suite_trajectories() -> list[tuple[str, np.ndarray, np.ndarray]]:
     """
     out = []
     t6 = np.linspace(0.0, 6.0, 301)
-    u, v = bogoliubov_ode_oracle(_FIG1, t6, dyson_source="approximate",
-                                 chi=_CHI_FIG, varphi0=_VARPHI0,
-                                 rtol=1e-13, atol=1e-15)
+    u, v = bogoliubov_ode_oracle(_FIG1_SOURCE, t6, rtol=1e-13, atol=1e-15)
     out.append(("fig1 oracle tau<=6", u, v))
     t10 = np.linspace(0.0, 10.0, 501)
-    u, v = bogoliubov_ode_oracle(_HERMITIAN, t10, dyson_source="approximate",
-                                 chi=_CHI_FIG, varphi0=_VARPHI0,
-                                 rtol=1e-13, atol=1e-15)
+    u, v = bogoliubov_ode_oracle(_HERMITIAN_SOURCE, t10, rtol=1e-13, atol=1e-15)
     out.append(("hermitian oracle tau<=10", u, v))
     t30 = np.linspace(0.0, 30.0, 601)  # r(30) ~ 6.8, inside the float floor
-    traj = evolve(_FIG1, t30, dyson_source="approximate", chi=_CHI_FIG,
-                  varphi0=_VARPHI0, rtol=1e-11, atol=1e-14)
+    traj = evolve(_FIG1_SOURCE, t30, rtol=1e-11, atol=1e-14)
     tri = traj.bogoliubov()
     out.append(("closed-form uvw r<=7", tri.u, tri.v))
     return out
@@ -272,9 +263,7 @@ def check_bogoliubov_identity() -> tuple[bool, str]:
 
 def check_seed_insensitivity() -> tuple[bool, str]:
     tg = np.linspace(0.0, 20.0, 401)
-    r = [evolve(_FIG1, tg, dyson_source="approximate", chi=_CHI_FIG,
-                varphi0=_VARPHI0, seed_r_eps=seed,
-                rtol=1e-11, atol=1e-14).r[-1]
+    r = [evolve(_FIG1_SOURCE, tg, seed_r_eps=seed, rtol=1e-11, atol=1e-14).r[-1]
          for seed in (1e-8, 1e-9)]
     return _bound("|dr(20)| for seed 1e-8 vs 1e-9", abs(r[0] - r[1]), 1e-6)
 
@@ -283,8 +272,7 @@ def check_theta_conservation() -> tuple[bool, str]:
     # The period/1000 cap holds the sampled |theta| at roundoff (1.8e-15);
     # uncapped, the dense output between steps gives 1.4e-13.
     tg = np.linspace(0.0, 3.0, 151)
-    traj = evolve(_FIG1, tg, dyson_source="approximate", chi=_CHI_FIG,
-                  varphi0=_VARPHI0, theta0=1.0 + 0j,
+    traj = evolve(_FIG1_SOURCE, tg, theta0=1.0 + 0j,
                   rtol=1e-13, atol=1e-16, max_step=_FIG1.period() / 1000.0)
     drift = float(np.abs(np.abs(traj.theta) - 1.0).max())
     return _bound("|theta| drift", drift, 1e-10)
@@ -297,13 +285,10 @@ def check_route_agreement() -> tuple[bool, str]:
     ratios meaningless), absolute below.
     """
     tg = np.linspace(0.0, 20.0, 801)
-    traj = evolve(_FIG1, tg, dyson_source="approximate", chi=_CHI_FIG,
-                  varphi0=_VARPHI0, rtol=1e-11, atol=1e-14)
+    traj = evolve(_FIG1_SOURCE, tg, rtol=1e-11, atol=1e-14)
     n_sq = np.sinh(traj.r) ** 2
     n_uvw = traj.mean_photon()
-    _, v = bogoliubov_ode_oracle(_FIG1, tg, dyson_source="approximate",
-                                 chi=_CHI_FIG, varphi0=_VARPHI0,
-                                 rtol=1e-11, atol=1e-14)
+    _, v = bogoliubov_ode_oracle(_FIG1_SOURCE, tg, rtol=1e-11, atol=1e-14)
     n_or = np.abs(v) ** 2
     hi = n_sq > 1e-3
     rel = max(
@@ -363,11 +348,10 @@ def check_quasi_hermiticity_spot() -> tuple[bool, str]:
 
 def check_fault_injection() -> tuple[bool, str]:
     """Flipping the pump sign must kill the resonant growth."""
-    p = _HERMITIAN
     t_grid = np.linspace(0.0, 10.0, 2001)
     h = float(t_grid[1] - t_grid[0])
-    m = MapSource(p, chi=_CHI_FIG, varphi0=_VARPHI0).at(t_grid, ())
-    _, phi0 = analytic_squeeze(0.0, p, _CHI_FIG, 1e-8, 0.0)
+    m = _HERMITIAN_SOURCE.at(t_grid, ())
+    _, phi0 = analytic_squeeze(0.0, _HERMITIAN, _CHI_FIG, 1e-8, 0.0)
 
     def step(flip: bool) -> float:
         r, phi = 1e-8, phi0
@@ -501,17 +485,15 @@ def check_fock_three_route() -> tuple[bool, str]:
     """Schroedinger propagation vs sinh^2 r inside the truncation trust
     window (r <= 1.8 for dim=128; the tail bias crosses 1e-3 near r=1.85)."""
     f = FockSpace(128)
-    src = MapSource(_FIG1, chi=_CHI_FIG, varphi0=_VARPHI0)
 
     def coeffs(t: float):
-        m = src.at(t, ())
+        m = _FIG1_SOURCE.at(t, ())
         return m.W, m.T, m.T.conjugate()
 
     tg = np.linspace(0.0, 16.0, 321)
     res = propagate(coeffs, f.vacuum(), tg, f, rtol=1e-10, atol=1e-13)
     n_fock = res.mean_photon(f)
-    traj = evolve(_FIG1, tg, dyson_source="approximate", chi=_CHI_FIG,
-                  varphi0=_VARPHI0, rtol=1e-10, atol=1e-13)
+    traj = evolve(_FIG1_SOURCE, tg, rtol=1e-10, atol=1e-13)
     n_sq = np.sinh(traj.r) ** 2
     win = (traj.r <= 1.8) & (n_sq > 1e-3)
     rel = float((np.abs(n_fock - n_sq)[win] / n_sq[win]).max())

@@ -32,10 +32,7 @@ def moderate_params() -> DriveParams:
 
 @pytest.fixture
 def moderate_state0() -> ConstraintState:
-    chi0, z0 = -2.25, 0.8
-    phi0 = -z0 * (chi0 + 1.0) / 2.0
-    return ConstraintState(z_abs=z0, Phi=phi0, varphi=VARPHI0,
-                           Lambda=phi0 * phi0 - chi0)
+    return ConstraintState.from_chi(-2.25, 0.8, VARPHI0)
 
 
 @pytest.fixture

@@ -32,7 +32,7 @@ from pseudo_dce.dynamics import (InitialMoments, amplification_factor,
                                  bogoliubov_uvw, evolve, mean_photon_general)
 from pseudo_dce.dyson import DysonState, bogoliubov_matrix, epsilon_from_phi, phi_from_z
 from pseudo_dce.fock import FockSpace, eta_matrix, propagate, squeeze_trust_bound
-from pseudo_dce.hermitize import (approx_dyson_trajectory,
+from pseudo_dce.hermitize import (MapSource, approx_dyson_trajectory,
                                   coefficients_from_flow,
                                   hermitized_coefficients,
                                   integrate_constraints)
@@ -68,18 +68,17 @@ def wrap_angle(x):
 def fig1_traj50():
     t0 = time.perf_counter()
     tg = np.linspace(0.0, 50.0, 1001)
-    traj = evolve(FIG1, tg, dyson_source="approximate", chi=CHI,
-                  varphi0=VARPHI0, rtol=1e-10, atol=1e-13)
+    traj = evolve(MapSource(FIG1, chi=CHI, varphi0=VARPHI0), tg,
+                  rtol=1e-10, atol=1e-13)
     return traj, tg, time.perf_counter() - t0
 
 
 def test_criterion_01_hermitian_baseline():
     t0 = time.perf_counter()
     tg = np.linspace(0.0, 100.0, 1001)
-    traj = evolve(HERMITIAN, tg, dyson_source="approximate", chi=CHI,
-                  varphi0=VARPHI0)
-    _, v = bogoliubov_ode_oracle(HERMITIAN, tg, dyson_source="approximate",
-                                 chi=CHI, varphi0=VARPHI0)
+    traj = evolve(MapSource(HERMITIAN, chi=CHI, varphi0=VARPHI0), tg)
+    _, v = bogoliubov_ode_oracle(
+        MapSource(HERMITIAN, chi=CHI, varphi0=VARPHI0), tg)
     wall = time.perf_counter() - t0
     r_final = float(traj.r[-1])
     n_final = float(abs(v[-1]) ** 2)
@@ -109,9 +108,8 @@ def test_criterion_02_phase_tracking(fig1_traj50):
 
     # Early transient: the pole-free oracle's phase arg(u*v) on the same
     # grid.  At tau = 0, v = 0 and the phase is undefined.
-    u, v = bogoliubov_ode_oracle(FIG1, tg, dyson_source="approximate",
-                                 chi=CHI, varphi0=VARPHI0,
-                                 rtol=1e-10, atol=1e-13)
+    u, v = bogoliubov_ode_oracle(MapSource(FIG1, chi=CHI, varphi0=VARPHI0),
+                                 tg, rtol=1e-10, atol=1e-13)
     live = tg > 0.0
     oracle = float(np.abs(wrap_angle(traj.phi_sq - np.angle(u * v))[live]).max())
     wall = wall_traj + time.perf_counter() - t0
@@ -144,8 +142,8 @@ def test_criterion_04_amplification_hierarchy():
     tg = np.linspace(0.0, 25.0, 501)
     n_runs = {}
     for label, p in (("b3", FIG1), ("b4", FIG1_B4), ("herm", HERMITIAN)):
-        traj = evolve(p, tg, dyson_source="approximate", chi=CHI,
-                      varphi0=VARPHI0, rtol=1e-10, atol=1e-13)
+        traj = evolve(MapSource(p, chi=CHI, varphi0=VARPHI0), tg,
+                      rtol=1e-10, atol=1e-13)
         n_runs[label] = traj.mean_photon()
     wall = time.perf_counter() - t0
     ratio = float(n_runs["b3"][-1] / n_runs["herm"][-1])
@@ -183,12 +181,11 @@ def test_criterion_06_bogoliubov_identity():
 
 def test_criterion_07_photon_routes():
     tg = np.linspace(0.0, 20.0, 801)
-    traj = evolve(FIG1, tg, dyson_source="approximate", chi=CHI,
-                  varphi0=VARPHI0, rtol=1e-11, atol=1e-14)
+    traj = evolve(MapSource(FIG1, chi=CHI, varphi0=VARPHI0), tg,
+                  rtol=1e-11, atol=1e-14)
     n_closed = traj.mean_photon()
-    _, v = bogoliubov_ode_oracle(FIG1, tg, dyson_source="approximate",
-                                 chi=CHI, varphi0=VARPHI0,
-                                 rtol=1e-11, atol=1e-14)
+    _, v = bogoliubov_ode_oracle(MapSource(FIG1, chi=CHI, varphi0=VARPHI0),
+                                 tg, rtol=1e-11, atol=1e-14)
     n_oracle = np.abs(v) ** 2
 
     # Pairwise clause: relative agreement where the signal is resolved,

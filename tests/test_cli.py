@@ -1,4 +1,5 @@
 import concurrent.futures
+import os
 import string
 from pathlib import Path
 
@@ -18,6 +19,29 @@ def write_cfg(tmp_path, text, name="case.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace the sweep's process pool by one that maps in this process;
+    the list collects the pool size of each pool the sweep asks for."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return sizes
 
 
 class TestRunCommand:
@@ -84,6 +108,18 @@ class TestRunCommand:
         code = cli.main(["run", "--config", str(tmp_path / "absent.cfg"),
                          "--out", str(tmp_path)])
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_non_utf8_config_file_exits_two(self, tmp_path, capsys, command):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes("tau_max = 1  # \u00e9t\u00e9\n".encode("latin-1"))
+        argv = [command, "--config", str(path), "--out", str(tmp_path)]
+        if command == "sweep":
+            argv += ["--axis", "chi", "--values", "0.5"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("pseudo-dce: ") and "not UTF-8" in err[0]
 
     def test_simulation_failure_exits_two(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, FAILING_CFG)
@@ -194,32 +230,39 @@ class TestSweepCommand:
         assert capsys.readouterr().out.splitlines()[1].startswith("200,")
 
     def test_pool_is_capped_at_the_cell_count(self, tmp_path, monkeypatch,
-                                              capsys):
-        sizes = []
-
-        class SerialPool:
-            # Records the requested size and maps in this process.
-            def __init__(self, max_workers):
-                assert max_workers <= 2
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            SerialPool)
+                                              capsys, pool_sizes):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
         cfg = write_cfg(tmp_path, SHORT_CFG)
         code = cli.main(["sweep", "--config", cfg, "--axis", "beta0_tilde",
                          "--values", "1e-3,1e-4", "--workers", "100000",
                          "--out", str(tmp_path)])
         assert code == 0
-        assert sizes == [2]
+        assert pool_sizes == [2]
+
+    @pytest.mark.parametrize("cpus", [2, None])
+    def test_pool_is_capped_at_the_cpu_count(self, tmp_path, monkeypatch,
+                                             capsys, pool_sizes, cpus):
+        # os.cpu_count() may not know (None): the sweep then runs serially.
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        cfg = write_cfg(tmp_path, SHORT_CFG)
+        code = cli.main(["sweep", "--config", cfg, "--axis", "beta0_tilde",
+                         "--values", "1e-3,2e-3,3e-3,4e-3", "--workers", "1000",
+                         "--out", str(tmp_path)])
+        assert code == 0
+        assert len(capsys.readouterr().out.splitlines()) == 5
+        assert pool_sizes == ([2] if cpus else [])
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_fewer_than_one_worker_exits_one(self, tmp_path, capsys,
+                                             pool_sizes, workers):
+        cfg = write_cfg(tmp_path, SHORT_CFG)
+        code = cli.main(["sweep", "--config", cfg, "--axis", "beta0_tilde",
+                         "--values", "1e-3", "--workers", workers,
+                         "--out", str(tmp_path)])
+        assert code == 1
+        assert "workers must be at least 1" in capsys.readouterr().err
+        assert pool_sizes == []
+        assert not (tmp_path / "sweep_beta0_tilde_0.csv").exists()
 
 
 FUZZ_CONFIGS = (
@@ -285,6 +328,22 @@ class TestArgvFuzz:
             code = exc.code
         capsys.readouterr()
         assert code in (0, 1, 2, 3), argv
+
+    @given(raw=st.binary(max_size=64), command=st.sampled_from(["run", "sweep"]))
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_random_byte_configs(self, tmp_path, capsys, raw, command):
+        path = tmp_path / "bytes.cfg"
+        path.write_bytes(raw)
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+        if command == "sweep":
+            argv += ["--axis", "chi", "--values", "0.5"]
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        capsys.readouterr()
+        assert code in (0, 1, 2, 3), raw
 
 
 def test_no_command_exits_one():

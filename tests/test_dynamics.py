@@ -24,6 +24,11 @@ CHI_FIG = 1.0002
 VARPHI0 = 0.5 * math.pi
 
 
+def frozen(p):
+    """The frozen-chi map source of drive p."""
+    return MapSource(p, chi=CHI_FIG, varphi0=VARPHI0)
+
+
 class TestSqueezeRhs:
 
     def test_pure_rotation(self):
@@ -60,8 +65,7 @@ class TestRotationDisplacement:
 
     def test_modulus_conserved_along_evolution(self, fig1_params):
         tg = np.linspace(0.0, 3.0, 151)
-        traj = evolve(fig1_params, tg, dyson_source="approximate",
-                      chi=CHI_FIG, varphi0=VARPHI0, theta0=0.3 + 0.4j,
+        traj = evolve(frozen(fig1_params), tg, theta0=0.3 + 0.4j,
                       rtol=1e-13, atol=1e-16,
                       max_step=fig1_params.period() / 1000.0)
         drift = float(np.abs(np.abs(traj.theta) - 0.5).max())
@@ -170,16 +174,14 @@ class TestEvolve:
     def test_unmodulated_drive_stays_dark(self):
         p = DriveParams(omega0=1.0, eps_mod=0.0, kappa=2.0,
                         alpha0_tilde=0.01, beta0_tilde=0.001)
-        traj = evolve(p, np.linspace(0.0, 10.0, 101),
-                      dyson_source="approximate", chi=CHI_FIG,
-                      varphi0=VARPHI0)
+        traj = evolve(frozen(p), np.linspace(0.0, 10.0, 101))
         assert float(np.abs(traj.r - 1e-8).max()) < 1e-20
         assert float(traj.mean_photon().max()) < 1e-15
 
     def test_balanced_drive_matches_closed_form(self, hermitian_params):
         tg = np.linspace(0.0, 10.0, 201)
-        traj = evolve(hermitian_params, tg, dyson_source="approximate",
-                      chi=CHI_FIG, varphi0=VARPHI0, rtol=1e-10, atol=1e-13)
+        traj = evolve(frozen(hermitian_params), tg,
+                      rtol=1e-10, atol=1e-13)
         r_ref, _ = analytic_squeeze(10.0, hermitian_params, CHI_FIG,
                                     1e-8, 0.0)
         assert abs(traj.r[-1] - r_ref) / r_ref < 1e-2
@@ -188,8 +190,7 @@ class TestEvolve:
         tg = np.linspace(0.0, 10.0, 201)
         finals = []
         for seed in (1e-8, 1e-10):
-            traj = evolve(fig1_params, tg, dyson_source="approximate",
-                          chi=CHI_FIG, varphi0=VARPHI0, seed_r_eps=seed,
+            traj = evolve(frozen(fig1_params), tg, seed_r_eps=seed,
                           rtol=1e-11, atol=1e-14)
             finals.append(traj.r[-1])
         assert abs(finals[0] - finals[1]) < 1e-6
@@ -197,11 +198,8 @@ class TestEvolve:
     def test_matrix_element_oracle_agrees(self, fig1_params):
         # u, v from direct integration of the mode-mixing equations.
         tg = np.linspace(0.0, 6.0, 121)
-        traj = evolve(fig1_params, tg, dyson_source="approximate",
-                      chi=CHI_FIG, varphi0=VARPHI0, rtol=1e-11, atol=1e-14)
-        u_o, v_o = bogoliubov_ode_oracle(fig1_params, tg,
-                                         dyson_source="approximate",
-                                         chi=CHI_FIG, varphi0=VARPHI0,
+        traj = evolve(frozen(fig1_params), tg, rtol=1e-11, atol=1e-14)
+        u_o, v_o = bogoliubov_ode_oracle(frozen(fig1_params), tg,
                                          rtol=1e-11, atol=1e-14)
         tri = traj.bogoliubov()
         worst = max(np.abs(tri.u - u_o).max(), np.abs(tri.v - v_o).max())
@@ -210,8 +208,8 @@ class TestEvolve:
     def test_second_moment_matches_number_basis(self, hermitian_params):
         # <a^2> propagated in a truncated number basis equals u*v.
         tg = np.linspace(0.0, 10.0, 201)
-        traj = evolve(hermitian_params, tg, dyson_source="approximate",
-                      chi=CHI_FIG, varphi0=VARPHI0, rtol=1e-11, atol=1e-14)
+        traj = evolve(frozen(hermitian_params), tg,
+                      rtol=1e-11, atol=1e-14)
         tri = traj.bogoliubov(tg.size - 1)
 
         def coeffs(t):
@@ -227,13 +225,10 @@ class TestEvolve:
 
     def test_trajectory_accessors(self, fig1_params):
         tg = np.linspace(0.0, 2.0, 21)
-        traj = evolve(fig1_params, tg, dyson_source="approximate",
-                      chi=CHI_FIG, varphi0=VARPHI0)
+        traj = evolve(frozen(fig1_params), tg)
         tri0 = traj.bogoliubov(0)
         assert abs(tri0.u - 1.0) < 1e-14
         assert abs(tri0.v) < 1e-14
-        c = traj.coeffs(5)
-        assert c.W == float(traj.W[5])
         n = traj.mean_photon()
         assert n.shape == tg.shape
         assert np.all(n >= 0.0)
@@ -260,9 +255,7 @@ class TestMonodromyOracle:
     """On resonance the oracle integrates one period and composes the rest."""
 
     def _worst(self, p, tg):
-        u, v = bogoliubov_ode_oracle(p, tg, dyson_source="approximate",
-                                     chi=CHI_FIG, varphi0=VARPHI0,
-                                     rtol=1e-11, atol=1e-14)
+        u, v = bogoliubov_ode_oracle(frozen(p), tg, rtol=1e-11, atol=1e-14)
         u_ref, v_ref = _direct_uv(p, tg)
         scale = np.abs(u_ref)
         return max((np.abs(u - u_ref) / scale).max(),
@@ -289,9 +282,8 @@ class TestMonodromyOracle:
         # 64 periods of composition keep |u|^2 - |v|^2 = 1 to about 2e-14;
         # the direct full-span integration drifts to about 1e-12 here.
         tg = np.linspace(0.0, 200.0, 12001)
-        u, v = bogoliubov_ode_oracle(hermitian_params, tg,
-                                     dyson_source="approximate", chi=CHI_FIG,
-                                     varphi0=VARPHI0, rtol=1e-13, atol=1e-16)
+        u, v = bogoliubov_ode_oracle(frozen(hermitian_params), tg,
+                                     rtol=1e-13, atol=1e-16)
         drift = np.abs(np.abs(u) ** 2 - np.abs(v) ** 2 - 1.0).max()
         assert drift < 1e-13, f"|u|^2 - |v|^2 - 1 drift {drift}"
 
@@ -311,8 +303,7 @@ class TestMonodromyOracle:
                                                 monkeypatch):
         seen = self._integration_grids(monkeypatch)
         tg = np.linspace(0.0, 50.0, 3185)
-        bogoliubov_ode_oracle(fig1_params, tg, dyson_source="approximate",
-                              chi=CHI_FIG, varphi0=VARPHI0)
+        bogoliubov_ode_oracle(frozen(fig1_params), tg)
         (sol,) = seen
         assert sol.t[0] == 0.0 and sol.t[-1] == fig1_params.period()
 
@@ -324,12 +315,12 @@ class TestMonodromyOracle:
         if source == "off_resonance":
             p = DriveParams(omega0=1.0, eps_mod=0.01, kappa=1.93,
                             alpha0_tilde=0.01, beta0_tilde=0.001)
-            kw = dict(dyson_source="approximate", chi=CHI_FIG)
+            src = frozen(p)
         else:
-            p = moderate_params
-            kw = dict(dyson_source="integrated", constraint0=moderate_state0)
+            src = MapSource(moderate_params, "integrated",
+                            constraint0=moderate_state0)
         tg = np.linspace(0.0, 25.0, 1601)
-        u, v = bogoliubov_ode_oracle(p, tg, varphi0=VARPHI0, **kw)
+        u, v = bogoliubov_ode_oracle(src, tg)
         (sol,) = seen
         assert np.array_equal(sol.t, tg)
         y = sol.y[:, -4:]

@@ -15,7 +15,8 @@ from pseudo_dce.fock import (FockSpace, _edge_limit, counterpart_matrix,
                              map_observable, matrix_exponential, metric,
                              nonhermitian_expectation, propagate,
                              quasi_hermiticity_residual, squeeze_trust_bound)
-from pseudo_dce.hermitize import (HermitizedCoeffs, approx_dyson_trajectory,
+from pseudo_dce.hermitize import (HermitizedCoeffs, MapSource,
+                                  approx_dyson_trajectory,
                                   hermitized_coefficients)
 
 TRUSTED = slice(0, 25)
@@ -96,13 +97,6 @@ class TestEtaMatrix:
                 den = np.linalg.norm(e_e[TRUSTED, TRUSTED])
                 worst = max(worst, num / den)
         assert worst < 1e-12, f"route disagreement {worst}"
-
-    def test_strong_map_fails_edge_check(self):
-        # eps_map = 2 with mu = 0.5 pushes the ladder weight lam = -6.38
-        # far past the truncation's reach; the guard must refuse it.
-        f = FockSpace(64)
-        with pytest.raises(TruncationUntrusted):
-            eta_matrix(2.0, 0.5, f, form="gauss", check_edge=True)
 
     def test_exponential_norm_guard(self):
         with pytest.raises(NormTooLarge):
@@ -258,8 +252,8 @@ class TestTrustRule:
     def fig1_vacuum(self, dim, r_end, strict=False):
         """The fig1 vacuum up to the first 0.005 grid time with r >= r_end."""
         fine = np.linspace(0.0, 8.0, 1601)
-        r = evolve(self.FIG1, fine, chi=self.CHI, varphi0=self.VARPHI0,
-                   rtol=1e-10, atol=1e-13).r
+        r = evolve(MapSource(self.FIG1, chi=self.CHI, varphi0=self.VARPHI0),
+                   fine, rtol=1e-10, atol=1e-13).r
         t_end = float(fine[np.argmax(r >= r_end)])
 
         def coeffs(t):

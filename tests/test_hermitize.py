@@ -138,6 +138,20 @@ class TestHermitizedCoefficients:
         assert abs(V - np.conj(T)) < 1e-12
 
 
+class TestConstraintStateFromChi:
+
+    @pytest.mark.parametrize("chi, z", [(-2.25, 0.8), (1.0002, 1.0),
+                                        (1.02, 1.0), (0.5, 1.0)])
+    def test_matches_the_written_out_formula(self, chi, z):
+        # Phi = -|z|*(chi + 1)/2 and Lambda = Phi^2 - chi, to the last bit.
+        s = ConstraintState.from_chi(chi, z, 0.3)
+        phi0 = -z * (chi + 1.0) / 2.0
+        assert (s.z_abs, s.Phi, s.varphi, s.Lambda) == (
+            z, phi0, 0.3, phi0 * phi0 - chi)
+        assert abs(s.chi - chi) < 1e-15
+        assert abs(z_abs_from(s.Phi, s.Lambda) - z) < 1e-15
+
+
 class TestApproxTrajectory:
 
     def test_initial_state(self, fig1_params):
@@ -208,13 +222,13 @@ class TestFlowCrossingGuard:
     def test_integrated_evolve_stops_at_the_crossing(self, fig1_params):
         # Either guard may trip first: the crossing one or a stage that
         # lands within 1e-9 of chi = 1.
-        s0 = ScenarioConfig().constraint0()
+        src = MapSource(fig1_params, "integrated",
+                        constraint0=ScenarioConfig().constraint0())
         tg = np.linspace(0.0, 3.0, 601)
         with pytest.raises(ChiSingular, match=r"tau = "):
-            evolve(fig1_params, tg, dyson_source="integrated", constraint0=s0)
+            evolve(src, tg)
         with pytest.raises(ChiSingular, match=r"tau = "):
-            bogoliubov_ode_oracle(fig1_params, tg, dyson_source="integrated",
-                                  constraint0=s0)
+            bogoliubov_ode_oracle(src, tg)
 
 
 class TestMapSource:
