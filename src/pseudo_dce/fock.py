@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .drive import DriveParams, alpha_beta, omega as drive_omega
 from .errors import NormTooLarge, SingularEta, TruncationUntrusted, ValidationError
@@ -92,8 +91,11 @@ def matrix_exponential(m: np.ndarray) -> np.ndarray:
 
     Raises NormTooLarge when the 1-norm exceeds _EXPM_MAX_NORM (600);
     beyond that the result would overflow or lose all accuracy in double
-    precision.
+    precision.  scipy.linalg is imported here, on first use, so that
+    importing the package loads no scipy module.
     """
+    import scipy.linalg
+
     m = np.asarray(m)
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")

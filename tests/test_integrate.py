@@ -3,8 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from conftest import CHI_FIG, VARPHI0
+from pseudo_dce import hermitize
+from pseudo_dce.dynamics import evolve
 from pseudo_dce.errors import NonFiniteState, StepRejected
-from pseudo_dce.integrate import IvpProblem, integrate
+from pseudo_dce.hermitize import MapSource
+from pseudo_dce.integrate import _A, _C, _D, _E3, _E5, IvpProblem, integrate
 
 
 def osc_rhs(t, y):
@@ -108,7 +112,8 @@ def test_nonfinite_initial_state():
 
 
 def test_nonfinite_initial_rhs():
-    # scipy alone would take a NaN first step and retry it without end.
+    # A NaN rhs at t0 makes the first step size NaN; without this check
+    # the step loop would retry that step without end.
     with pytest.raises(NonFiniteState, match="rhs"):
         integrate(IvpProblem(rhs=lambda t, y: np.array([math.nan]),
                              t_eval=span(1.0), y0=np.array([0.0])))
@@ -181,3 +186,79 @@ def test_t_eval_validation(bad_te):
     with pytest.raises(ValueError):
         IvpProblem(rhs=lambda t, y: -y, t_eval=np.array(bad_te),
                    y0=np.array([1.0]))
+
+
+class TestScipyParity:
+    """The in-package DOP853 repeats scipy's stepper bit for bit.
+
+    scipy.integrate.DOP853 is the reference here only; the package itself
+    imports no scipy module to integrate.
+    """
+
+    def test_tableau_is_bit_identical(self):
+        from scipy.integrate import DOP853 as ref
+
+        pairs = [(_A[:12, :12], ref.A), (_A[12, :12], ref.B), (_C[:12], ref.C),
+                 (_E3, ref.E3), (_E5, ref.E5), (_D, ref.D),
+                 (_A[13:], ref.A_EXTRA), (_C[13:], ref.C_EXTRA)]
+        for ours, theirs in pairs:
+            assert ours.shape == theirs.shape
+            assert ours.tobytes() == theirs.tobytes()
+
+    @staticmethod
+    def scipy_steps(rhs, t0, t1, y0, rtol, atol, max_step):
+        """scipy's per-step t, y and midpoint dense output; nfev; rejections."""
+        from scipy.integrate import DOP853
+
+        solver = DOP853(rhs, t0, y0, t1, rtol=rtol, atol=atol, max_step=max_step)
+        ts, ys, mids, rejected = [t0], [y0], [], 0
+        while solver.status == "running":
+            nfev = solver.nfev
+            solver.step()
+            assert solver.status != "failed"
+            rejected += (solver.nfev - nfev) // 12 - 1
+            ts.append(float(solver.t))
+            ys.append(solver.y)
+            mids.append(solver.dense_output()(0.5 * (solver.t_old + solver.t)))
+        return np.array(ts), np.array(ys), np.array(mids), solver.nfev, rejected
+
+    def assert_parity(self, rhs, t0, t1, y0, rtol=1e-9, atol=1e-12,
+                      max_step=math.inf):
+        ts, ys, mids, nfev, rejected = self.scipy_steps(rhs, t0, t1, y0, rtol,
+                                                        atol, max_step)
+        ours = []
+
+        def guard(t_old, t_new, y_at):
+            ours.append(y_at(0.5 * (t_old + t_new)))
+
+        # Reported on scipy's step ends, every grid point is one of the
+        # port's step ends and takes its state unchanged.
+        sol = integrate(IvpProblem(rhs=rhs, t_eval=ts, y0=y0, guard=guard),
+                        rtol=rtol, atol=atol, max_step=max_step)
+        assert sol.y.tobytes() == ys.tobytes()
+        assert np.array(ours).tobytes() == mids.tobytes()
+        assert sol.stats.n_steps == ts.size - 1
+        assert (sol.stats.nfev, sol.stats.n_rejected) == (nfev, rejected)
+        return sol
+
+    def test_oscillator(self):
+        self.assert_parity(osc_rhs, 0.0, 20.0 * math.pi, np.array([1.0, 0.0]))
+
+    def test_jump_rhs_with_rejections(self):
+        sol = self.assert_parity(lambda t, y: np.array([0.0 if t < 1.0 else 1.0]),
+                                 0.0, 3.0, np.array([0.0]))
+        assert sol.stats.n_rejected >= 1
+
+    def test_fig1_evolve_rhs(self, fig1_params, monkeypatch):
+        problems = []
+
+        def capture(problem, **kwargs):
+            problems.append((problem, kwargs))
+            return integrate(problem, **kwargs)
+
+        monkeypatch.setattr(hermitize, "integrate", capture)
+        evolve(MapSource(fig1_params, chi=CHI_FIG, varphi0=VARPHI0),
+               np.linspace(0.0, 4.0 * math.pi, 401))
+        (problem, kwargs), = problems
+        te = problem.t_eval
+        self.assert_parity(problem.rhs, te[0], te[-1], problem.y0, **kwargs)

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -7,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import pseudo_dce
 from pseudo_dce.errors import ParseError, PseudoDceError, ValidationError
 from pseudo_dce.scenario import (CANONICAL_COLUMNS, PRESETS, RunRecord,
                                  ScenarioConfig, SweepFailure, load_config,
@@ -226,3 +230,41 @@ class TestSweep:
     def test_invalid_value_raises_before_running(self):
         with pytest.raises(ValidationError):
             sweep(ScenarioConfig(), "eps_mod", [0.01, 1.5])
+
+
+# Each run path is followed by a check that no scipy module is loaded:
+# integration is numpy-only, and scipy.linalg is imported only for expm.
+_NO_SCIPY_SCRIPT = """
+import sys, tempfile
+
+def check(after):
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    assert not loaded, f"{after} loaded {loaded[:5]}"
+
+import pseudo_dce
+check("import pseudo_dce")
+from pseudo_dce.scenario import ScenarioConfig, run_preset, sweep
+from pseudo_dce.verify import run_verify
+with tempfile.TemporaryDirectory() as out:
+    run_preset("fig1", out_dir=out)
+    check("run_preset fig1")
+moderate = ScenarioConfig(alpha0_tilde=0.6, beta0_tilde=0.2, chi=-2.25,
+                          z_abs=0.8, dyson_source="integrated", tau_max=25.0)
+records, _ = sweep(moderate, "kappa", [1.93, 2.0], workers=1)
+assert len(records) == 2
+check("sweep")
+assert all(c.passed for c in run_verify("fast").checks)
+check("run_verify fast")
+"""
+
+
+def test_run_paths_load_no_scipy():
+    """import, run, sweep and verify fast import no scipy module.
+
+    Run in a fresh interpreter, since this test process has scipy loaded.
+    """
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(pseudo_dce.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
