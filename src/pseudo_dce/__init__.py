@@ -39,14 +39,12 @@ from .errors import (
     PseudoDceError,
     SingularEta,
     StepRejected,
-    TruncationUntrusted,
     ValidationError,
     ZeroLambda,
 )
 from .fock import (
     FockSpace,
     PropagationResult,
-    counterpart_matrix,
     drive_hamiltonian,
     eta_matrix,
     gauss_product_matrix,

@@ -9,9 +9,11 @@ evolves an invariant-based squeeze parametrization (r, phi_sq, theta) by
     dtheta/dt  = -i*Omega*theta,
     Omega      = W + 2*|T|*tanh(r)*cos(phi_T + phi_sq)
 
-with the accumulated phase Omega_tilde = integral of Omega.  From two
-squeeze states the Bogoliubov triple (u, v, w) follows in closed form and
-gives the mean photon number for arbitrary Gaussian-adjacent initial
+with the accumulated phase Omega_tilde = integral of Omega.  Only r,
+phi_sq and Omega_tilde are integrated: the displacement phase has the
+closed form theta(t) = theta(0)*exp(-i*(Omega_tilde(t) - Omega_tilde(0))),
+so |theta| is conserved exactly.  From two squeeze states the Bogoliubov
+triple (u, v, w) follows in closed form and gives the mean photon number for arbitrary Gaussian-adjacent initial
 moments; for vacuum N = sinh(r)^2 = |v|^2.  The closed forms take scalars
 or whole grids.
 
@@ -30,8 +32,8 @@ from typing import Optional
 import numpy as np
 
 from .drive import DriveParams, heaviside
-from .errors import ChiSingular, NegativeMeanPhoton, NotOnResonance
-from .hermitize import HermitizedCoeffs, MapSource
+from .errors import NegativeMeanPhoton, NotOnResonance
+from .hermitize import HermitizedCoeffs, MapSource, guard_chi
 from .integrate import IntegrationStats
 
 _DEFAULT_SEED = 1e-8
@@ -91,10 +93,9 @@ def amplification_factor(alpha0_tilde: float, beta0_tilde: float,
     """Growth-rate ratio |alpha0_tilde - chi*beta0_tilde| / |chi - 1|.
 
     Equals 1 identically when alpha0_tilde = beta0_tilde (Hermitian drive),
-    for every chi away from the chi = 1 singularity.
+    for every chi away from the chi = 1 singularity (guard_chi).
     """
-    if abs(chi - 1.0) < 1e-12:
-        raise ChiSingular(f"chi = {chi!r} is at the chi = 1 singularity")
+    guard_chi(chi)
     return abs(alpha0_tilde - chi * beta0_tilde) / abs(chi - 1.0)
 
 
@@ -124,11 +125,21 @@ def analytic_squeeze(t: float, p: DriveParams, chi: float, r0: float,
         math.cos(phi0_prime) * (th - np.sin(th))
         - math.sin(phi0_prime) * (1.0 - np.cos(th))
     )
-    phi_sq = (phi0_prime - 0.5 * math.pi
-              - heaviside(1.0 - chi) * math.pi
-              - heaviside(p.alpha0_tilde - chi * p.beta0_tilde) * math.pi
-              - 2.0 * p.omega0 * t)
-    return r, phi_sq
+    return r, initial_squeeze_phase(p, chi, phi0_prime) - 2.0 * p.omega0 * t
+
+
+def initial_squeeze_phase(p: DriveParams, chi: float, phi0_prime: float) -> float:
+    """Start phase phi_sq(0) of a run.
+
+    On resonance it is the closed form's phase-locked value (see
+    analytic_squeeze); off resonance there is no locked value and the
+    run starts at phi0_prime.
+    """
+    if not p.on_resonance():
+        return phi0_prime
+    return (phi0_prime - 0.5 * math.pi
+            - heaviside(1.0 - chi) * math.pi
+            - heaviside(p.alpha0_tilde - chi * p.beta0_tilde) * math.pi)
 
 
 def bogoliubov_uvw(s0: SqueezeState, s: SqueezeState) -> BogoliubovTriple:
@@ -208,15 +219,15 @@ class Trajectory:
 def evolve(src: MapSource, t_grid: np.ndarray, *, r0: float = 0.0,
            phi_sq0: Optional[float] = None, theta0: complex = 0j,
            seed_r_eps: float = _DEFAULT_SEED, rtol: float = 1e-9,
-           atol: float = 1e-12, max_step: Optional[float] = None) -> Trajectory:
+           atol: float = 1e-12) -> Trajectory:
     """Evolve the squeeze parameters over t_grid on the map source src.
 
     src supplies the counterpart coefficients and the drive, src.p.  r0 =
     0 is replaced by seed_r_eps to stay off the phi_sq pole.  phi_sq0
-    defaults to the phase-locked value phi_sq(0) of the closed form with
-    phi0_prime = 0.
+    defaults to initial_squeeze_phase with phi0_prime = 0.  theta is not
+    integrated: it is theta0 rotated by the accumulated phase.
 
-    max_step defaults to a sixteenth of the drive period
+    Steps are capped at a sixteenth of the drive period
     (MapSource.integrate).  With the integrated source a step that
     carries the flow across chi = 1 or Phi = 0 raises ChiSingular or
     PhiZero at the crossing.
@@ -225,24 +236,22 @@ def evolve(src: MapSource, t_grid: np.ndarray, *, r0: float = 0.0,
     if r0 == 0.0:
         r0 = seed_r_eps
     if phi_sq0 is None:
-        _, phi_sq0 = analytic_squeeze(0.0, src.p, src.chi0, r0, 0.0)
+        phi_sq0 = initial_squeeze_phase(src.p, src.chi0, 0.0)
 
     def rhs(t, y):
         # Python floats: arithmetic on numpy scalars is several times slower.
         t, y = float(t), y.tolist()
         m = src.at(t, y)
         c = HermitizedCoeffs.from_complex(m.W, m.T)
-        dr, dphi, Omega = squeeze_rhs(y[n], y[n + 1], c)
-        dth = -1j * Omega * complex(y[n + 3], y[n + 4])
-        return np.array([*m.rates[:n], dr, dphi, Omega, dth.real, dth.imag])
+        return np.array([*m.rates[:n], *squeeze_rhs(y[n], y[n + 1], c)])
 
-    sol = src.integrate(rhs, (r0, phi_sq0, 0.0, theta0.real, theta0.imag),
-                        t_grid, rtol, atol, max_step)
+    sol = src.integrate(rhs, (r0, phi_sq0, 0.0), t_grid, rtol, atol)
     m = src.at(sol.t, sol.y.T)
     c = HermitizedCoeffs.from_complex(m.W, m.T)
+    Omega_tilde = sol.y[:, n + 2]
     return Trajectory(t=sol.t, r=sol.y[:, n], phi_sq=sol.y[:, n + 1],
-                      Omega_tilde=sol.y[:, n + 2],
-                      theta=sol.y[:, n + 3] + 1j * sol.y[:, n + 4],
+                      Omega_tilde=Omega_tilde,
+                      theta=theta0 * np.exp(-1j * (Omega_tilde - Omega_tilde[0])),
                       W=c.W, T_abs=c.T_abs, phi_T=c.phi_T, Phi=m.Phi, chi=m.chi,
                       varphi=m.varphi, Lambda=m.Lambda,
                       residual_hermiticity=src.residual(sol.t, m), stats=sol.stats)

@@ -61,10 +61,6 @@ class NormTooLarge(PseudoDceError):
     """Matrix exponential argument exceeds the configured norm bound."""
 
 
-class TruncationUntrusted(PseudoDceError):
-    """Truncated-space result leaked too much population to the edge."""
-
-
 class SingularEta(PseudoDceError):
     """Dyson matrix is numerically singular; cannot invert."""
 

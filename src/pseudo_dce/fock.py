@@ -23,8 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .drive import DriveParams, alpha_beta, omega as drive_omega
-from .errors import NormTooLarge, SingularEta, TruncationUntrusted, ValidationError
-from .hermitize import HermitizedCoeffs
+from .errors import NormTooLarge, SingularEta, ValidationError
 from .integrate import IntegrationStats, IvpProblem, integrate
 
 _EDGE_LEVELS = 10
@@ -186,13 +185,6 @@ def drive_hamiltonian(t: float, p: DriveParams, f: FockSpace) -> np.ndarray:
             + a_pol.to_complex() * f.a_sq + b_pol.to_complex() * f.adag_sq)
 
 
-def counterpart_matrix(c: HermitizedCoeffs, f: FockSpace) -> np.ndarray:
-    """h = W*(n + 1/2) + T*a^2 + conj(T)*a^dag^2 as a matrix (Hermitian)."""
-    T = c.T()
-    return (c.W * f.number_plus_half()
-            + T * f.a_sq + T.conjugate() * f.adag_sq)
-
-
 @dataclass(frozen=True)
 class PropagationResult:
     """Sampled wave function with truncation and norm diagnostics."""
@@ -214,8 +206,8 @@ CoeffFn = Callable[[float], tuple[complex, complex, complex]]
 
 
 def propagate(coeffs: CoeffFn, psi0: np.ndarray, t_grid: np.ndarray,
-              f: FockSpace, rtol: float = 1e-9, atol: float = 1e-12,
-              strict: bool = False) -> PropagationResult:
+              f: FockSpace, rtol: float = 1e-9, atol: float = 1e-12
+              ) -> PropagationResult:
     """Integrate i dpsi/dt = H(t) psi with H = c_n*(n+1/2) + c2*a^2 + c2d*a^dag^2.
 
     coeffs(t) returns (c_n, c2, c2d); Hermitian generators have
@@ -224,8 +216,7 @@ def propagate(coeffs: CoeffFn, psi0: np.ndarray, t_grid: np.ndarray,
     is sampled on the reporting grid; the result is trusted while it
     stays below what a squeezed vacuum at r = squeeze_trust_bound(dim)
     puts there (3.6e-5 at dim 128, 1.7e-5 at dim 264; every run at
-    dim <= 10 is untrusted), and strict raises TruncationUntrusted
-    otherwise.
+    dim <= 10 is untrusted).
 
     Parity rule: H never mixes even and odd levels, so only the parity
     sectors psi0 occupies are integrated; the other sector's amplitudes
@@ -274,15 +265,9 @@ def propagate(coeffs: CoeffFn, psi0: np.ndarray, t_grid: np.ndarray,
     probs = np.abs(amps) ** 2
     edge = probs[:, -_EDGE_LEVELS:].sum(axis=1) / probs.sum(axis=1)
     max_edge = float(np.max(edge))
-    limit = _edge_limit(f.dim)
-    trusted = max_edge < limit
-    if strict and not trusted:
-        raise TruncationUntrusted(
-            f"edge population reached {max_edge:.3e} (squeezed vacuum at "
-            f"the trust bound: {limit:.3e})"
-        )
     return PropagationResult(t=sol.t, amplitudes=amps, norm_drift=norm_drift,
-                             max_edge_population=max_edge, trusted=trusted,
+                             max_edge_population=max_edge,
+                             trusted=max_edge < _edge_limit(f.dim),
                              stats=sol.stats)
 
 

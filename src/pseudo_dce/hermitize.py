@@ -39,7 +39,9 @@ from .drive import (DriveParams, PolarComplex, cos, omega as drive_omega, sin,
 from .errors import ChiSingular, PhiZero, ZeroLambda
 from .integrate import IvpProblem, IvpSolution, IntegrationStats, integrate
 
-_CHI_GUARD = 1e-9
+# Every chi = 1 guard (flow, map source, amplification factor, config)
+# refuses |chi - 1| below this width.
+CHI_GUARD = 1e-9
 _PHI_GUARD = 1e-12
 
 
@@ -123,20 +125,27 @@ def coefficients_general(lam: complex, Lambda: float, omega: complex,
     return W, T, V
 
 
+def guard_chi(chi: float, where: str = "") -> None:
+    """Raise ChiSingular, its message ending in where, when chi lies within
+    CHI_GUARD of the chi = 1 singularity."""
+    if abs(chi - 1.0) < CHI_GUARD:
+        raise ChiSingular(f"chi = {chi!r} within {CHI_GUARD!r} of the "
+                          f"chi = 1 singularity{where}")
+
+
 def _check_guards(t, Phi, varphi, Lambda, phi_guard: float = _PHI_GUARD):
-    """Raise ChiSingular or PhiZero at the first point within 1e-9 of chi = 1
-    or phi_guard of Phi = 0, naming its tau (t may be None) and state."""
+    """Raise ChiSingular or PhiZero at the first point within CHI_GUARD of
+    chi = 1 or phi_guard of Phi = 0, naming its tau (t may be None) and
+    state."""
     chi = Phi * Phi - Lambda
-    bad = (abs(chi - 1.0) < _CHI_GUARD) | (abs(Phi) < phi_guard)
+    bad = (abs(chi - 1.0) < CHI_GUARD) | (abs(Phi) < phi_guard)
     if not (bad.any() if isinstance(bad, np.ndarray) else bad):
         return
     i = np.argmax(bad)
     Phi, varphi, Lambda, chi = (float(np.ravel(x)[i]) for x in (Phi, varphi, Lambda, chi))
     state = ("" if t is None else f" at tau = {float(np.ravel(t)[i])!r}") + (
         f" (Phi = {Phi!r}, varphi = {varphi!r}, Lambda = {Lambda!r})")
-    if abs(chi - 1.0) < _CHI_GUARD:
-        raise ChiSingular(f"chi = {chi!r} within {_CHI_GUARD!r} of the "
-                          f"chi = 1 singularity{state}")
+    guard_chi(chi, state)
     raise PhiZero(f"Phi = {Phi!r} below {phi_guard!r}{state}")
 
 
@@ -366,9 +375,7 @@ class MapSource:
             if chi is None:
                 raise ValueError("approximate dyson_source requires chi")
             # chi is frozen, so the pointwise chi = 1 guard is checked once.
-            if abs(chi - 1.0) < _CHI_GUARD:
-                raise ChiSingular(f"chi = {chi!r} within {_CHI_GUARD!r} of "
-                                  f"the chi = 1 singularity at every tau")
+            guard_chi(chi, " at every tau")
 
             s0 = approx_dyson_trajectory(0.0, p, varphi0, chi)
             self.chi0, self.y0, self.guard = chi, (), None
@@ -415,19 +422,18 @@ class MapSource:
         return abs(W.imag) + abs(V - T.conjugate())
 
     def integrate(self, rhs, y0, t_grid: np.ndarray, rtol: float,
-                  atol: float, max_step: Optional[float] = None) -> IvpSolution:
+                  atol: float) -> IvpSolution:
         """Integrate rhs from the prefix followed by y0, reported on t_grid.
 
-        max_step defaults to a sixteenth of the drive period.  The error
+        Steps are capped at a sixteenth of the drive period.  The error
         control alone takes longer steps, and against a tight-tolerance
         reference they lose a factor of about 20 in N on the integrated
         source and 2 on the approximate one; the cap costs little time.
         """
-        if max_step is None:
-            max_step = self.p.period() / 16.0
         problem = IvpProblem(rhs=rhs, t_eval=t_grid,
                              y0=np.array(self.y0 + tuple(y0)), guard=self.guard)
-        return integrate(problem, rtol=rtol, atol=atol, max_step=max_step)
+        return integrate(problem, rtol=rtol, atol=atol,
+                         max_step=self.p.period() / 16.0)
 
 
 @dataclass(frozen=True)

@@ -24,10 +24,10 @@ from .dynamics import (
     amplification_factor,
     bogoliubov_ode_oracle,
     evolve,
+    initial_squeeze_phase,
 )
-from .errors import (NotOnResonance, ParseError, PseudoDceError,
-                     ValidationError)
-from .hermitize import ConstraintState, MapSource
+from .errors import ParseError, PseudoDceError, ValidationError
+from .hermitize import CHI_GUARD, ConstraintState, MapSource
 
 CANONICAL_COLUMNS = (
     "tau",
@@ -108,7 +108,7 @@ class ScenarioConfig:
             raise ValidationError(f"z_abs must lie in (0, 1], got {self.z_abs}")
         if not (self.seed_r_eps > 0.0):
             raise ValidationError(f"seed_r_eps must be > 0, got {self.seed_r_eps}")
-        if abs(self.chi - 1.0) < 1e-9:
+        if abs(self.chi - 1.0) < CHI_GUARD:
             raise ValidationError(f"chi = {self.chi} is at the chi = 1 singularity")
         if not isinstance(self.oracle, bool):
             raise ValidationError(f"oracle must be a boolean, got {self.oracle!r}")
@@ -276,15 +276,14 @@ def run(cfg: ScenarioConfig, out_dir=None, name: str = "run") -> RunRecord:
     t_grid = cfg.time_grid()
     src = MapSource(p, cfg.dyson_source, chi=cfg.chi, varphi0=cfg.varphi0,
                     constraint0=cfg.constraint0())
-    try:
+    if p.on_resonance():
         r_analytic, phi_analytic = analytic_squeeze(
             t_grid, p, cfg.chi, cfg.r0, cfg.phi0_prime)
-        phi_sq0 = phi_analytic[0]
-    except NotOnResonance:
+    else:
         r_analytic = phi_analytic = np.full(t_grid.size, np.nan)
-        phi_sq0 = cfg.phi0_prime
 
-    traj = evolve(src, t_grid, r0=cfg.r0, phi_sq0=phi_sq0, theta0=0j,
+    traj = evolve(src, t_grid, r0=cfg.r0,
+                  phi_sq0=initial_squeeze_phase(p, cfg.chi, cfg.phi0_prime),
                   seed_r_eps=cfg.seed_r_eps, rtol=cfg.rtol, atol=cfg.atol)
     n_numeric = traj.mean_photon()
     if cfg.oracle:

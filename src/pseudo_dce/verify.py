@@ -26,7 +26,8 @@ from .drive import (DriveParams, PolarComplex, ZetaMode, alpha_beta,
 from .dyson import (DysonState, bogoliubov_matrix, epsilon_from_phi,
                     gauss_coefficients, phi_from_z)
 from .dynamics import (amplification_factor, analytic_squeeze,
-                       bogoliubov_ode_oracle, evolve, squeeze_rhs)
+                       bogoliubov_ode_oracle, evolve, initial_squeeze_phase,
+                       squeeze_rhs)
 from .fock import (FockSpace, eta_matrix, metric, nonhermitian_expectation,
                    map_observable, propagate, drive_hamiltonian,
                    quasi_hermiticity_residual)
@@ -268,16 +269,6 @@ def check_seed_insensitivity() -> tuple[bool, str]:
     return _bound("|dr(20)| for seed 1e-8 vs 1e-9", abs(r[0] - r[1]), 1e-6)
 
 
-def check_theta_conservation() -> tuple[bool, str]:
-    # The period/1000 cap holds the sampled |theta| at roundoff (1.8e-15);
-    # uncapped, the dense output between steps gives 1.4e-13.
-    tg = np.linspace(0.0, 3.0, 151)
-    traj = evolve(_FIG1_SOURCE, tg, theta0=1.0 + 0j,
-                  rtol=1e-13, atol=1e-16, max_step=_FIG1.period() / 1000.0)
-    drift = float(np.abs(np.abs(traj.theta) - 1.0).max())
-    return _bound("|theta| drift", drift, 1e-10)
-
-
 def check_route_agreement() -> tuple[bool, str]:
     """Squeeze ODE vs closed-form uvw vs Bogoliubov oracle, tau <= 20.
 
@@ -347,29 +338,34 @@ def check_quasi_hermiticity_spot() -> tuple[bool, str]:
 
 
 def check_fault_injection() -> tuple[bool, str]:
-    """Flipping the pump sign must kill the resonant growth."""
+    """A pump at a fifth of its strength must cut the resonant growth.
+
+    r grows in proportion to |T|: r(10) is 0.0491 healthy and 0.0098
+    faulty, 2.5x inside the 0.5 ratio bound, and a 2*pi shift of phi_T
+    moves neither beyond the seventh digit.  A flipped sign is no fault
+    to test against: its r(10), 1.2e-5, becomes 4.1e-6 under that shift.
+    """
     t_grid = np.linspace(0.0, 10.0, 2001)
     h = float(t_grid[1] - t_grid[0])
     m = _HERMITIAN_SOURCE.at(t_grid, ())
-    _, phi0 = analytic_squeeze(0.0, _HERMITIAN, _CHI_FIG, 1e-8, 0.0)
+    phi0 = initial_squeeze_phase(_HERMITIAN, _CHI_FIG, 0.0)
 
-    def step(flip: bool) -> float:
+    def step(pump_scale: float) -> float:
         r, phi = 1e-8, phi0
         for k in range(t_grid.size - 1):
             c = HermitizedCoeffs.from_complex(m.W[k], m.T[k])
+            c = HermitizedCoeffs(c.W, pump_scale * c.T_abs, c.phi_T)
             dr, dphi, _ = squeeze_rhs(r, phi, c)
-            if flip:
-                dr = -dr
             r = max(r + h * dr, 1e-12)
             phi = phi + h * dphi
         return r
 
-    good, bad = step(False), step(True)
+    good, bad = step(1.0), step(0.2)
     if not good > 0.04:  # ~0.049 expected at tau=10
         return False, f"healthy run failed to grow: r(10)={good:.4f}"
     if not bad < 0.5 * good:
-        return False, f"flipped-sign run not detected: r={bad:.4f} vs {good:.4f}"
-    return True, f"healthy r(10)={good:.4f}, flipped {bad:.2e}"
+        return False, f"weakened pump not detected: r={bad:.4f} vs {good:.4f}"
+    return True, f"healthy r(10)={good:.4f}, |T|/5 {bad:.4f}"
 
 
 # --- full-level checks -----------------------------------------------------
@@ -536,7 +532,6 @@ _FAST_CHECKS: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
     ("analytic_r", check_analytic_r),
     ("bogoliubov_identity", check_bogoliubov_identity),
     ("seed_insensitivity", check_seed_insensitivity),
-    ("theta_conservation", check_theta_conservation),
     ("route_agreement", check_route_agreement),
     ("integrator_order", check_integrator_order),
     ("determinism", check_determinism),

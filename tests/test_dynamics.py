@@ -10,7 +10,8 @@ from pseudo_dce.drive import DriveParams
 from pseudo_dce.dynamics import (BogoliubovTriple, InitialMoments,
                                  SqueezeState, amplification_factor,
                                  analytic_squeeze, bogoliubov_ode_oracle,
-                                 bogoliubov_uvw, evolve, mean_photon_general,
+                                 bogoliubov_uvw, evolve,
+                                 initial_squeeze_phase, mean_photon_general,
                                  squeeze_rhs)
 from pseudo_dce.errors import (ChiSingular, NegativeMeanPhoton,
                                NotOnResonance)
@@ -66,8 +67,7 @@ class TestRotationDisplacement:
     def test_modulus_conserved_along_evolution(self, fig1_params):
         tg = np.linspace(0.0, 3.0, 151)
         traj = evolve(frozen(fig1_params), tg, theta0=0.3 + 0.4j,
-                      rtol=1e-13, atol=1e-16,
-                      max_step=fig1_params.period() / 1000.0)
+                      rtol=1e-13, atol=1e-16)
         drift = float(np.abs(np.abs(traj.theta) - 0.5).max())
         assert drift < 1e-10, f"|theta| drift {drift}"
 
@@ -103,6 +103,14 @@ class TestAnalyticSqueeze:
         # oscillation stays within eps_mod*A/4.
         r, _ = analytic_squeeze(100.0, hermitian_params, CHI_FIG, 0.0, 0.0)
         assert abs(r - 0.5) < 0.01 * 0.5
+
+    def test_initial_phase(self, fig1_params):
+        # The closed form's phase at t = 0 on resonance; phi0' off it.
+        _, want = analytic_squeeze(0.0, fig1_params, CHI_FIG, 0.0, 0.3)
+        assert initial_squeeze_phase(fig1_params, CHI_FIG, 0.3) == want
+        p = DriveParams(omega0=1.0, eps_mod=0.01, kappa=1.9,
+                        alpha0_tilde=0.01, beta0_tilde=0.001)
+        assert initial_squeeze_phase(p, CHI_FIG, 0.3) == 0.3
 
     def test_off_resonance_rejected(self):
         p = DriveParams(omega0=1.0, eps_mod=0.01, kappa=1.9,
@@ -222,6 +230,15 @@ class TestEvolve:
         psi = res.amplitudes[-1]
         a2 = psi.conj() @ (f.a_sq @ psi)
         assert abs(a2 - tri.u * tri.v) < 1e-9
+
+    @pytest.mark.parametrize("kappa", [2.0, 2.05])
+    def test_default_start_phase(self, kappa):
+        # Off resonance no locked phase exists and the run starts at 0.
+        p = DriveParams(omega0=1.0, eps_mod=0.01, kappa=kappa,
+                        alpha0_tilde=0.01, beta0_tilde=0.001)
+        traj = evolve(frozen(p), np.linspace(0.0, 2.0, 21))
+        assert traj.phi_sq[0] == initial_squeeze_phase(p, CHI_FIG, 0.0)
+        assert np.all(np.isfinite(traj.mean_photon()))
 
     def test_trajectory_accessors(self, fig1_params):
         tg = np.linspace(0.0, 2.0, 21)

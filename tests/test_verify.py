@@ -1,8 +1,11 @@
 import json
+import math
 
 import pytest
 
 from pseudo_dce import verify
+from pseudo_dce.dynamics import squeeze_rhs
+from pseudo_dce.hermitize import HermitizedCoeffs
 
 
 def test_unknown_level_rejected():
@@ -33,4 +36,18 @@ def test_fast_level_passes_within_budget():
     assert {"name", "passed", "seconds", "detail"} <= set(payload["checks"][0])
     names = [c["name"] for c in payload["checks"]]
     assert "bogoliubov_identity" in names
-    assert "theta_conservation" in names
+    assert "fault_injection" in names
+    assert "theta_conservation" not in names
+
+
+def test_fault_injection_blind_to_a_2pi_pump_phase(monkeypatch):
+    """The verdict and its figures stay put when phi_T is shifted by 2*pi."""
+    before = verify.check_fault_injection()
+
+    def shifted(r, phi_sq, c):
+        return squeeze_rhs(r, phi_sq, HermitizedCoeffs(c.W, c.T_abs,
+                                                       c.phi_T + 2.0 * math.pi))
+
+    monkeypatch.setattr(verify, "squeeze_rhs", shifted)
+    after = verify.check_fault_injection()
+    assert before[0] and after == before
