@@ -5,7 +5,10 @@ matrices so that the closed-form layers can be verified against direct
 linear algebra: the map's Gauss factorization and the metric identity.
 Wave-function propagation under quadratic generators (`propagate`) forms
 no matrix: it applies a^2 and a^dag^2 as O(dim) shifted slices on the
-parity sectors the initial state occupies.
+parity sectors the initial state occupies, in the interaction frame that
+rotates out Re(c_n)*(n+1/2), so its step is no longer bound to the top
+level's phase, which turns at about Re(c_n)*dim.  The exponential map
+likewise exponentiates the two parity sectors apart.
 
 Truncation policy: one rule, squeeze_trust_bound(dim) (sinh(r)^2 <=
 dim/20).  `propagate` turns it into its flag through the closed-form
@@ -16,6 +19,7 @@ puts there.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -122,17 +126,17 @@ def gauss_product_matrix(lam: complex, big_lambda: float, f: FockSpace) -> np.nd
 
 
 def _raising_factor(lam: complex, dim: int) -> np.ndarray:
-    """exp(lam*K+) on the truncation from its exact Fock-basis series."""
-    up = np.zeros((dim, dim), dtype=complex)
-    for n in range(dim):
-        term = 1.0 + 0j
-        up[n, n] = term
-        k = 0
-        while n + 2 * (k + 1) < dim:
-            k += 1
-            m = n + 2 * k
-            term *= (lam / 2.0) / k * math.sqrt(m * (m - 1))
-            up[m, n] = term
+    """exp(lam*K+) on the truncation from its exact Fock-basis series.
+
+    Entry (n + 2k, n) is (lam/2)^k/k! * sqrt((n+2k)!/n!); one vector step
+    per k fills the 2k-th subdiagonal from the (2k-2)-th.
+    """
+    up = np.eye(dim, dtype=complex)
+    cols = np.arange(dim)
+    for k in range(1, (dim + 1) // 2):
+        n = cols[:dim - 2 * k]
+        m = n + 2 * k
+        up[m, n] = up[m - 2, n] * ((lam / 2.0) / k * np.sqrt(m * (m - 1.0)))
     return up
 
 
@@ -142,12 +146,18 @@ def eta_matrix(eps_map: float, mu: complex, f: FockSpace,
 
     form "exponential" exponentiates the generator directly (suffers
     genuine truncation error near the lid); form "gauss" assembles the
-    factorized product (exact within the truncation).
+    factorized product (exact within the truncation).  The generator
+    never mixes even and odd levels, so "exponential" exponentiates the
+    two parity sectors apart; the NormTooLarge verdict is unchanged,
+    since a block-diagonal matrix's 1-norm is its largest block's.
     """
     if form == "exponential":
         gen = (eps_map * f.number_plus_half()
                + mu * f.a_sq + np.conj(mu) * f.adag_sq)
-        return matrix_exponential(gen)
+        eta = np.zeros_like(gen)
+        for p in (0, 1):
+            eta[p::2, p::2] = matrix_exponential(gen[p::2, p::2])
+        return eta
     if form == "gauss":
         from .dyson import gauss_coefficients
 
@@ -218,15 +228,30 @@ def propagate(coeffs: CoeffFn, psi0: np.ndarray, t_grid: np.ndarray,
     puts there (3.6e-5 at dim 128, 1.7e-5 at dim 264; every run at
     dim <= 10 is untrusted).
 
+    Interaction frame: the integrated state is phi = exp(+i*theta*(n+1/2))
+    psi with theta' = Re c_n, carried as one extra real component, so
+
+        phi' = Im(c_n)(n+1/2) phi - i*c2*e^{-2i theta} a^2 phi
+               - i*c2d*e^{+2i theta} a^dag^2 phi,
+
+    and psi = exp(-i*theta*(n+1/2)) phi is rebuilt on the reporting grid
+    only.  The free rotation, whose top level turns at about Re(c_n)*dim
+    even while it holds no population, no longer limits the step: the
+    phases left turn at 2*Re(c_n), and the couplings grow only with the
+    levels the state occupies.
+
     Parity rule: H never mixes even and odd levels, so only the parity
     sectors psi0 occupies are integrated; the other sector's amplitudes
-    are exact zeros.  No ladder matrix is formed: (a^2 psi)_n =
-    sqrt((n+1)(n+2)) psi_{n+2} and its adjoint are applied as shifted,
+    are exact zeros.  No ladder matrix is formed: (a^2 phi)_n =
+    sqrt((n+1)(n+2)) phi_{n+2} and its adjoint are applied as shifted,
     weighted slices, so one right-hand-side call costs O(dim).
 
-    Steps are capped at span/200: a pure rotation is resolved by the
-    error control in a few long steps whose phase is good to about 6e-12
-    only, and the cap brings it to roundoff.
+    Steps are capped at span/300, a measured constant.  On the fig1
+    vacuum at dims 128 and 264, each run to its trust bound with the
+    default tolerances, the photon number's worst relative error against
+    a tight-tolerance squeeze reference is 1.27e-11 under the cap (317
+    and 400 steps); span/250 gives 1.60e-11 (274, 366 steps), span/200
+    2.10e-11 (233, 334) and no cap 5.90e-11 (165, 287).
     """
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (f.dim,):
@@ -246,20 +271,26 @@ def propagate(coeffs: CoeffFn, psi0: np.ndarray, t_grid: np.ndarray,
 
     def rhs(t, y):
         c_n, c2, c2d = coeffs(t)
-        # The real state holds interleaved (re, im) pairs; view it as complex.
-        psi = y.view(complex)
-        d = (-1j * c_n) * (n_half * psi)
-        d[:-shift] += (-1j * c2) * (weight * psi[shift:])
-        d[shift:] += (-1j * c2d) * (weight * psi[:-shift])
-        return d.view(float)
+        # The real state holds phi as interleaved (re, im) pairs, then theta.
+        phi = y[:-1].view(complex)
+        turn = cmath.exp(-2j * y[-1])
+        d = np.empty_like(y)
+        d[-1] = c_n.real
+        dphi = d[:-1].view(complex)
+        np.multiply(c_n.imag * n_half, phi, out=dphi)
+        dphi[:-shift] += (-1j * c2 * turn) * (weight * phi[shift:])
+        dphi[shift:] += (-1j * c2d * turn.conjugate()) * (weight * phi[:-shift])
+        return d
 
-    problem = IvpProblem(rhs=rhs, t_eval=t_grid,
-                         y0=np.ascontiguousarray(psi0[sector]).view(float))
+    y0 = np.append(np.ascontiguousarray(psi0[sector]).view(float), 0.0)
+    problem = IvpProblem(rhs=rhs, t_eval=t_grid, y0=y0)
     span = problem.t_eval[-1] - problem.t_eval[0]
-    sol = integrate(problem, rtol=rtol, atol=atol, max_step=span / 200.0)
+    sol = integrate(problem, rtol=rtol, atol=atol, max_step=span / 300.0)
 
+    theta = sol.y[:, -1]
+    phi = np.ascontiguousarray(sol.y[:, :-1]).view(complex)
     amps = np.zeros((sol.t.size, f.dim), dtype=complex)
-    amps[:, sector] = sol.y.view(complex)
+    amps[:, sector] = phi * np.exp(-1j * np.outer(theta, n_half))
     norms = np.linalg.norm(amps, axis=1)
     norm_drift = float(np.max(np.abs(norms - np.linalg.norm(psi0))))
     probs = np.abs(amps) ** 2

@@ -8,8 +8,9 @@ from pseudo_dce.drive import DriveParams
 from pseudo_dce.dynamics import evolve
 from pseudo_dce.dyson import DysonState, bogoliubov_matrix
 from pseudo_dce.errors import NormTooLarge, SingularEta, ValidationError
-from pseudo_dce.fock import (FockSpace, _edge_limit, drive_hamiltonian,
-                             eta_matrix, gauss_product_matrix, inverse_map_state,
+from pseudo_dce.fock import (FockSpace, _edge_limit, _raising_factor,
+                             drive_hamiltonian, eta_matrix,
+                             gauss_product_matrix, inverse_map_state,
                              map_observable, matrix_exponential, metric,
                              nonhermitian_expectation, propagate,
                              quasi_hermiticity_residual, squeeze_trust_bound)
@@ -94,6 +95,17 @@ class TestEtaMatrix:
                 den = np.linalg.norm(e_e[TRUSTED, TRUSTED])
                 worst = max(worst, num / den)
         assert worst < 1e-12, f"route disagreement {worst}"
+
+    def test_sectors_match_whole_exponential(self):
+        # The parity sectors are exponentiated apart; the whole generator's
+        # exponential must agree to rounding (measured 6.7e-15 per entry).
+        f = FockSpace(32)
+        eps0, mu = 0.3, 0.045 * np.exp(0.7j)
+        gen = (eps0 * f.number_plus_half() + mu * f.a_sq
+               + np.conj(mu) * f.adag_sq)
+        want = scipy.linalg.expm(gen)
+        got = eta_matrix(eps0, mu, f, form="exponential")
+        assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-13
 
     def test_exponential_norm_guard(self):
         with pytest.raises(NormTooLarge):
@@ -237,7 +249,7 @@ class TestTrustRule:
 
     def fig1_vacuum(self, dim, r_end):
         """The fig1 vacuum up to the first 0.005 grid time with r >= r_end."""
-        fine = np.linspace(0.0, 8.0, 1601)
+        fine = np.linspace(0.0, 10.0, 2001)
         r = evolve(MapSource(self.FIG1, chi=self.CHI, varphi0=self.VARPHI0),
                    fine, rtol=1e-10, atol=1e-13).r
         t_end = float(fine[np.argmax(r >= r_end)])
@@ -258,6 +270,16 @@ class TestTrustRule:
     def test_flagged_past_the_bound(self):
         res = self.fig1_vacuum(64, squeeze_trust_bound(64) + 0.1)
         assert not res.trusted, res.max_edge_population
+
+    def test_steps_do_not_scale_with_dim(self):
+        # Each dim runs to its own trust bound.  Rotating out
+        # Re(c_n)*(n+1/2) leaves no term whose frequency grows with the
+        # top level, so
+        # doubling dim costs few extra steps (317 -> 400; the
+        # Schroedinger-frame right-hand side took 642 -> 1285).
+        steps = {dim: self.fig1_vacuum(dim, squeeze_trust_bound(dim)).stats.n_steps
+                 for dim in (128, 264)}
+        assert steps[264] <= 1.5 * steps[128], steps
 
     @pytest.mark.parametrize("dim", [4, 10])
     def test_small_dims_never_trusted(self, dim):
@@ -294,7 +316,7 @@ class TestPropagateAgainstExpm:
                          for t in self.GRID])
 
     @pytest.mark.parametrize("case", ["mixed_parity", "odd_parity",
-                                      "non_hermitian"])
+                                      "non_hermitian", "complex_number_term"])
     def test_matches_expm(self, case):
         f = FockSpace(self.DIM)
         basis = np.eye(self.DIM, dtype=complex)
@@ -304,9 +326,13 @@ class TestPropagateAgainstExpm:
         elif case == "odd_parity":
             psi0 = basis[3]
             c = (1.0, 0.05 + 0.02j, 0.05 - 0.02j)
-        else:
+        elif case == "non_hermitian":
             psi0 = (basis[0] + 0.5j * basis[2]) / math.sqrt(1.25)
             c = (0.9, 0.04 + 0.01j, 0.01 - 0.03j)
+        else:
+            # Im c_n != 0 stays in the interaction frame as a diagonal term.
+            psi0 = (basis[0] + basis[1]) / math.sqrt(2.0)
+            c = (0.9 - 0.03j, 0.04 + 0.01j, 0.01 - 0.03j)
         res = propagate(lambda t: c, psi0, self.GRID, f,
                         rtol=1e-11, atol=1e-14)
         want = self.exact(c, psi0, f)
@@ -347,6 +373,24 @@ class TestGaussProduct:
         m = gauss_product_matrix(0j, 4.0, f)
         want = np.diag(2.0 ** (np.arange(16) + 0.5))
         assert np.abs(m - want).max() < 1e-10
+
+    @pytest.mark.parametrize("lam", [0.3 + 0.1j, -1.2 + 0.8j, -0.05j])
+    def test_raising_factor_matches_series_loop(self, lam):
+        # Reference: the series filled entry by entry, column by column.
+        dim = 64
+        want = np.zeros((dim, dim), dtype=complex)
+        for n in range(dim):
+            term = 1.0 + 0j
+            want[n, n] = term
+            for k in range(1, (dim - 1 - n) // 2 + 1):
+                m = n + 2 * k
+                term *= (lam / 2.0) / k * math.sqrt(m * (m - 1))
+                want[m, n] = term
+        got = _raising_factor(lam, dim)
+        nz = want != 0
+        assert np.all(got[~nz] == 0)
+        rel = np.abs(got - want)[nz] / np.abs(want)[nz]
+        assert rel.max() < dim * np.finfo(float).eps
 
     def test_nonpositive_lambda_rejected(self):
         with pytest.raises(ValueError):
