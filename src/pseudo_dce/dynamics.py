@@ -25,6 +25,7 @@ transient without intervention.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -33,7 +34,7 @@ import numpy as np
 
 from .drive import DriveParams, heaviside
 from .errors import NegativeMeanPhoton, NotOnResonance
-from .hermitize import HermitizedCoeffs, MapSource, guard_chi
+from .hermitize import MapSource, guard_chi
 from .integrate import IntegrationStats
 
 _DEFAULT_SEED = 1e-8
@@ -72,19 +73,22 @@ def _coth(x: float) -> float:
     return 1.0 / t
 
 
-def squeeze_rhs(r: float, phi_sq: float, c: HermitizedCoeffs) -> tuple[float, float, float]:
-    """(dr/dt, dphi_sq/dt, Omega) at the given squeeze coordinates."""
-    psi = c.phi_T + phi_sq
+def squeeze_rhs(r: float, phi_sq: float, W: float,
+                T: complex) -> tuple[float, float, float]:
+    """(dr/dt, dphi_sq/dt, Omega) at the given squeeze coordinates, for the
+    frequency W and the complex pump T."""
+    T_abs = abs(T)
+    psi = cmath.phase(T) + phi_sq
     cos_psi = math.cos(psi)
-    dr = -2.0 * c.T_abs * math.sin(psi)
-    if c.T_abs == 0.0:
+    dr = -2.0 * T_abs * math.sin(psi)
+    if T_abs == 0.0:
         pump = 0.0
         omega_term = 0.0
     else:
-        pump = 4.0 * c.T_abs * _coth(2.0 * r) * cos_psi
-        omega_term = 2.0 * c.T_abs * math.tanh(r) * cos_psi
-    dphi = -2.0 * c.W - pump
-    Omega = c.W + omega_term
+        pump = 4.0 * T_abs * _coth(2.0 * r) * cos_psi
+        omega_term = 2.0 * T_abs * math.tanh(r) * cos_psi
+    dphi = -2.0 * W - pump
+    Omega = W + omega_term
     return dr, dphi, Omega
 
 
@@ -227,34 +231,23 @@ def evolve(src: MapSource, t_grid: np.ndarray, *, r0: float = 0.0,
     defaults to initial_squeeze_phase with phi0_prime = 0.  theta is not
     integrated: it is theta0 rotated by the accumulated phase.
 
-    Steps are capped at a sixteenth of the drive period
-    (MapSource.integrate).  With the integrated source a step that
-    carries the flow across chi = 1 or Phi = 0 raises ChiSingular or
-    PhiZero at the crossing.
+    src.integrate carries (r, phi_sq, Omega_tilde) along the map, with its
+    period/16 step cap and, on the integrated source, its crossing guards.
     """
-    n = len(src.y0)
     if r0 == 0.0:
         r0 = seed_r_eps
     if phi_sq0 is None:
         phi_sq0 = initial_squeeze_phase(src.p, src.chi0, 0.0)
 
-    def rhs(t, y):
-        # Python floats: arithmetic on numpy scalars is several times slower.
-        t, y = float(t), y.tolist()
-        m = src.at(t, y)
-        c = HermitizedCoeffs.from_complex(m.W, m.T)
-        return np.array([*m.rates[:n], *squeeze_rhs(y[n], y[n + 1], c)])
-
-    sol = src.integrate(rhs, (r0, phi_sq0, 0.0), t_grid, rtol, atol)
-    m = src.at(sol.t, sol.y.T)
-    c = HermitizedCoeffs.from_complex(m.W, m.T)
-    Omega_tilde = sol.y[:, n + 2]
-    return Trajectory(t=sol.t, r=sol.y[:, n], phi_sq=sol.y[:, n + 1],
-                      Omega_tilde=Omega_tilde,
+    run = src.integrate(lambda m, y: squeeze_rhs(y[0], y[1], m.W, m.T),
+                        (r0, phi_sq0, 0.0), t_grid, rtol, atol)
+    m = run.m
+    r, phi_sq, Omega_tilde = run.y.T
+    return Trajectory(t=run.t, r=r, phi_sq=phi_sq, Omega_tilde=Omega_tilde,
                       theta=theta0 * np.exp(-1j * (Omega_tilde - Omega_tilde[0])),
-                      W=c.W, T_abs=c.T_abs, phi_T=c.phi_T, Phi=m.Phi, chi=m.chi,
-                      varphi=m.varphi, Lambda=m.Lambda,
-                      residual_hermiticity=src.residual(sol.t, m), stats=sol.stats)
+                      W=m.W, T_abs=np.abs(m.T), phi_T=np.angle(m.T), Phi=m.Phi,
+                      chi=m.chi, varphi=m.varphi, Lambda=m.Lambda,
+                      residual_hermiticity=src.residual(run.t, m), stats=run.stats)
 
 
 def bogoliubov_ode_oracle(src: MapSource, t_grid: np.ndarray, *,
@@ -280,17 +273,13 @@ def bogoliubov_ode_oracle(src: MapSource, t_grid: np.ndarray, *,
     route shares nothing with evolve's polar (r, phi_sq) ODE beyond W and
     T, so each stays an independent check on the other.
     """
-    n = len(src.y0)
-
-    def rhs(t, y):
-        t, y = float(t), y.tolist()
-        m = src.at(t, y)
-        u = complex(y[n], y[n + 1])
-        v = complex(y[n + 2], y[n + 3])
+    def rhs(m, y):
+        u = complex(y[0], y[1])
+        v = complex(y[2], y[3])
         pump = 2.0 * m.T.conjugate()
         du = -1j * (m.W * u + pump * v.conjugate())
         dv = -1j * (m.W * v + pump * u.conjugate())
-        return np.array([*m.rates[:n], du.real, du.imag, dv.real, dv.imag])
+        return du.real, du.imag, dv.real, dv.imag
 
     t0 = t_grid[0]
     period = min(src.period, t_grid[-1] - t0)
@@ -299,9 +288,9 @@ def bogoliubov_ode_oracle(src: MapSource, t_grid: np.ndarray, *,
     end = t0 + period if whole[-1] > 0 else t_grid[-1]
     t_one, row = np.unique(np.append(np.clip(t_grid - whole * period, t0, end), end),
                            return_inverse=True)
-    sol = src.integrate(rhs, (1.0, 0.0, 0.0, 0.0), t_one, rtol, atol)
-    u = sol.y[:, n] + 1j * sol.y[:, n + 1]
-    v = sol.y[:, n + 2] + 1j * sol.y[:, n + 3]
+    y = src.integrate(rhs, (1.0, 0.0, 0.0, 0.0), t_one, rtol, atol).y
+    u = y[:, 0] + 1j * y[:, 1]
+    v = y[:, 2] + 1j * y[:, 3]
     m_T = np.array([[u[-1], v[-1]], [np.conj(v[-1]), np.conj(u[-1])]])
     a, b = np.array([np.linalg.matrix_power(m_T, k)[:, 0]  # M(T)^k (1, 0)
                      for k in range(int(whole[-1]) + 1)]).T[:, whole.astype(int)]

@@ -27,6 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .drive import DriveParams, alpha_beta, omega as drive_omega
+from .dyson import gauss_coefficients
 from .errors import NormTooLarge, SingularEta, ValidationError
 from .integrate import IntegrationStats, IvpProblem, integrate
 
@@ -43,12 +44,12 @@ class FockSpace:
             raise ValueError(f"dim must be at least 4, got {dim}")
         self.dim = dim
         root = np.sqrt(np.arange(1, dim, dtype=float))
-        self.a = np.zeros((dim, dim), dtype=complex)
-        self.a[np.arange(dim - 1), np.arange(1, dim)] = root
+        self.a = np.diag(root, 1).astype(complex)
         self.adag = self.a.conj().T.copy()
         self.n_levels = np.arange(dim, dtype=float)
-        self.a_sq = self.a @ self.a
-        self.adag_sq = self.adag @ self.adag
+        # a^2 has one band, sqrt(n + 1)*sqrt(n + 2): what a @ a computes.
+        self.a_sq = np.diag(root[:-1] * root[1:], 2).astype(complex)
+        self.adag_sq = self.a_sq.T.copy()
 
     def number_plus_half(self) -> np.ndarray:
         return np.diag(self.n_levels + 0.5).astype(complex)
@@ -159,8 +160,6 @@ def eta_matrix(eps_map: float, mu: complex, f: FockSpace,
             eta[p::2, p::2] = matrix_exponential(gen[p::2, p::2])
         return eta
     if form == "gauss":
-        from .dyson import gauss_coefficients
-
         g = gauss_coefficients(eps_map, mu)
         return gauss_product_matrix(g.lam, g.Lambda, f)
     raise ValueError(f"form must be 'exponential' or 'gauss', got {form!r}")

@@ -23,6 +23,8 @@ signs produced by the coefficient formulas directly.
 A MapSource supplies the map along the drive, closed-form or integrated,
 and evaluates it with W and T by one set of expressions, for a scalar
 time inside a right-hand side and for the whole output grid afterwards.
+It integrates a route (the squeeze ODE, the (u, v) oracle) together with
+the map, so a route sees only the map point and its own components.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 from .drive import (DriveParams, PolarComplex, cos, omega as drive_omega, sin,
                     zeta_signed)
 from .errors import ChiSingular, PhiZero, ZeroLambda
-from .integrate import IvpProblem, IvpSolution, IntegrationStats, integrate
+from .integrate import IvpProblem, IntegrationStats, integrate
 
 # Every chi = 1 guard (flow, map source, amplification factor, config)
 # refuses |chi - 1| below this width.
@@ -76,17 +78,12 @@ class ConstraintState:
 class HermitizedCoeffs:
     """Hermitian-counterpart coefficients: frequency W and pump T in polar form.
 
-    phi_T = arg T lies in (-pi, pi].  The fields hold scalars or arrays.
+    phi_T = arg T lies in (-pi, pi].
     """
 
     W: float
     T_abs: float
     phi_T: float
-
-    @classmethod
-    def from_complex(cls, W, T) -> "HermitizedCoeffs":
-        return cls(W, abs(T),
-                   cmath.phase(T) if isinstance(T, complex) else np.angle(T))
 
     def T(self) -> complex:
         return self.T_abs * cmath.exp(1j * self.phi_T)
@@ -274,7 +271,7 @@ def hermitized_coefficients(s: ConstraintState, p: DriveParams,
     _check_guards(t, s.Phi, s.varphi, s.Lambda, phi_guard=0.0)
     _, W, T = _counterpart(p, drive_omega(t, p), zeta_signed(t, p),
                            s.Phi, s.varphi, s.Lambda)
-    return HermitizedCoeffs.from_complex(W, T)
+    return HermitizedCoeffs(W, abs(T), cmath.phase(T))
 
 
 def hermitized_coefficients_general(s: ConstraintState, omega: PolarComplex,
@@ -351,6 +348,15 @@ class MapPoint(NamedTuple):
     rates: tuple
 
 
+class MapRun(NamedTuple):
+    """MapSource.integrate's result: map m and route components y on t."""
+
+    t: np.ndarray
+    m: MapPoint
+    y: np.ndarray
+    stats: IntegrationStats
+
+
 class MapSource:
     """Where the counterpart coefficients come from: a Dyson map along the drive.
 
@@ -358,13 +364,9 @@ class MapSource:
     given chi and varphi0; "integrated" co-integrates the hermitization
     flow from constraint0.  The argument the other source needs is
     ignored.  One source serves any number of evolve and
-    bogoliubov_ode_oracle calls.  y0 is the prefix the source puts in
-    front of a caller's state vector (empty, or Phi, varphi, Lambda) and
-    guard the step guard that prefix needs.  period is the time after
-    which W and T repeat: the drive period for the approximate source on
-    resonance, else inf.  The methods take a scalar t with one state
-    vector y, or the output grid with the transposed (n, m) solution
-    array.
+    bogoliubov_ode_oracle calls.  period is the time after which W and T
+    repeat: the drive period for the approximate source on resonance,
+    else inf.  at and residual take a scalar t, or the whole grid.
     """
 
     def __init__(self, p: DriveParams, dyson_source: str = "approximate",
@@ -378,13 +380,13 @@ class MapSource:
             guard_chi(chi, " at every tau")
 
             s0 = approx_dyson_trajectory(0.0, p, varphi0, chi)
-            self.chi0, self.y0, self.guard = chi, (), None
+            self.chi0, self._map0, self._guard = chi, (), None
             self.period = p.period() if p.on_resonance() else math.inf
             # Phi and Lambda are frozen; adding 0*t gives them the shape of t.
-            self.coordinates = lambda t, y: (s0.Phi + 0.0 * t,
-                                             varphi0 + 2.0 * p.omega0 * t,
-                                             s0.Lambda + 0.0 * t)
-            self.rates = lambda *_: (0.0, 2.0 * p.omega0, 0.0)
+            self._coordinates = lambda t, y: (s0.Phi + 0.0 * t,
+                                              varphi0 + 2.0 * p.omega0 * t,
+                                              s0.Lambda + 0.0 * t)
+            self._rates = lambda *_: (0.0, 2.0 * p.omega0, 0.0)
         elif dyson_source == "integrated":
             if constraint0 is None:
                 raise ValueError("integrated dyson_source requires constraint0")
@@ -394,19 +396,20 @@ class MapSource:
                 return _flow_rates(p, w, zs, Phi, varphi, Lambda)
 
             s0 = constraint0
-            self.chi0, self.y0 = s0.chi, (s0.Phi, s0.varphi, s0.Lambda)
-            self.guard, self.period = guard_flow_crossings, math.inf
-            self.coordinates = lambda t, y: (y[0], y[1], y[2])
-            self.rates = rates
+            self.chi0, self._map0 = s0.chi, (s0.Phi, s0.varphi, s0.Lambda)
+            self._guard, self.period = guard_flow_crossings, math.inf
+            self._coordinates = lambda t, y: (y[0], y[1], y[2])
+            self._rates = rates
         else:
             raise ValueError(f"dyson_source must be 'approximate' or "
                              f"'integrated', got {dyson_source!r}")
 
     def at(self, t, y) -> MapPoint:
-        """The map, its rates, chi, W and T at t."""
-        Phi, varphi, Lambda = self.coordinates(t, y)
+        """The map, its rates, chi, W and T at t; y starts with the integrated
+        map's (Phi, varphi, Lambda), which the approximate source ignores."""
+        Phi, varphi, Lambda = self._coordinates(t, y)
         w, zs = drive_omega(t, self.p), zeta_signed(t, self.p)
-        rates = self.rates(t, w, zs, Phi, varphi, Lambda)
+        rates = self._rates(t, w, zs, Phi, varphi, Lambda)
         chi, W, T = _counterpart(self.p, w, zs, Phi, varphi, Lambda)
         return MapPoint(Phi, varphi, Lambda, chi, W, T, rates)
 
@@ -422,18 +425,33 @@ class MapSource:
         return abs(W.imag) + abs(V - T.conjugate())
 
     def integrate(self, rhs, y0, t_grid: np.ndarray, rtol: float,
-                  atol: float) -> IvpSolution:
-        """Integrate rhs from the prefix followed by y0, reported on t_grid.
+                  atol: float) -> MapRun:
+        """Integrate a route along the map from y0, reported on t_grid.
+
+        rhs(m, y) returns the rates of the route's components y (a list of
+        floats, as many as y0) at the map point m (scalar t).  The map's
+        own state is integrated alongside and returned on the grid.  A
+        step that carries the integrated flow across chi = 1 or Phi = 0
+        raises ChiSingular or PhiZero at the crossing.
 
         Steps are capped at a sixteenth of the drive period.  The error
         control alone takes longer steps, and against a tight-tolerance
         reference they lose a factor of about 20 in N on the integrated
         source and 2 on the approximate one; the cap costs little time.
         """
-        problem = IvpProblem(rhs=rhs, t_eval=t_grid,
-                             y0=np.array(self.y0 + tuple(y0)), guard=self.guard)
-        return integrate(problem, rtol=rtol, atol=atol,
-                         max_step=self.p.period() / 16.0)
+        n = len(self._map0)
+
+        def full_rhs(t, y):
+            # Python floats: arithmetic on numpy scalars is several times slower.
+            t, y = float(t), y.tolist()
+            m = self.at(t, y)
+            return np.array([*m.rates[:n], *rhs(m, y[n:])])
+
+        problem = IvpProblem(rhs=full_rhs, t_eval=t_grid,
+                             y0=np.array(self._map0 + tuple(y0)), guard=self._guard)
+        sol = integrate(problem, rtol=rtol, atol=atol,
+                        max_step=self.p.period() / 16.0)
+        return MapRun(sol.t, self.at(sol.t, sol.y.T), sol.y[:, n:], sol.stats)
 
 
 @dataclass(frozen=True)
@@ -465,25 +483,18 @@ def integrate_constraints(p: DriveParams, s0: ConstraintState,
     State vector is (Phi, varphi, Lambda); |z| is reconstructed from chi
     at every output point.  z_residual reports |d/dt of the reconstructed
     |z| minus the flow's own |z| rate|, which stays at the integration
-    tolerance when the redundant equations are mutually consistent.
-    Steps are capped at a sixteenth of the drive period (MapSource.integrate).
-    A step that carries the flow across chi = 1 or Phi = 0 raises
-    ChiSingular or PhiZero at the crossing.
+    tolerance when the redundant equations are mutually consistent.  The
+    flow is MapSource.integrate's empty route, with its step cap and guards.
     """
-    src = MapSource(p, "integrated", constraint0=s0)
-    def rhs(t, y):
-        t = float(t)
-        return np.array(src.rates(t, drive_omega(t, p), zeta_signed(t, p), *y.tolist()))
-
-    sol = src.integrate(rhs, (), t_grid, rtol, atol)
-    Phi, varphi, Lambda = sol.y.T
+    run = MapSource(p, "integrated", constraint0=s0).integrate(
+        lambda m, y: (), (), t_grid, rtol, atol)
+    Phi, varphi, Lambda, chi = run.m.Phi, run.m.varphi, run.m.Lambda, run.m.chi
     z = np.minimum(1.0, z_abs_from(Phi, Lambda))
     dPhi, _, dLambda, dz_flow = constraint_rhs_polar(
-        ConstraintState(z_abs=z, Phi=Phi, varphi=varphi, Lambda=Lambda), p, sol.t)
-    chi = Phi * Phi - Lambda
+        ConstraintState(z_abs=z, Phi=Phi, varphi=varphi, Lambda=Lambda), p, run.t)
     dchi = 2.0 * Phi * dPhi - dLambda
     # d|z|/dt of the reconstruction |z| = -2*Phi/(chi+1).
     dz_rec = (-2.0 * dPhi * (chi + 1.0) + 2.0 * Phi * dchi) / (chi + 1.0) ** 2
-    return ConstraintTrajectory(t=sol.t, z_abs=z, Phi=Phi, varphi=varphi,
+    return ConstraintTrajectory(t=run.t, z_abs=z, Phi=Phi, varphi=varphi,
                                 Lambda=Lambda, z_residual=np.abs(dz_rec - dz_flow),
-                                stats=sol.stats)
+                                stats=run.stats)

@@ -31,7 +31,7 @@ from .dynamics import (amplification_factor, analytic_squeeze,
 from .fock import (FockSpace, eta_matrix, metric, nonhermitian_expectation,
                    map_observable, propagate, drive_hamiltonian,
                    quasi_hermiticity_residual, squeeze_trust_bound)
-from .hermitize import (ConstraintState, HermitizedCoeffs, MapSource,
+from .hermitize import (ConstraintState, MapSource,
                         coefficients_from_flow, constraint_rhs_general,
                         constraint_rhs_polar, hermitized_coefficients,
                         hermitized_coefficients_general, integrate_constraints)
@@ -353,9 +353,7 @@ def check_fault_injection() -> tuple[bool, str]:
     def step(pump_scale: float) -> float:
         r, phi = 1e-8, phi0
         for k in range(t_grid.size - 1):
-            c = HermitizedCoeffs.from_complex(m.W[k], m.T[k])
-            c = HermitizedCoeffs(c.W, pump_scale * c.T_abs, c.phi_T)
-            dr, dphi, _ = squeeze_rhs(r, phi, c)
+            dr, dphi, _ = squeeze_rhs(r, phi, m.W[k], pump_scale * m.T[k])
             r = max(r + h * dr, 1e-12)
             phi = phi + h * dphi
         return r

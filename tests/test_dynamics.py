@@ -34,7 +34,7 @@ class TestSqueezeRhs:
 
     def test_pure_rotation(self):
         c = HermitizedCoeffs(W=1.3, T_abs=0.0, phi_T=0.4)
-        dr, dphi, omega = squeeze_rhs(0.0, 0.7, c)
+        dr, dphi, omega = squeeze_rhs(0.0, 0.7, c.W, c.T())
         assert dr == 0.0
         assert dphi == -2.0 * c.W
         assert omega == c.W
@@ -43,7 +43,7 @@ class TestSqueezeRhs:
         # psi = pi: the pump only rotates, and coth(2r) has saturated to 1
         # at r = 20, so dphi = -2W + 4|T| to machine precision.
         c = HermitizedCoeffs(W=0.5, T_abs=0.2, phi_T=math.pi)
-        dr, dphi, omega = squeeze_rhs(20.0, 0.0, c)
+        dr, dphi, omega = squeeze_rhs(20.0, 0.0, c.W, c.T())
         assert abs(dr) < 1e-15
         assert abs(dphi - (-2.0 * c.W + 4.0 * c.T_abs)) < 1e-12
         assert abs(omega - (c.W - 2.0 * c.T_abs)) < 1e-12
@@ -51,14 +51,14 @@ class TestSqueezeRhs:
     def test_growth_phase(self):
         # psi = -pi/2 maximizes dr at +2|T| and kills the cosine terms.
         c = HermitizedCoeffs(W=0.5, T_abs=0.2, phi_T=-0.5 * math.pi)
-        dr, dphi, omega = squeeze_rhs(0.3, 0.0, c)
+        dr, dphi, omega = squeeze_rhs(0.3, 0.0, c.W, c.T())
         assert abs(dr - 2.0 * c.T_abs) < 1e-15
         assert abs(dphi + 2.0 * c.W) < 1e-15
 
     def test_unsqueezed_rate_is_bare_frequency(self):
         # tanh(0) = 0: a live pump leaves the displacement rate at W.
         c = HermitizedCoeffs(W=1.7, T_abs=0.1, phi_T=0.3)
-        _, _, omega = squeeze_rhs(0.0, 0.2, c)
+        _, _, omega = squeeze_rhs(0.0, 0.2, c.W, c.T())
         assert omega == c.W
 
 

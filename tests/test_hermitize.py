@@ -261,6 +261,40 @@ class TestMapSource:
             W, T, V = coefficients_from_flow(s, moderate_params, t)
             assert abs(residual[i] - (abs(W.imag) + abs(V - np.conj(T)))) <= 1e-15
 
+    @pytest.mark.parametrize("source", ["approximate", "integrated"])
+    def test_integrate_hands_a_route_only_its_components(
+            self, fig1_params, moderate_params, moderate_state0, source):
+        if source == "approximate":
+            src = MapSource(fig1_params, chi=CHI_FIG, varphi0=VARPHI0)
+        else:
+            src = MapSource(moderate_params, "integrated",
+                            constraint0=moderate_state0)
+        seen = set()
+
+        def rhs(m, y):
+            seen.add(len(y))
+            return m.W * y[1], -m.W * y[0]
+
+        tg = np.linspace(0.0, 5.0, 101)
+        run = src.integrate(rhs, (1.0, 0.0), tg, 1e-9, 1e-12)
+        assert seen == {2}
+        assert np.array_equal(run.t, tg) and run.y.shape == (tg.size, 2)
+        want = src.at(tg, np.array([run.m.Phi, run.m.varphi, run.m.Lambda]))
+        for got, ref in zip(run.m, want):
+            assert np.array_equal(got, ref)
+
+    def test_integrated_map_is_the_constraint_flow(self, moderate_params,
+                                                    moderate_state0):
+        tg = np.linspace(0.0, 25.0, 501)
+        flow = integrate_constraints(moderate_params, moderate_state0, tg)
+        src = MapSource(moderate_params, "integrated", constraint0=moderate_state0)
+        run = src.integrate(lambda m, y: (), (), tg, 1e-9, 1e-12)
+        assert run.y.shape == (tg.size, 0)
+        assert np.array_equal(run.m.Phi, flow.Phi)
+        assert np.array_equal(run.m.varphi, flow.varphi)
+        assert np.array_equal(run.m.Lambda, flow.Lambda)
+        assert run.stats == flow.stats
+
     def test_bad_source_rejected(self, fig1_params):
         with pytest.raises(ValueError, match="dyson_source"):
             MapSource(fig1_params, "exact", chi=CHI_FIG)

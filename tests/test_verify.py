@@ -5,7 +5,6 @@ import pytest
 
 from pseudo_dce import verify
 from pseudo_dce.dynamics import squeeze_rhs
-from pseudo_dce.hermitize import HermitizedCoeffs
 
 
 def test_unknown_level_rejected():
@@ -41,12 +40,12 @@ def test_fast_level_passes_within_budget():
 
 
 def test_fault_injection_blind_to_a_2pi_pump_phase(monkeypatch):
-    """The verdict and its figures stay put when phi_T is shifted by 2*pi."""
+    """The verdict and its figures stay put when the pump phase
+    psi = phi_T + phi_sq is shifted by 2*pi."""
     before = verify.check_fault_injection()
 
-    def shifted(r, phi_sq, c):
-        return squeeze_rhs(r, phi_sq, HermitizedCoeffs(c.W, c.T_abs,
-                                                       c.phi_T + 2.0 * math.pi))
+    def shifted(r, phi_sq, W, T):
+        return squeeze_rhs(r, phi_sq + 2.0 * math.pi, W, T)
 
     monkeypatch.setattr(verify, "squeeze_rhs", shifted)
     after = verify.check_fault_injection()
