@@ -2,20 +2,19 @@
 
 The counterpart generator W*(n + 1/2) + T*a^2 + conj(T)*a^dag^2, with the
 complex pump T = |T|*exp(i*phi_T) from the hermitize module's map source,
-evolves an invariant-based squeeze parametrization (r, phi_sq, theta) by
+evolves an invariant-based squeeze parametrization (r, phi_sq) by
 
     dr/dt      = -2*|T|*sin(phi_T + phi_sq)
-    dphi_sq/dt = -2*W - 4*|T|*coth(2r)*cos(phi_T + phi_sq)
-    dtheta/dt  = -i*Omega*theta,
-    Omega      = W + 2*|T|*tanh(r)*cos(phi_T + phi_sq)
+    dphi_sq/dt = -2*W - 4*|T|*coth(2r)*cos(phi_T + phi_sq),
 
-with the accumulated phase Omega_tilde = integral of Omega.  Only r,
-phi_sq and Omega_tilde are integrated: the displacement phase has the
-closed form theta(t) = theta(0)*exp(-i*(Omega_tilde(t) - Omega_tilde(0))),
-so |theta| is conserved exactly.  From two squeeze states the Bogoliubov
-triple (u, v, w) follows in closed form and gives the mean photon number for arbitrary Gaussian-adjacent initial
-moments; for vacuum N = sinh(r)^2 = |v|^2.  The closed forms take scalars
-or whole grids.
+together with the accumulated phase Omega_tilde = integral of
+
+    Omega = W + 2*|T|*tanh(r)*cos(phi_T + phi_sq),
+
+which carries the phases of u and v.  From two squeeze states the
+Bogoliubov pair (u, v) follows in closed form.  Every run starts from the
+vacuum, whose mean photon number is N = |v|^2 (sinh(r)^2 from an
+unsqueezed start).  The closed forms take scalars or whole grids.
 
 The phi_sq equation has a coordinate pole at r = 0; callers seed r with a
 tiny positive value (evolve does this when r0 = 0) and the pole is
@@ -33,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .drive import DriveParams, heaviside
-from .errors import NegativeMeanPhoton, NotOnResonance
+from .errors import NotOnResonance
 from .hermitize import MapSource, guard_chi
 from .integrate import IntegrationStats
 
@@ -46,24 +45,7 @@ class SqueezeState:
 
     r: float
     phi_sq: float
-    theta: complex = 0j
     Omega_tilde: float = 0.0
-
-
-@dataclass(frozen=True)
-class BogoliubovTriple:
-    u: complex
-    v: complex
-    w: complex
-
-
-@dataclass(frozen=True)
-class InitialMoments:
-    """First and second moments of the initial state: <n>, <a>, <a^2>."""
-
-    n: float = 0.0
-    a: complex = 0j
-    a_sq: complex = 0j
 
 
 def _coth(x: float) -> float:
@@ -146,8 +128,8 @@ def initial_squeeze_phase(p: DriveParams, chi: float, phi0_prime: float) -> floa
             - heaviside(p.alpha0_tilde - chi * p.beta0_tilde) * math.pi)
 
 
-def bogoliubov_uvw(s0: SqueezeState, s: SqueezeState) -> BogoliubovTriple:
-    """Bogoliubov triple connecting two squeeze states of one evolution.
+def bogoliubov_uv(s0: SqueezeState, s: SqueezeState) -> tuple:
+    """Bogoliubov pair (u, v) connecting two squeeze states of one evolution.
 
     Uses the accumulated phase difference Omega_tilde(s) - Omega_tilde(s0).
     |u|^2 - |v|^2 = 1 identically.  The fields of s may be arrays.
@@ -155,37 +137,11 @@ def bogoliubov_uvw(s0: SqueezeState, s: SqueezeState) -> BogoliubovTriple:
     dom = s.Omega_tilde - s0.Omega_tilde
     c0, s0h = np.cosh(s0.r), np.sinh(s0.r)
     c1, s1h = np.cosh(s.r), np.sinh(s.r)
-    e_m = np.exp(-1j * dom)
-    u = e_m * c0 * c1 - np.exp(1j * (dom + s.phi_sq - s0.phi_sq)) * s0h * s1h
+    u = np.exp(-1j * dom) * c0 * c1 - np.exp(
+        1j * (dom + s.phi_sq - s0.phi_sq)) * s0h * s1h
     v = np.exp(1j * (dom + s.phi_sq)) * c0 * s1h - np.exp(
         -1j * (dom - s0.phi_sq)) * s0h * c1
-    w = s0.theta * e_m * c1 + np.conj(s0.theta) * np.exp(
-        1j * (dom + s.phi_sq)) * s1h
-    return BogoliubovTriple(u=u, v=v, w=w)
-
-
-def mean_photon_general(triple: BogoliubovTriple,
-                        moments: InitialMoments = InitialMoments()) -> float:
-    """Mean photon number from the Bogoliubov triple and initial moments.
-
-    Vacuum moments give N = |v|^2 + |w|^2.  Raises NegativeMeanPhoton when
-    the assembled value is below -1e-9; smaller negative roundoff is
-    clamped to zero.  The triple may hold arrays.
-    """
-    u, v, w = triple.u, triple.v, triple.w
-    a2 = moments.a_sq
-    a1 = moments.a
-    val = (abs(v) ** 2 + abs(w) ** 2
-           + (abs(u) ** 2 + abs(v) ** 2) * moments.n
-           + u * v.conjugate() * a2
-           + v * u.conjugate() * a2.conjugate()
-           + (w * v.conjugate() + u * w.conjugate()) * a1
-           + (w * u.conjugate() + v * w.conjugate()) * a1.conjugate())
-    n = np.real(val)
-    if np.count_nonzero(n < -1e-9):
-        raise NegativeMeanPhoton(
-            f"assembled mean photon number {float(np.min(n))!r} < -1e-9")
-    return np.maximum(0.0, n)
+    return u, v
 
 
 @dataclass(frozen=True)
@@ -196,7 +152,6 @@ class Trajectory:
     r: np.ndarray
     phi_sq: np.ndarray
     Omega_tilde: np.ndarray
-    theta: np.ndarray
     W: np.ndarray
     T_abs: np.ndarray
     phi_T: np.ndarray
@@ -209,27 +164,27 @@ class Trajectory:
 
     def squeeze_state(self, i) -> SqueezeState:
         """The state at grid point i; arrays when i is a slice."""
-        return SqueezeState(r=self.r[i], phi_sq=self.phi_sq[i], theta=self.theta[i],
+        return SqueezeState(r=self.r[i], phi_sq=self.phi_sq[i],
                             Omega_tilde=self.Omega_tilde[i])
 
-    def bogoliubov(self, i=slice(None)) -> BogoliubovTriple:
-        """Triple from the first grid point to point i, by default to each."""
-        return bogoliubov_uvw(self.squeeze_state(0), self.squeeze_state(i))
+    def bogoliubov(self, i=slice(None)) -> tuple:
+        """(u, v) from the first grid point to point i, by default to each."""
+        return bogoliubov_uv(self.squeeze_state(0), self.squeeze_state(i))
 
-    def mean_photon(self, moments: InitialMoments = InitialMoments()) -> np.ndarray:
-        return mean_photon_general(self.bogoliubov(), moments)
+    def mean_photon(self) -> np.ndarray:
+        """Photon number N = |v|^2 created from the vacuum, on the grid."""
+        return np.abs(self.bogoliubov()[1]) ** 2
 
 
 def evolve(src: MapSource, t_grid: np.ndarray, *, r0: float = 0.0,
-           phi_sq0: Optional[float] = None, theta0: complex = 0j,
+           phi_sq0: Optional[float] = None,
            seed_r_eps: float = _DEFAULT_SEED, rtol: float = 1e-9,
            atol: float = 1e-12) -> Trajectory:
     """Evolve the squeeze parameters over t_grid on the map source src.
 
     src supplies the counterpart coefficients and the drive, src.p.  r0 =
     0 is replaced by seed_r_eps to stay off the phi_sq pole.  phi_sq0
-    defaults to initial_squeeze_phase with phi0_prime = 0.  theta is not
-    integrated: it is theta0 rotated by the accumulated phase.
+    defaults to initial_squeeze_phase with phi0_prime = 0.
 
     src.integrate carries (r, phi_sq, Omega_tilde) along the map, with its
     period/16 step cap and, on the integrated source, its crossing guards.
@@ -244,7 +199,6 @@ def evolve(src: MapSource, t_grid: np.ndarray, *, r0: float = 0.0,
     m = run.m
     r, phi_sq, Omega_tilde = run.y.T
     return Trajectory(t=run.t, r=r, phi_sq=phi_sq, Omega_tilde=Omega_tilde,
-                      theta=theta0 * np.exp(-1j * (Omega_tilde - Omega_tilde[0])),
                       W=m.W, T_abs=np.abs(m.T), phi_T=np.angle(m.T), Phi=m.Phi,
                       chi=m.chi, varphi=m.varphi, Lambda=m.Lambda,
                       residual_hermiticity=src.residual(run.t, m), stats=run.stats)

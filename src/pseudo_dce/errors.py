@@ -41,10 +41,6 @@ class PhiZero(PseudoDceError):
     """Phi crossed zero where a formula divides by it."""
 
 
-class NegativeMeanPhoton(PseudoDceError):
-    """Mean photon number evaluated negative beyond roundoff."""
-
-
 class NotOnResonance(PseudoDceError):
     """Closed-form squeeze solution requested with kappa != 2*omega0."""
 

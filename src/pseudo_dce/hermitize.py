@@ -151,21 +151,25 @@ def guard_flow_crossings(t_old: float, t_new: float, y_at) -> None:
 
     The pointwise guards only see the points a step samples, so a step can
     carry the flow across chi = 1 or Phi = 0 unnoticed.  This looks for a
-    sign change of chi - 1 or Phi between the step's ends, locates the
-    earliest one on the step's dense output y_at and raises ChiSingular or
+    sign change of chi - 1 or Phi between the step's ends, bisects the
+    step's dense output y_at to the earliest one and raises ChiSingular or
     PhiZero naming the time and the state there.
     """
     def g(t: float) -> np.ndarray:
         Phi, _, Lambda = y_at(t)[:3]
         return np.array([Phi * Phi - Lambda - 1.0, Phi])
 
+    def crossing(k: int) -> float:
+        """Bisect component k's sign change to two adjacent floats; the later."""
+        a, b, sign_a = t_old, t_new, np.sign(g(t_old)[k])
+        while a < (mid := 0.5 * (a + b)) < b:
+            a, b = (mid, b) if np.sign(g(mid)[k]) == sign_a else (a, mid)
+        return b
+
     changed = np.flatnonzero(np.sign(g(t_old)) != np.sign(g(t_new)))
     if changed.size == 0:
         return
-    from scipy.optimize import brentq
-
-    t_c, k = min((brentq(lambda t: g(t)[k], t_old, t_new, xtol=1e-15), k)
-                 for k in changed)
+    t_c, k = min((crossing(k), k) for k in changed)
     Phi, varphi, Lambda = (float(x) for x in y_at(t_c)[:3])
     error, what = (ChiSingular, "chi = 1") if k == 0 else (PhiZero, "Phi = 0")
     raise error(f"the flow crosses {what} at tau = {t_c!r} "
@@ -430,8 +434,9 @@ class MapSource:
 
         rhs(m, y) returns the rates of the route's components y (a list of
         floats, as many as y0) at the map point m (scalar t).  The map's
-        own state is integrated alongside and returned on the grid.  A
-        step that carries the integrated flow across chi = 1 or Phi = 0
+        own state is integrated alongside and returned on the grid.  An
+        empty route (y0 = ()) integrates the map alone and never calls rhs.
+        A step that carries the integrated flow across chi = 1 or Phi = 0
         raises ChiSingular or PhiZero at the crossing.
 
         Steps are capped at a sixteenth of the drive period.  The error
@@ -441,11 +446,20 @@ class MapSource:
         """
         n = len(self._map0)
 
-        def full_rhs(t, y):
-            # Python floats: arithmetic on numpy scalars is several times slower.
-            t, y = float(t), y.tolist()
-            m = self.at(t, y)
-            return np.array([*m.rates[:n], *rhs(m, y[n:])])
+        if len(y0):
+            def full_rhs(t, y):
+                # Python floats: arithmetic on numpy scalars is several times slower.
+                t, y = float(t), y.tolist()
+                m = self.at(t, y)
+                return np.array([*m.rates[:n], *rhs(m, y[n:])])
+        else:
+            p = self.p
+
+            def full_rhs(t, y):
+                # The empty route needs the map's rates only, not W and T.
+                t = float(t)
+                return np.array(self._rates(t, drive_omega(t, p), zeta_signed(t, p),
+                                            *self._coordinates(t, y.tolist())))
 
         problem = IvpProblem(rhs=full_rhs, t_eval=t_grid,
                              y0=np.array(self._map0 + tuple(y0)), guard=self._guard)
@@ -487,7 +501,7 @@ def integrate_constraints(p: DriveParams, s0: ConstraintState,
     flow is MapSource.integrate's empty route, with its step cap and guards.
     """
     run = MapSource(p, "integrated", constraint0=s0).integrate(
-        lambda m, y: (), (), t_grid, rtol, atol)
+        None, (), t_grid, rtol, atol)
     Phi, varphi, Lambda, chi = run.m.Phi, run.m.varphi, run.m.Lambda, run.m.chi
     z = np.minimum(1.0, z_abs_from(Phi, Lambda))
     dPhi, _, dLambda, dz_flow = constraint_rhs_polar(

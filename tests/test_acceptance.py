@@ -27,9 +27,8 @@ import pytest
 
 from pseudo_dce import cli
 from pseudo_dce.drive import DriveParams
-from pseudo_dce.dynamics import (InitialMoments, amplification_factor,
-                                 analytic_squeeze, bogoliubov_ode_oracle,
-                                 bogoliubov_uvw, evolve, mean_photon_general)
+from pseudo_dce.dynamics import (amplification_factor, analytic_squeeze,
+                                 bogoliubov_ode_oracle, evolve)
 from pseudo_dce.dyson import DysonState, bogoliubov_matrix, epsilon_from_phi, phi_from_z
 from pseudo_dce.fock import FockSpace, eta_matrix, propagate, squeeze_trust_bound
 from pseudo_dce.hermitize import (MapSource, approx_dyson_trajectory,

@@ -7,8 +7,9 @@ from conftest import CHI_FIG, VARPHI0
 from pseudo_dce import hermitize
 from pseudo_dce.dynamics import evolve
 from pseudo_dce.errors import NonFiniteState, StepRejected
-from pseudo_dce.hermitize import MapSource
+from pseudo_dce.hermitize import MapSource, integrate_constraints
 from pseudo_dce.integrate import _A, _C, _D, _E3, _E5, IvpProblem, integrate
+from pseudo_dce.scenario import ScenarioConfig
 
 
 def osc_rhs(t, y):
@@ -174,6 +175,18 @@ def test_guard_sees_every_accepted_step():
     assert len(seen) == sol.stats.n_steps
     assert seen[0][0] == 0.0 and seen[-1][1] == 2.0 * math.pi
     assert all(a[1] == b[0] for a, b in zip(seen, seen[1:]))
+
+
+def test_work_on_the_paper_runs_is_pinned(fig1_params, moderate_params,
+                                          moderate_state0):
+    """Steps, rejections and nfev are deterministic; a refactor that keeps
+    the arithmetic keeps them, and a change of work shows without timing."""
+    fig1 = evolve(MapSource(fig1_params, chi=CHI_FIG, varphi0=VARPHI0),
+                  ScenarioConfig().time_grid()).stats
+    assert (fig1.n_steps, fig1.n_rejected, fig1.nfev) == (292, 8, 4394)
+    flow = integrate_constraints(moderate_params, moderate_state0,
+                                 np.linspace(0.0, 25.0, 1001)).stats
+    assert (flow.n_steps, flow.n_rejected, flow.nfev) == (129, 0, 1937)
 
 
 @pytest.mark.parametrize("bad_te", [

@@ -255,11 +255,23 @@ assert len(records) == 2
 check("sweep")
 assert all(c.passed for c in run_verify("fast").checks)
 check("run_verify fast")
+import numpy as np
+from pseudo_dce.errors import ChiSingular
+from pseudo_dce.hermitize import integrate_constraints
+fig1 = ScenarioConfig()
+try:  # the step guard bisects the chi = 1 crossing near tau = 2.29
+    integrate_constraints(fig1.drive_params(), fig1.constraint0(),
+                          np.linspace(0.0, 3.0, 601))
+except ChiSingular:
+    check("integrate_constraints across chi = 1")
+else:
+    raise AssertionError("the fig1 flow crossed chi = 1 unguarded")
 """
 
 
 def test_run_paths_load_no_scipy():
-    """import, run, sweep and verify fast import no scipy module.
+    """import, run, sweep, verify fast and a guarded chi = 1 crossing
+    import no scipy module.
 
     Run in a fresh interpreter, since this test process has scipy loaded.
     """
