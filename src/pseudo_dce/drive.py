@@ -9,9 +9,9 @@ bookkept with the step function h(x) = 0 for x >= 0, 1 for x < 0
 zeta = |zeta|*exp(i*[h[sin(kappa t)]*pi + pi]).
 
 Phases are stored in radians and never reduced modulo 2*pi here;
-reduction happens only at comparison time.  omega, omega_dot and
-zeta_signed take a scalar t or a whole grid; sin and cos below let one
-expression serve both.
+reduction happens only at comparison time.  omega, omega_dot, zeta_signed
+and omega_and_zeta take a scalar t or a whole grid; sin and cos below let
+one expression serve both.
 """
 
 from __future__ import annotations
@@ -135,9 +135,16 @@ def zeta_signed(t: float, p: DriveParams) -> float:
     which carries the same sign structure but twice the exact magnitude at
     leading order in eps_mod.
     """
+    return omega_and_zeta(t, p)[1]
+
+
+def omega_and_zeta(t: float, p: DriveParams) -> tuple[float, float]:
+    """(omega(t), zeta_signed(t)) from one cos and one sin of kappa*t."""
+    kt = p.kappa * t
+    w = p.omega0 * (1.0 + p.eps_mod * cos(kt))
     if p.zeta_mode is ZetaMode.EXACT:
-        return omega_dot(t, p) / (4.0 * omega(t, p))
-    return -0.5 * p.eps_mod * p.kappa * sin(p.kappa * t)
+        return w, -p.omega0 * p.eps_mod * p.kappa * sin(kt) / (4.0 * w)
+    return w, -0.5 * p.eps_mod * p.kappa * sin(kt)
 
 
 def zeta(t: float, p: DriveParams) -> PolarComplex:

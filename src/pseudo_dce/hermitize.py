@@ -36,8 +36,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .drive import (DriveParams, PolarComplex, cos, omega as drive_omega, sin,
-                    zeta_signed)
+from .drive import DriveParams, PolarComplex, cos, omega_and_zeta, sin
 from .errors import ChiSingular, PhiZero, ZeroLambda
 from .integrate import IvpProblem, IntegrationStats, integrate
 
@@ -146,28 +145,30 @@ def _check_guards(t, Phi, varphi, Lambda, phi_guard: float = _PHI_GUARD):
     raise PhiZero(f"Phi = {Phi!r} below {phi_guard!r}{state}")
 
 
-def guard_flow_crossings(t_old: float, t_new: float, y_at) -> None:
+def guard_flow_crossings(t_old: float, y_old: np.ndarray, t_new: float,
+                         y_new: np.ndarray, y_at) -> None:
     """Step guard for states that begin with (Phi, varphi, Lambda).
 
     The pointwise guards only see the points a step samples, so a step can
     carry the flow across chi = 1 or Phi = 0 unnoticed.  This looks for a
-    sign change of chi - 1 or Phi between the step's ends, bisects the
-    step's dense output y_at to the earliest one and raises ChiSingular or
-    PhiZero naming the time and the state there.
+    sign change of chi - 1 or Phi between the step's end states y_old and
+    y_new, bisects the step's dense output y_at to the earliest one and
+    raises ChiSingular or PhiZero naming the time and the state there.
     """
-    def g(t: float) -> np.ndarray:
-        Phi, _, Lambda = y_at(t)[:3]
-        return np.array([Phi * Phi - Lambda - 1.0, Phi])
+    def signs(y) -> tuple:
+        Phi, _, Lambda = y[:3].tolist()
+        return np.sign(Phi * Phi - Lambda - 1.0), np.sign(Phi)
 
     def crossing(k: int) -> float:
         """Bisect component k's sign change to two adjacent floats; the later."""
-        a, b, sign_a = t_old, t_new, np.sign(g(t_old)[k])
+        a, b = t_old, t_new
         while a < (mid := 0.5 * (a + b)) < b:
-            a, b = (mid, b) if np.sign(g(mid)[k]) == sign_a else (a, mid)
+            a, b = (mid, b) if signs(y_at(mid))[k] == old[k] else (a, mid)
         return b
 
-    changed = np.flatnonzero(np.sign(g(t_old)) != np.sign(g(t_new)))
-    if changed.size == 0:
+    old = signs(y_old)
+    changed = [k for k, s in enumerate(signs(y_new)) if s != old[k]]
+    if not changed:
         return
     t_c, k = min((crossing(k), k) for k in changed)
     Phi, varphi, Lambda = (float(x) for x in y_at(t_c)[:3])
@@ -215,20 +216,18 @@ def constraint_rhs_general(s: ConstraintState, omega: PolarComplex,
     return np.array([dPhi, dphi, dLambda, dz])
 
 
-def _flow_rates(p: DriveParams, w, zs, Phi, varphi, Lambda):
+def _flow_rates(p: DriveParams, w, zs, Phi, Lambda, cosphi, sinphi):
     """(dPhi/dt, dvarphi/dt, dLambda/dt) of the flow for the modulated drive,
-    at drive frequency w = omega(t) and signed strength zs = zeta(t)."""
+    at w = omega(t), signed strength zs = zeta(t) and cos, sin of varphi."""
     chi = Phi * Phi - Lambda
-    at = p.alpha0_tilde
-    bt = p.beta0_tilde
-    cosphi = cos(varphi)
+    at, bt = p.alpha0_tilde, p.beta0_tilde
 
     dPhi = (2.0 * zs / (1.0 - chi)) * (
         at * (1.0 - Phi * Phi) + bt * ((2.0 * chi - 1.0) * Phi * Phi - chi * chi)
     ) * cosphi
     dphi = 2.0 * w - (2.0 * zs / ((1.0 - chi) * Phi)) * (
         at * (1.0 - Phi * Phi) + bt * (Phi * Phi - chi * chi)
-    ) * sin(varphi)
+    ) * sinphi
     dLambda = (4.0 * zs * Phi * (Phi * Phi - chi) / (chi - 1.0)) * (
         at - bt * (2.0 * chi - 1.0)
     ) * cosphi
@@ -244,22 +243,21 @@ def constraint_rhs_polar(s: ConstraintState, p: DriveParams,
     may be arrays of one shape; the rates then stack along axis 0.
     """
     _check_guards(t, s.Phi, s.varphi, s.Lambda)
-    zs = zeta_signed(t, p)
-    dPhi, dphi, dLambda = _flow_rates(p, drive_omega(t, p), zs,
-                                      s.Phi, s.varphi, s.Lambda)
+    w, zs = omega_and_zeta(t, p)
+    cosphi, sinphi = cos(s.varphi), sin(s.varphi)
+    dPhi, dphi, dLambda = _flow_rates(p, w, zs, s.Phi, s.Lambda, cosphi, sinphi)
     z = s.z_abs
     dz = (2.0 * zs * z * z * (p.alpha0_tilde - p.beta0_tilde * s.chi)
-          * cos(s.varphi) + (z / s.Phi) * dPhi)
+          * cosphi + (z / s.Phi) * dPhi)
     return np.array([dPhi, dphi, dLambda, dz])
 
 
-def _counterpart(p: DriveParams, w, zs, Phi, varphi, Lambda):
-    """(chi, W, T) on the flow for the modulated drive, w and zs as in
-    _flow_rates."""
+def _counterpart(p: DriveParams, w, zs, Phi, Lambda, sinphi):
+    """(chi, W, T) on the flow for the modulated drive, w, zs and sinphi as
+    in _flow_rates."""
     chi = Phi * Phi - Lambda
-    at = p.alpha0_tilde
-    bt = p.beta0_tilde
-    W = w - 2.0 * zs * Phi * (at - bt) * sin(varphi) / (chi - 1.0)
+    at, bt = p.alpha0_tilde, p.beta0_tilde
+    W = w - 2.0 * zs * Phi * (at - bt) * sinphi / (chi - 1.0)
     T = -1j * (zs * (at - bt * chi) / (1.0 - chi))
     return chi, W, T
 
@@ -273,8 +271,8 @@ def hermitized_coefficients(s: ConstraintState, p: DriveParams,
     """
     # W and T divide by chi - 1 but not by Phi.
     _check_guards(t, s.Phi, s.varphi, s.Lambda, phi_guard=0.0)
-    _, W, T = _counterpart(p, drive_omega(t, p), zeta_signed(t, p),
-                           s.Phi, s.varphi, s.Lambda)
+    _, W, T = _counterpart(p, *omega_and_zeta(t, p), s.Phi, s.Lambda,
+                           sin(s.varphi))
     return HermitizedCoeffs(W, abs(T), cmath.phase(T))
 
 
@@ -318,9 +316,9 @@ def _raw_coefficients(p: DriveParams, t, Phi, varphi, Lambda, rates):
     """coefficients_general for the modulated drive, map rates given."""
     dPhi, dvarphi, dLambda = rates
     rot = np.exp(-1j * varphi)
-    zs = zeta_signed(t, p)
+    w, zs = omega_and_zeta(t, p)
     return coefficients_general(
-        lam=Phi * rot, Lambda=Lambda, omega=drive_omega(t, p),
+        lam=Phi * rot, Lambda=Lambda, omega=w,
         alpha=-1j * p.alpha0_tilde * zs, beta=1j * p.beta0_tilde * zs,
         dlam_dt=(dPhi - 1j * Phi * dvarphi) * rot, dLambda_dt=dLambda,
     )
@@ -395,9 +393,9 @@ class MapSource:
             if constraint0 is None:
                 raise ValueError("integrated dyson_source requires constraint0")
 
-            def rates(t, w, zs, Phi, varphi, Lambda):
+            def rates(t, w, zs, Phi, varphi, Lambda, sinphi):
                 _check_guards(t, Phi, varphi, Lambda)
-                return _flow_rates(p, w, zs, Phi, varphi, Lambda)
+                return _flow_rates(p, w, zs, Phi, Lambda, cos(varphi), sinphi)
 
             s0 = constraint0
             self.chi0, self._map0 = s0.chi, (s0.Phi, s0.varphi, s0.Lambda)
@@ -412,9 +410,10 @@ class MapSource:
         """The map, its rates, chi, W and T at t; y starts with the integrated
         map's (Phi, varphi, Lambda), which the approximate source ignores."""
         Phi, varphi, Lambda = self._coordinates(t, y)
-        w, zs = drive_omega(t, self.p), zeta_signed(t, self.p)
-        rates = self._rates(t, w, zs, Phi, varphi, Lambda)
-        chi, W, T = _counterpart(self.p, w, zs, Phi, varphi, Lambda)
+        w, zs = omega_and_zeta(t, self.p)
+        sinphi = sin(varphi)
+        rates = self._rates(t, w, zs, Phi, varphi, Lambda, sinphi)
+        chi, W, T = _counterpart(self.p, w, zs, Phi, Lambda, sinphi)
         return MapPoint(Phi, varphi, Lambda, chi, W, T, rates)
 
     def residual(self, t, m: MapPoint):
@@ -458,8 +457,8 @@ class MapSource:
             def full_rhs(t, y):
                 # The empty route needs the map's rates only, not W and T.
                 t = float(t)
-                return np.array(self._rates(t, drive_omega(t, p), zeta_signed(t, p),
-                                            *self._coordinates(t, y.tolist())))
+                m = self._coordinates(t, y.tolist())
+                return np.array(self._rates(t, *omega_and_zeta(t, p), *m, sin(m[1])))
 
         problem = IvpProblem(rhs=full_rhs, t_eval=t_grid,
                              y0=np.array(self._map0 + tuple(y0)), guard=self._guard)

@@ -4,7 +4,8 @@ DOP853, the explicit Runge-Kutta 8(5,3) pair of Dormand and Prince (Hairer,
 Nørsett & Wanner, Solving ODEs I, §II.10), on real state vectors, written
 with numpy alone and stepped so that every accepted step can be handed to a
 guard.  The solution is reported on a fixed grid, filled from each step's
-7th-order dense output; the grid's ends are the span.
+7th-order dense output, a block of steps at a time: on small states the
+cost of a numpy call outweighs its arithmetic.  The grid's ends are the span.
 
 The loop does scipy.integrate.DOP853's arithmetic in scipy's order: the
 same stage sums, initial-step rule, error norm, step-factor rule,
@@ -16,8 +17,10 @@ most runs compute.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -26,6 +29,8 @@ from .errors import NonFiniteState, StepRejected
 
 # Grid points within this fraction of the span of a step end take its value.
 _GRID_SNAP = 1e-14
+# Output floats (points times components) per block of the grid fill.
+_FILL_FLOATS = 1 << 12
 
 # The Dormand-Prince 8(5,3) tableau.  Row s of _A weighs the stages before
 # stage s: rows 1-11 make the step's stages, row 12 is the 8th-order
@@ -126,16 +131,16 @@ class IvpProblem:
     rhs maps (t, y) to dy/dt with y a real 1-D array and y0 the state at
     t_eval[0].  t_eval holds at least two finite, strictly increasing
     times; the integration runs from its first to its last point.  guard,
-    when given, is called after every accepted step as
-    guard(t_old, t_new, y_at), y_at the step's dense output: y_at(t) is
-    the state, shape (n,), at a time t and has shape (n, m) for a 1-D
-    array of m times.  The guard raises to stop the integration.
+    when given, is called after every accepted step as guard(t_old, y_old,
+    t_new, y_new, y_at): its ends, y_new being the next step's y_old, and
+    its dense output y_at(t), the state, shape (n,), at a time t in it.
+    The guard raises to stop the integration.
     """
 
     rhs: Callable[[float, np.ndarray], np.ndarray]
     t_eval: Sequence[float]
     y0: np.ndarray
-    guard: Optional[Callable[[float, float, Callable], None]] = None
+    guard: Optional[Callable[..., None]] = None
 
     def __post_init__(self):
         te = np.asarray(self.t_eval, dtype=float)
@@ -171,7 +176,7 @@ class IvpSolution:
 
 
 def _check_finite(t: float, y: np.ndarray):
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise NonFiniteState(f"state left the finite domain at t = {t!r}")
 
 
@@ -215,15 +220,16 @@ def _error_norm(K, h, scale):
     """The step's error in units of its tolerance: below 1 accepts it."""
     err5 = np.dot(K.T, _E5) / scale
     err3 = np.dot(K.T, _E3) / scale
-    err5_2 = np.linalg.norm(err5) ** 2
-    err3_2 = np.linalg.norm(err3) ** 2
+    # np.linalg.norm's own arithmetic on a real vector, without its checks.
+    err5_2 = np.sqrt(err5.dot(err5)) ** 2
+    err3_2 = np.sqrt(err3.dot(err3)) ** 2
     if err5_2 == 0 and err3_2 == 0:
         return 0.0
     return h * err5_2 / np.sqrt((err5_2 + 0.01 * err3_2) * len(scale))
 
 
 def _dense_output(rhs, K, t_old, y_old, h, y_new, f_new):
-    """The 7th-order interpolant y_at(t) over the accepted step [t_old, t_old + h].
+    """The rows F (7, n) of the step's 7th-order interpolant, for _dense_eval.
 
     Builds stages 13-15 into K from the step's stages 0-12: three rhs calls.
     """
@@ -236,22 +242,38 @@ def _dense_output(rhs, K, t_old, y_old, h, y_new, f_new):
     F[1] = h * f_old - delta_y
     F[2] = 2 * delta_y - h * (f_new + f_old)
     F[3:] = h * np.dot(_D, K)
+    return F
 
-    def y_at(t):
-        t = np.asarray(t)
-        x = (t - t_old) / h
-        if t.ndim == 0:
-            y = np.zeros_like(y_old)
-        else:
-            x = x[:, None]
-            y = np.zeros((len(x), len(y_old)))
-        for k, row in enumerate(F[::-1]):
-            y += row
-            y *= x if k % 2 == 0 else 1 - x
-        y += y_old
-        return y.T
 
-    return y_at
+def _dense_eval(t, t_old, h, y_old, F):
+    """A step's interpolant at t: a float, F (7, n); or m points, each in its
+    own step: t, t_old, h (m, 1), y_old (m, n), F (7, m, n).  Every value
+    takes the same operations in the same order either way."""
+    x = (t - t_old) / h
+    x1 = 1 - x
+    y = np.zeros_like(y_old)
+    for k, row in enumerate(F[::-1]):
+        y += row
+        y *= x if k % 2 == 0 else x1
+    y += y_old
+    return y
+
+
+def _fill(out, te, i, steps, snap):
+    """Fill out[i:] up to the last step's grid index j, in blocks of at most
+    _FILL_FLOATS; steps holds each step's (t_old, h, y_old, F, t_new, y_new, j)."""
+    t_old, h, y_old, F, t_new, y_new, ends = (np.array(c) for c in zip(*steps))
+    t_old, h, F = t_old[:, None], h[:, None], F.swapaxes(0, 1)
+    block = max(1, _FILL_FLOATS // y_old.shape[1])
+    for a in range(i, ends[-1], block):
+        b = min(a + block, ends[-1])
+        k = np.searchsorted(ends, np.arange(a, b), side="right")
+        t = te[a:b]
+        y = _dense_eval(t[:, None], t_old[k], h[k], y_old[k], F[:, k])
+        # Points on a step end take its value, not the interpolant's.
+        on_end = t >= t_new[k] - snap
+        y[on_end] = y_new[k[on_end]]
+        out[a:b] = y
 
 
 def integrate(p: IvpProblem, rtol: float = 1e-9, atol: float = 1e-12,
@@ -282,12 +304,15 @@ def integrate(p: IvpProblem, rtol: float = 1e-9, atol: float = 1e-12,
     K = np.zeros((16, y.size))
     out_y = np.empty((te.size, y.size))
     out_y[0] = y
-    i = 1
+    # Points filled..i wait in pending; te_at reads te as floats, uncopied.
+    te_at = memoryview(te)
+    i = filled = 1
+    pending = []
     t = t0
     nfev, n_steps, n_rejected = 2, 0, 0
     h_min, h_max = math.inf, 0.0
     while t < t1:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         if h_abs > max_step:
             h_abs = max_step
         elif h_abs < min_step:
@@ -309,7 +334,7 @@ def integrate(p: IvpProblem, rtol: float = 1e-9, atol: float = 1e-12,
                                        f"between numbers. (t = {t!r})")
                 t_new = min(t + h_abs, t1)
                 h = t_new - t
-                h_abs = np.abs(h)
+                h_abs = abs(h)
                 y_new, f_new = _attempt(p.rhs, t, y, f, h, K)
                 nfev += 12
                 scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
@@ -331,18 +356,20 @@ def integrate(p: IvpProblem, rtol: float = 1e-9, atol: float = 1e-12,
         n_steps += 1
         h_min, h_max = min(h_min, t - t_old), max(h_max, t - t_old)
 
-        j = int(np.searchsorted(te, t + snap, side="right"))
+        j = bisect.bisect_right(te_at, t + snap, i)
         if p.guard is None and j == i:
             continue
-        y_at = _dense_output(p.rhs, K, t_old, y_old, h, y, f)
+        F = _dense_output(p.rhs, K, t_old, y_old, h, y, f)
         nfev += 3
         if p.guard is not None:
-            p.guard(t_old, t, y_at)
+            p.guard(t_old, y_old, t, y, partial(_dense_eval, t_old=t_old, h=h,
+                                                y_old=y_old, F=F))
         if j > i:
-            out_y[i:j] = y_at(te[i:j]).T
-            # Points on the step end take its value, not the interpolant's.
-            out_y[i:j][te[i:j] >= t - snap] = y
+            pending.append((t_old, h, y_old, F, t, y, j))
             i = j
+            if i == te.size or (i - filled) * y.size >= _FILL_FLOATS:
+                _fill(out_y, te, filled, pending, snap)
+                filled, pending = i, []
 
     stats = IntegrationStats(n_steps, n_rejected, nfev, h_min, h_max)
     return IvpSolution(te.copy(), out_y, stats)

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from pseudo_dce.drive import (DriveParams, ZetaMode, alpha_beta, heaviside,
-                              omega, omega_dot, sgn, zeta, zeta_signed)
+                              omega, omega_and_zeta, omega_dot, sgn, zeta,
+                              zeta_signed)
 
 
 def make_params(**overrides) -> DriveParams:
@@ -37,6 +38,21 @@ def test_omega_dot_is_analytic_derivative():
     for t in np.linspace(0.1, 3.0, 17):
         fd = (omega(t + h, p) - omega(t - h, p)) / (2.0 * h)
         assert math.isclose(omega_dot(t, p), fd, rel_tol=0.0, abs_tol=1e-7)
+
+
+@pytest.mark.parametrize("mode", list(ZetaMode))
+def test_omega_and_zeta_repeat_the_separate_formulas(mode):
+    """One cos and one sin of kappa*t give omega and zeta bit for bit."""
+    p = make_params(zeta_mode=mode, kappa=1.9123)
+    tg = np.linspace(0.0, 25.0, 1001)
+    zeta_ref = (omega_dot(tg, p) / (4.0 * omega(tg, p))
+                if mode is ZetaMode.EXACT
+                else -0.5 * p.eps_mod * p.kappa * np.sin(p.kappa * tg))
+    w, zs = omega_and_zeta(tg, p)
+    assert w.tobytes() == omega(tg, p).tobytes()
+    assert zs.tobytes() == zeta_ref.tobytes()
+    for i in range(0, tg.size, 97):
+        assert omega_and_zeta(float(tg[i]), p) == (w[i], zs[i])
 
 
 @pytest.mark.parametrize("x,h_val,s_val", [

@@ -206,18 +206,23 @@ class TestFlowCrossingGuard:
             return np.array([2.0, 0.0, 2.7 + t])
 
         with pytest.raises(ChiSingular) as info:
-            guard_flow_crossings(0.0, 1.0, y_at)
+            guard_flow_crossings(0.0, y_at(0.0), 1.0, y_at(1.0), y_at)
         t_c = float(str(info.value).split("tau = ")[1].split(" ")[0])
         assert abs(t_c - 0.3) < 1e-12
         assert "Lambda = 3.0" in str(info.value)
 
     def test_phi_crossing_raises_phi_zero(self):
+        def y_at(t):
+            return np.array([0.5 - t, 0.0, -3.0])
+
         with pytest.raises(PhiZero, match="Phi = 0"):
-            guard_flow_crossings(0.0, 1.0,
-                                 lambda t: np.array([0.5 - t, 0.0, -3.0]))
+            guard_flow_crossings(0.0, y_at(0.0), 1.0, y_at(1.0), y_at)
 
     def test_no_crossing_passes(self):
-        guard_flow_crossings(0.0, 1.0, lambda t: np.array([0.5, 0.0, -3.0 + t]))
+        def y_at(t):
+            return np.array([0.5, 0.0, -3.0 + t])
+
+        guard_flow_crossings(0.0, y_at(0.0), 1.0, y_at(1.0), y_at)
 
     def test_integrated_evolve_stops_at_the_crossing(self, fig1_params):
         # Either guard may trip first: the crossing one or a stage that

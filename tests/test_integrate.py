@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from pseudo_dce.dynamics import evolve
 from pseudo_dce.errors import NonFiniteState, StepRejected
 from pseudo_dce.hermitize import MapSource, integrate_constraints
 from pseudo_dce.integrate import _A, _C, _D, _E3, _E5, IvpProblem, integrate
-from pseudo_dce.scenario import ScenarioConfig
+from pseudo_dce.scenario import ScenarioConfig, run
 
 
 def osc_rhs(t, y):
@@ -165,9 +166,11 @@ def test_rejected_steps_are_counted():
 def test_guard_sees_every_accepted_step():
     seen = []
 
-    def guard(t_old, t_new, y_at):
+    def guard(t_old, y_old, t_new, y_new, y_at):
         # The dense output reproduces the step's ends.
         assert abs(float(y_at(t_old)[0]) - math.cos(t_old)) < 1e-8
+        assert float(np.abs(y_old - y_at(t_old)).max()) < 1e-8
+        assert float(np.abs(y_new - y_at(t_new)).max()) < 1e-8
         seen.append((t_old, t_new))
 
     sol = integrate(IvpProblem(rhs=osc_rhs, t_eval=span(2.0 * math.pi),
@@ -178,7 +181,7 @@ def test_guard_sees_every_accepted_step():
 
 
 def test_work_on_the_paper_runs_is_pinned(fig1_params, moderate_params,
-                                          moderate_state0):
+                                          moderate_state0, monkeypatch):
     """Steps, rejections and nfev are deterministic; a refactor that keeps
     the arithmetic keeps them, and a change of work shows without timing."""
     fig1 = evolve(MapSource(fig1_params, chi=CHI_FIG, varphi0=VARPHI0),
@@ -187,6 +190,35 @@ def test_work_on_the_paper_runs_is_pinned(fig1_params, moderate_params,
     flow = integrate_constraints(moderate_params, moderate_state0,
                                  np.linspace(0.0, 25.0, 1001)).stats
     assert (flow.n_steps, flow.n_rejected, flow.nfev) == (129, 0, 1937)
+
+    # One cell of the benchmark's kappa sweep: evolve, then the oracle, on
+    # the integrated moderate map at its default grid.
+    work = []
+
+    def counted(problem, **kwargs):
+        sol = integrate(problem, **kwargs)
+        work.append((sol.stats.n_steps, sol.stats.n_rejected, sol.stats.nfev))
+        return sol
+
+    monkeypatch.setattr(hermitize, "integrate", counted)
+    run(ScenarioConfig(alpha0_tilde=0.6, beta0_tilde=0.2, chi=-2.25, z_abs=0.8,
+                       dyson_source="integrated", tau_max=25.0, kappa=2.0))
+    assert work == [(160, 8, 2498), (130, 0, 1952)]
+
+
+def test_grid_fill_memory_is_bounded():
+    """A long grid is filled a block at a time: besides the output and its
+    time column, the fill's temporaries stay small."""
+    problem = IvpProblem(rhs=osc_rhs, t_eval=np.linspace(0.0, 2.0 * math.pi, 10**6),
+                         y0=np.array([1.0, 0.0]))
+    tracemalloc.start()
+    try:
+        sol = integrate(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * sol.y.nbytes
+    assert abs(float(sol.y[-1, 0]) - 1.0) < 1e-7
 
 
 @pytest.mark.parametrize("bad_te", [
@@ -241,7 +273,7 @@ class TestScipyParity:
                                                         atol, max_step)
         ours = []
 
-        def guard(t_old, t_new, y_at):
+        def guard(t_old, y_old, t_new, y_new, y_at):
             ours.append(y_at(0.5 * (t_old + t_new)))
 
         # Reported on scipy's step ends, every grid point is one of the
@@ -261,6 +293,19 @@ class TestScipyParity:
         sol = self.assert_parity(lambda t, y: np.array([0.0 if t < 1.0 else 1.0]),
                                  0.0, 3.0, np.array([0.0]))
         assert sol.stats.n_rejected >= 1
+
+    @pytest.mark.parametrize("te", [np.linspace(0.0, 20.0 * math.pi, 2001),
+                                    np.linspace(0.3, 7.1, 777)])
+    def test_grid_interior_matches_solve_ivp(self, te):
+        """Grid points inside steps come from the dense output as scipy's."""
+        from scipy.integrate import solve_ivp
+
+        y0 = np.array([1.0, 0.0])
+        ref = solve_ivp(osc_rhs, (te[0], te[-1]), y0, method="DOP853", t_eval=te,
+                        rtol=1e-9, atol=1e-12, max_step=0.3)
+        sol = integrate(IvpProblem(rhs=osc_rhs, t_eval=te, y0=y0),
+                        rtol=1e-9, atol=1e-12, max_step=0.3)
+        assert sol.y.tobytes() == ref.y.T.tobytes()
 
     def test_fig1_evolve_rhs(self, fig1_params, monkeypatch):
         problems = []
