@@ -16,10 +16,8 @@ Run:  python3 demos/02_hermitization_flow.py
 import numpy as np
 
 from pseudo_dce.drive import DriveParams
-from pseudo_dce.hermitize import (ConstraintState, approx_dyson_trajectory,
-                                  coefficients_from_flow, constraint_rhs_polar,
-                                  hermitized_coefficients,
-                                  integrate_constraints)
+from pseudo_dce.hermitize import (ConstraintState, MapSource,
+                                  constraint_rhs_polar, z_residual)
 
 
 def main():
@@ -29,34 +27,30 @@ def main():
     state0 = ConstraintState.from_chi(-2.25, 0.8, 0.5 * np.pi)
 
     tau = np.linspace(0.0, 30.0, 601)
-    flow = integrate_constraints(p, state0, tau, rtol=1e-11)
+    src = MapSource(p, "integrated", constraint0=state0)
+    flow = src.integrate(None, (), tau, rtol=1e-11, atol=1e-12)
+    W, T, V = src.raw_coefficients(flow.t, flow.m)
+    im_w = np.abs(W.imag)
+    vt = np.abs(V - np.conj(T))
 
     print("constraint flow for a moderate drive, tau <= 30")
     print(f"{'tau':>6} {'|z|':>10} {'Phi':>10} {'|Im W|':>12} {'|V-conj(T)|':>12}")
-    worst_im = 0.0
-    worst_vt = 0.0
     for i in range(0, len(tau), 120):
-        s = flow.state_at(i)
-        W, T, V = coefficients_from_flow(s, p, float(tau[i]))
-        im_w = abs(W.imag)
-        vt = abs(V - np.conj(T))
-        worst_im = max(worst_im, im_w)
-        worst_vt = max(worst_vt, vt)
-        print(f"{tau[i]:6.1f} {s.z_abs:10.6f} {s.Phi:10.6f} "
-              f"{im_w:12.3e} {vt:12.3e}")
+        print(f"{tau[i]:6.1f} {flow.m.z_abs[i]:10.6f} {flow.m.Phi[i]:10.6f} "
+              f"{im_w[i]:12.3e} {vt[i]:12.3e}")
     print(f"|z|-consistency residual along the flow: "
-          f"max {flow.z_residual.max():.2e}")
+          f"max {z_residual(p, flow).max():.2e}")
     print()
 
     chi = 1.0002
     print("locked-map shortcut on the weak resonant drive:")
     fig = DriveParams(omega0=1.0, eps_mod=0.01, kappa=2.0,
                       alpha0_tilde=0.01, beta0_tilde=0.001)
+    locked = MapSource(fig, chi=chi, varphi0=0.5 * np.pi)
     for t in (0.0, 5.0, 25.0):
-        d = approx_dyson_trajectory(t, fig, varphi0=0.5 * np.pi, chi=chi)
-        c = hermitized_coefficients(d, fig, t)
-        print(f"  tau={t:5.1f}  |z|={d.z_abs:.6f}  Phi={d.Phi:+.6f}  "
-              f"W={c.W:+.6f}  |T|={c.T_abs:.3e}")
+        m = locked.at(t, ())
+        print(f"  tau={t:5.1f}  |z|={m.z_abs:.6f}  Phi={m.Phi:+.6f}  "
+              f"W={m.W:+.6f}  |T|={abs(m.T):.3e}")
     print()
 
     rhs0 = constraint_rhs_polar(state0, p, 0.0)

@@ -34,8 +34,7 @@ from pseudo_dce.fock import (FockSpace, drive_hamiltonian, eta_matrix,
                              inverse_map_state, metric, propagate,
                              quasi_hermiticity_residual, squeeze_trust_bound)
 from pseudo_dce.hermitize import (ConstraintState, MapSource,
-                                  approx_dyson_trajectory, coefficients_general,
-                                  hermitized_coefficients, integrate_constraints)
+                                  coefficients_general, integrate_constraints)
 
 CHI = 1.0002
 FIG = DriveParams(omega0=1.0, eps_mod=0.01, kappa=2.0,
@@ -92,10 +91,11 @@ def main():
     tt, fd_h = 5.0, 1e-4
 
     def theta_at(t_s: float) -> np.ndarray:
-        st = integrate_constraints(MODERATE, moderate_state0(),
-                                   np.array([0.0, t_s]),
-                                   rtol=1e-13, atol=1e-16).state_at(-1)
-        dd = DysonState(z_abs=st.z_abs, Phi=st.Phi, varphi=st.varphi)
+        m = integrate_constraints(MODERATE, moderate_state0(),
+                                  np.array([0.0, t_s]),
+                                  rtol=1e-13, atol=1e-16).m
+        dd = DysonState(z_abs=float(m.z_abs[-1]), Phi=float(m.Phi[-1]),
+                        varphi=float(m.varphi[-1]))
         # Theta = eta^dag eta collapses to one exponential with doubled
         # coefficients because the generator is Hermitian.
         return eta_matrix(2.0 * dd.eps_map, 2.0 * dd.mu(), f, form="gauss")
@@ -114,13 +114,12 @@ def main():
     f_big = FockSpace(128)
     r_trust = squeeze_trust_bound(f_big.dim)
     tg = np.linspace(0.0, 10.0, 201)
-    traj = evolve(MapSource(FIG, chi=CHI), tg, rtol=1e-10)
+    src = MapSource(FIG, chi=CHI)
+    traj = evolve(src, tg, rtol=1e-10)
 
     def coeffs(ts: float):
-        st = approx_dyson_trajectory(ts, FIG, varphi0=0.5 * math.pi, chi=CHI)
-        cc = hermitized_coefficients(st, FIG, ts)
-        T_c = cc.T()
-        return complex(cc.W), T_c, T_c.conjugate()
+        m = src.at(ts, ())
+        return m.W, m.T, m.T.conjugate()
 
     prop = propagate(coeffs, f_big.vacuum(), tg, f_big, rtol=1e-10)
     n_fock = prop.mean_photon(f_big)

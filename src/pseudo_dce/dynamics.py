@@ -33,7 +33,7 @@ import numpy as np
 
 from .drive import DriveParams, heaviside
 from .errors import NotOnResonance
-from .hermitize import MapSource, guard_chi
+from .hermitize import MapPoint, MapSource, guard_chi
 from .integrate import IntegrationStats
 
 _DEFAULT_SEED = 1e-8
@@ -146,19 +146,14 @@ def bogoliubov_uv(s0: SqueezeState, s: SqueezeState) -> tuple:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Columnar evolution history on the requested grid."""
+    """Columnar evolution history on the requested grid; m is the map
+    source's record of the map and its coefficients W and T there."""
 
     t: np.ndarray
     r: np.ndarray
     phi_sq: np.ndarray
     Omega_tilde: np.ndarray
-    W: np.ndarray
-    T_abs: np.ndarray
-    phi_T: np.ndarray
-    Phi: np.ndarray
-    chi: np.ndarray
-    varphi: np.ndarray
-    Lambda: np.ndarray
+    m: MapPoint
     residual_hermiticity: np.ndarray
     stats: IntegrationStats
 
@@ -196,12 +191,9 @@ def evolve(src: MapSource, t_grid: np.ndarray, *, r0: float = 0.0,
 
     run = src.integrate(lambda m, y: squeeze_rhs(y[0], y[1], m.W, m.T),
                         (r0, phi_sq0, 0.0), t_grid, rtol, atol)
-    m = run.m
     r, phi_sq, Omega_tilde = run.y.T
-    return Trajectory(t=run.t, r=r, phi_sq=phi_sq, Omega_tilde=Omega_tilde,
-                      W=m.W, T_abs=np.abs(m.T), phi_T=np.angle(m.T), Phi=m.Phi,
-                      chi=m.chi, varphi=m.varphi, Lambda=m.Lambda,
-                      residual_hermiticity=src.residual(run.t, m), stats=run.stats)
+    return Trajectory(t=run.t, r=r, phi_sq=phi_sq, Omega_tilde=Omega_tilde, m=run.m,
+                      residual_hermiticity=src.residual(run.t, run.m), stats=run.stats)
 
 
 def bogoliubov_ode_oracle(src: MapSource, t_grid: np.ndarray, *,

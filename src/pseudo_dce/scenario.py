@@ -301,12 +301,12 @@ def run(cfg: ScenarioConfig, out_dir=None, name: str = "run") -> RunRecord:
         "N_numeric": n_numeric,
         "N_analytic": np.sinh(r_analytic) ** 2,
         "N_oracle": n_oracle,
-        "W": traj.W,
-        "T_abs": traj.T_abs,
-        "phi_T": traj.phi_T,
-        "Phi": traj.Phi,
-        "chi": traj.chi,
-        "varphi": traj.varphi,
+        "W": traj.m.W,
+        "T_abs": np.abs(traj.m.T),
+        "phi_T": np.angle(traj.m.T),
+        "Phi": traj.m.Phi,
+        "chi": traj.m.chi,
+        "varphi": traj.m.varphi,
         "residual_hermiticity": traj.residual_hermiticity,
     }
     selected = {k: columns[k] for k in cfg.outputs}

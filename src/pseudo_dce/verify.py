@@ -31,10 +31,9 @@ from .dynamics import (amplification_factor, analytic_squeeze,
 from .fock import (FockSpace, eta_matrix, metric, nonhermitian_expectation,
                    map_observable, propagate, drive_hamiltonian,
                    quasi_hermiticity_residual, squeeze_trust_bound)
-from .hermitize import (ConstraintState, MapSource,
-                        coefficients_from_flow, constraint_rhs_general,
-                        constraint_rhs_polar, hermitized_coefficients,
-                        hermitized_coefficients_general, integrate_constraints)
+from .hermitize import (ConstraintState, MapSource, constraint_rhs_general,
+                        constraint_rhs_polar, hermitized_coefficients_general,
+                        integrate_constraints, z_residual)
 from .integrate import IvpProblem, integrate
 from .scenario import PRESETS, ScenarioConfig, run, run_preset
 
@@ -179,23 +178,27 @@ def check_polar_general_rhs() -> tuple[bool, str]:
         d1 = constraint_rhs_polar(s, p, t)
         d2 = constraint_rhs_general(s, om, a_pol, b_pol)
         worst = max(worst, float(np.abs(d1 - d2).max()))
-        c1 = hermitized_coefficients(s, p, t)
+        m = MapSource(p, "integrated", constraint0=s).at(t, (s.Phi, s.varphi, s.Lambda))
         c2 = hermitized_coefficients_general(s, om, a_pol, b_pol)
-        worst = max(worst, abs(c1.W - c2.W), abs(c1.T() - c2.T()))
+        worst = max(worst, abs(m.W - c2.W), abs(m.T - c2.T()))
     return _bound("polar vs general", worst, 1e-12)
 
 
 def check_flow_residuals() -> tuple[bool, str]:
-    """Criterion-style: Im W, V - conj(T), and the |z| redundancy, tau<=50."""
+    """Criterion-style: Im W, V - conj(T), and the |z| redundancy, tau<=50.
+
+    The first two measure the integrated flow.  The |z| redundancy is an
+    identity of the flow equations, so it reads rounding at any tolerance
+    and catches a |z| rate that disagrees with the other three.
+    """
     p = _MODERATE
     tg = np.linspace(0.0, 50.0, 1001)
-    traj = integrate_constraints(p, _moderate_state0(), tg,
-                                 rtol=1e-11, atol=1e-14)
-    W, T, V = coefficients_from_flow(
-        ConstraintState(traj.z_abs, traj.Phi, traj.varphi, traj.Lambda), p, tg)
+    src = MapSource(p, "integrated", constraint0=_moderate_state0())
+    run = src.integrate(None, (), tg, rtol=1e-11, atol=1e-14)
+    W, T, V = src.raw_coefficients(run.t, run.m)
     im_w = float(np.abs(W.imag).max())
     v_t = float(np.abs(V - np.conj(T)).max())
-    zres = float(np.abs(traj.z_residual).max())
+    zres = float(z_residual(p, run).max())
     ok1, d1 = _bound("max|Im W|", im_w, 1e-7)
     ok2, d2 = _bound("max|V-conj(T)|", v_t, 1e-7)
     ok3, d3 = _bound("z redundancy", zres, 1e-6)
@@ -385,9 +388,10 @@ def _quasi_hermiticity_samples(times, dim: int = 64,
     eye = np.eye(dim, dtype=complex)
 
     def theta_at(tt: float) -> np.ndarray:
-        st = integrate_constraints(p, s0, np.array([0.0, tt]),
-                                   rtol=1e-13, atol=1e-16).state_at(-1)
-        d = DysonState(z_abs=st.z_abs, Phi=st.Phi, varphi=st.varphi)
+        m = integrate_constraints(p, s0, np.array([0.0, tt]),
+                                  rtol=1e-13, atol=1e-16).m
+        d = DysonState(z_abs=float(m.z_abs[-1]), Phi=float(m.Phi[-1]),
+                       varphi=float(m.varphi[-1]))
         return eta_matrix(2.0 * d.eps_map, 2.0 * d.mu(), f, form="gauss")
 
     worst = 0.0

@@ -31,10 +31,7 @@ from pseudo_dce.dynamics import (amplification_factor, analytic_squeeze,
                                  bogoliubov_ode_oracle, evolve)
 from pseudo_dce.dyson import DysonState, bogoliubov_matrix, epsilon_from_phi, phi_from_z
 from pseudo_dce.fock import FockSpace, eta_matrix, propagate, squeeze_trust_bound
-from pseudo_dce.hermitize import (MapSource, approx_dyson_trajectory,
-                                  coefficients_from_flow,
-                                  hermitized_coefficients,
-                                  integrate_constraints)
+from pseudo_dce.hermitize import MapSource
 from pseudo_dce.scenario import run_preset
 from pseudo_dce.verify import (VerifyReport, _moderate_state0,
                                _quasi_hermiticity_samples,
@@ -205,10 +202,11 @@ def test_criterion_07_photon_routes():
     sub = slice(0, min(idx + 1, tg.size))
     f = FockSpace(dim)
 
+    src = MapSource(FIG1, chi=CHI, varphi0=VARPHI0)
+
     def coeffs(t):
-        s = approx_dyson_trajectory(t, FIG1, VARPHI0, CHI)
-        c = hermitized_coefficients(s, FIG1, t)
-        return (c.W, c.T(), np.conj(c.T()))
+        m = src.at(t, ())
+        return (m.W, m.T, np.conj(m.T))
 
     res = propagate(coeffs, f.vacuum(), tg[sub], f, rtol=1e-10, atol=1e-13)
     n_fock = res.mean_photon(f)
@@ -286,14 +284,11 @@ def test_criterion_09_metric_equation_of_motion():
 
 def test_criterion_10_constraint_residuals():
     tg = np.linspace(0.0, 50.0, 1001)
-    traj = integrate_constraints(MODERATE, _moderate_state0(), tg,
-                                 rtol=1e-11, atol=1e-14)
-    im_w = v_t = 0.0
-    for i in range(tg.size):
-        W, T, V = coefficients_from_flow(traj.state_at(i), MODERATE,
-                                         float(tg[i]))
-        im_w = max(im_w, abs(W.imag))
-        v_t = max(v_t, abs(V - np.conj(T)))
+    src = MapSource(MODERATE, "integrated", constraint0=_moderate_state0())
+    run = src.integrate(None, (), tg, rtol=1e-11, atol=1e-14)
+    W, T, V = src.raw_coefficients(run.t, run.m)
+    im_w = float(np.abs(W.imag).max())
+    v_t = float(np.abs(V - np.conj(T)).max())
     ok = im_w < 1e-7 and v_t < 1e-7
     msg = report(10, ok, f"max|Im W| {im_w:.2e}, max|V - conj(T)| {v_t:.2e} "
                          f"(bounds 1e-7)")

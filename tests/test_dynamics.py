@@ -105,7 +105,7 @@ class TestAnalyticSqueeze:
             analytic_squeeze(1.0, p, CHI_FIG, 0.0, 0.0)
 
 
-class TestBogoliubovTriple:
+class TestBogoliubovPair:
 
     def test_coincident_states(self):
         s = SqueezeState(r=0.3, phi_sq=0.7)
@@ -183,14 +183,13 @@ class TestEvolve:
     def test_second_moment_matches_number_basis(self, hermitian_params):
         # <a^2> propagated in a truncated number basis equals u*v.
         tg = np.linspace(0.0, 10.0, 201)
-        traj = evolve(frozen(hermitian_params), tg,
-                      rtol=1e-11, atol=1e-14)
+        src = frozen(hermitian_params)
+        traj = evolve(src, tg, rtol=1e-11, atol=1e-14)
         u, v = traj.bogoliubov(tg.size - 1)
 
         def coeffs(t):
-            s = approx_dyson_trajectory(t, hermitian_params, VARPHI0, CHI_FIG)
-            c = hermitized_coefficients(s, hermitian_params, t)
-            return (c.W, c.T(), np.conj(c.T()))
+            m = src.at(t, ())
+            return (m.W, m.T, np.conj(m.T))
 
         f = FockSpace(64)
         res = propagate(coeffs, f.vacuum(), tg, f, rtol=1e-11, atol=1e-14)

@@ -253,15 +253,13 @@ class TestTrustRule:
     def fig1_vacuum(self, dim, r_end):
         """The fig1 vacuum up to the first 0.005 grid time with r >= r_end."""
         fine = np.linspace(0.0, 10.0, 2001)
-        r = evolve(MapSource(self.FIG1, chi=self.CHI, varphi0=self.VARPHI0),
-                   fine, rtol=1e-10, atol=1e-13).r
+        src = MapSource(self.FIG1, chi=self.CHI, varphi0=self.VARPHI0)
+        r = evolve(src, fine, rtol=1e-10, atol=1e-13).r
         t_end = float(fine[np.argmax(r >= r_end)])
 
         def coeffs(t):
-            c = hermitized_coefficients(
-                approx_dyson_trajectory(t, self.FIG1, self.VARPHI0, self.CHI),
-                self.FIG1, t)
-            return c.W, c.T(), c.T().conjugate()
+            m = src.at(t, ())
+            return m.W, m.T, m.T.conjugate()
 
         f = FockSpace(dim)
         return propagate(coeffs, f.vacuum(), np.linspace(0.0, t_end, 81), f)
@@ -303,6 +301,33 @@ class TestTrustRule:
                              - 2.0 * math.lgamma(k + 1) - math.log(math.cosh(r)))
                     for k in range(dim) if 2 * k < dim - 10)
         assert abs(_edge_limit(dim) - (1.0 - below)) < 1e-12
+
+
+@pytest.mark.parametrize("dim", [128, 264])
+def test_scalar_route_drives_propagate_like_the_map_source(fig1_params, dim):
+    # The benchmark's fock_oracle times propagate under the scalar route's
+    # callback; the package reads the same map through MapSource.at.  Both
+    # must take the integrator through the same steps to the same N.
+    chi, varphi0 = 1.0002, 0.5 * math.pi
+    src = MapSource(fig1_params, chi=chi, varphi0=varphi0)
+
+    def scalar(t):
+        c = hermitized_coefficients(
+            approx_dyson_trajectory(t, fig1_params, varphi0, chi), fig1_params, t)
+        T = c.T()
+        return c.W, T, T.conjugate()
+
+    def mapped(t):
+        m = src.at(t, ())
+        return m.W, m.T, m.T.conjugate()
+
+    f = FockSpace(dim)
+    tg = np.linspace(0.0, 8.0, 81)
+    a, b = (propagate(c, f.vacuum(), tg, f) for c in (scalar, mapped))
+    work = [(r.stats.n_steps, r.stats.n_rejected, r.stats.nfev) for r in (a, b)]
+    assert work[0] == work[1]
+    n_a, n_b = a.mean_photon(f), b.mean_photon(f)
+    assert np.all(np.abs(n_a - n_b) <= 1e-13 * n_b), np.abs(n_a - n_b).max()
 
 
 class TestPropagateAgainstExpm:

@@ -8,16 +8,16 @@ from pseudo_dce.drive import (DriveParams, PolarComplex, alpha_beta,
 from pseudo_dce.dyson import DysonState
 from pseudo_dce.errors import ChiSingular, PhiZero, ZeroLambda
 from pseudo_dce.fock import FockSpace, drive_hamiltonian, eta_matrix
-from pseudo_dce.hermitize import (ConstraintState, MapSource,
+from pseudo_dce.hermitize import (ConstraintState, MapRun, MapSource,
                                   approx_dyson_trajectory,
-                                  coefficients_from_flow,
                                   coefficients_general,
                                   constraint_rhs_general,
                                   constraint_rhs_polar,
                                   guard_flow_crossings,
                                   hermitized_coefficients,
                                   hermitized_coefficients_general,
-                                  integrate_constraints, z_abs_from)
+                                  integrate_constraints, z_abs_from,
+                                  z_residual)
 from pseudo_dce.dynamics import bogoliubov_ode_oracle, evolve
 from pseudo_dce.scenario import ScenarioConfig
 
@@ -133,7 +133,9 @@ class TestHermitizedCoefficients:
         assert abs(ratio - 44.999) < 1e-9, f"pump ratio {ratio}"
 
     def test_on_flow_counterpart_is_hermitian(self, moderate_params):
-        W, T, V = coefficients_from_flow(generic_state(), moderate_params, 0.7)
+        s = generic_state()
+        src = MapSource(moderate_params, "integrated", constraint0=s)
+        W, T, V = src.raw_coefficients(0.7, src.at(0.7, (s.Phi, s.varphi, s.Lambda)))
         assert abs(W.imag) < 1e-12
         assert abs(V - np.conj(T)) < 1e-12
 
@@ -170,24 +172,37 @@ class TestIntegratedFlow:
 
     def test_residuals_stay_small(self, moderate_params, moderate_state0):
         tg = np.linspace(0.0, 10.0, 201)
-        traj = integrate_constraints(moderate_params, moderate_state0, tg,
-                                     rtol=1e-11, atol=1e-14)
-        im_w = v_t = 0.0
-        for i in range(tg.size):
-            W, T, V = coefficients_from_flow(traj.state_at(i),
-                                             moderate_params, float(tg[i]))
-            im_w = max(im_w, abs(W.imag))
-            v_t = max(v_t, abs(V - np.conj(T)))
+        src = MapSource(moderate_params, "integrated", constraint0=moderate_state0)
+        traj = src.integrate(None, (), tg, rtol=1e-11, atol=1e-14)
+        W, T, V = src.raw_coefficients(traj.t, traj.m)
+        im_w = float(np.abs(W.imag).max())
+        v_t = float(np.abs(V - np.conj(T)).max())
         assert im_w < 1e-7, f"max|Im W| {im_w}"
         assert v_t < 1e-7, f"max|V - conj(T)| {v_t}"
-        assert float(np.abs(traj.z_residual).max()) < 1e-6
+        assert float(z_residual(moderate_params, traj).max()) < 1e-6
+
+    @pytest.mark.parametrize("chi_lo, chi_hi", [(-3.0, -1.2), (-0.8, 0.8)])
+    def test_z_redundancy_is_an_identity_off_the_flow(self, moderate_params,
+                                                      chi_lo, chi_hi):
+        # The flow's |z| rate is the derivative of |z| = -2*Phi/(chi + 1) at
+        # every state, not only along a trajectory, so z_residual is
+        # rounding at arbitrary states; a wrong |z| rate shows at O(rates).
+        rng = np.random.default_rng(19)
+        n = 2000
+        t = rng.uniform(0.0, 50.0, n)
+        z = rng.uniform(0.05, 1.0, n)
+        chi = rng.uniform(chi_lo, chi_hi, n)
+        Phi = -0.5 * z * (chi + 1.0)
+        state = np.array([Phi, rng.uniform(0.0, 2.0 * math.pi, n), Phi * Phi - chi])
+        src = MapSource(moderate_params, "integrated", constraint0=generic_state())
+        run = MapRun(t, src.at(t, state), np.empty((n, 0)), None)
+        assert float(z_residual(moderate_params, run).max()) < 1e-15
 
     def test_state_accessor(self, moderate_params, moderate_state0):
         tg = np.linspace(0.0, 1.0, 11)
         traj = integrate_constraints(moderate_params, moderate_state0, tg)
-        s = traj.state_at(0)
-        assert s.Phi == moderate_state0.Phi
-        assert s.varphi == moderate_state0.varphi
+        assert traj.m.Phi[0] == moderate_state0.Phi
+        assert traj.m.varphi[0] == moderate_state0.varphi
         assert traj.stats.n_steps > 0
 
 
@@ -254,16 +269,19 @@ class TestMapSource:
     def test_grid_matches_scalar_route_on_the_integrated_map(
             self, moderate_params, moderate_state0):
         tg = np.linspace(0.0, 25.0, 501)
-        flow = integrate_constraints(moderate_params, moderate_state0, tg)
+        flow = integrate_constraints(moderate_params, moderate_state0, tg).m
         src = MapSource(moderate_params, "integrated", constraint0=moderate_state0)
         m = src.at(tg, np.array([flow.Phi, flow.varphi, flow.Lambda]))
         residual = src.residual(tg, m)
         for i in range(0, tg.size, 7):
-            s, t = flow.state_at(i), float(tg[i])
+            s = ConstraintState(z_abs=float(flow.z_abs[i]), Phi=float(flow.Phi[i]),
+                                varphi=float(flow.varphi[i]),
+                                Lambda=float(flow.Lambda[i]))
+            t = float(tg[i])
             c = hermitized_coefficients(s, moderate_params, t)
             assert m.W[i] == c.W
             assert abs(m.T[i] - c.T()) <= 1e-15 * abs(m.T[i])
-            W, T, V = coefficients_from_flow(s, moderate_params, t)
+            W, T, V = src.raw_coefficients(t, src.at(t, (s.Phi, s.varphi, s.Lambda)))
             assert abs(residual[i] - (abs(W.imag) + abs(V - np.conj(T)))) <= 1e-15
 
     @pytest.mark.parametrize("source", ["approximate", "integrated"])
@@ -295,9 +313,9 @@ class TestMapSource:
         src = MapSource(moderate_params, "integrated", constraint0=moderate_state0)
         run = src.integrate(lambda m, y: (), (), tg, 1e-9, 1e-12)
         assert run.y.shape == (tg.size, 0)
-        assert np.array_equal(run.m.Phi, flow.Phi)
-        assert np.array_equal(run.m.varphi, flow.varphi)
-        assert np.array_equal(run.m.Lambda, flow.Lambda)
+        assert np.array_equal(run.m.Phi, flow.m.Phi)
+        assert np.array_equal(run.m.varphi, flow.m.varphi)
+        assert np.array_equal(run.m.Lambda, flow.m.Lambda)
         assert run.stats == flow.stats
 
     def test_bad_source_rejected(self, fig1_params):
