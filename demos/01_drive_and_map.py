@@ -10,8 +10,6 @@ mixing ratio, and the growth-rate amplification it buys.
 Run:  python3 demos/01_drive_and_map.py
 """
 
-import math
-
 import numpy as np
 
 from pseudo_dce.drive import DriveParams, alpha_beta, omega, zeta

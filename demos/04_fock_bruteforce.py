@@ -31,7 +31,7 @@ from pseudo_dce.drive import omega as drive_omega
 from pseudo_dce.dynamics import evolve
 from pseudo_dce.dyson import DysonState
 from pseudo_dce.fock import (FockSpace, drive_hamiltonian, eta_matrix,
-                             inverse_map_state, metric, propagate,
+                             inverse_map_state, propagate,
                              quasi_hermiticity_residual, squeeze_trust_bound)
 from pseudo_dce.hermitize import (ConstraintState, MapSource,
                                   coefficients_general, integrate_constraints)

@@ -19,8 +19,6 @@ Run:  python3 demos/05_scenarios_and_cli.py
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from pseudo_dce.scenario import (PRESETS, ScenarioConfig, parse_config, run,
                                  run_preset, sweep)
 
@@ -61,7 +59,8 @@ def main():
               f"  ({r.wall_seconds:.2f}s)")
     print()
 
-    base = ScenarioConfig(tau_max=25.0, oracle=False)
+    # The (u, v) oracle runs only for a config whose outputs name N_oracle.
+    base = ScenarioConfig(tau_max=25.0, outputs=("tau", "r_numeric", "N_numeric"))
     _, summary = sweep(base, "beta0_tilde", (1e-3, 5e-4, 1e-4), out_dir=out)
     print("sweep over the pair-creation strength (summary CSV):")
     for line in summary.strip().splitlines():

@@ -16,10 +16,10 @@ Bogoliubov pair (u, v) follows in closed form.  Every run starts from the
 vacuum, whose mean photon number is N = |v|^2 (sinh(r)^2 from an
 unsqueezed start).  The closed forms take scalars or whole grids.
 
-The phi_sq equation has a coordinate pole at r = 0; callers seed r with a
-tiny positive value (evolve does this when r0 = 0) and the pole is
-dynamically repelling, so the adaptive integrator passes through the
-transient without intervention.
+The phi_sq equation has a coordinate pole at r = 0; evolve seeds r with a
+tiny positive value, seed_r_eps, in place of the vacuum's r = 0, and the
+pole is dynamically repelling, so the adaptive integrator passes through
+the transient without intervention.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -115,11 +114,12 @@ def analytic_squeeze(t: float, p: DriveParams, chi: float, r0: float,
 
 
 def initial_squeeze_phase(p: DriveParams, chi: float, phi0_prime: float) -> float:
-    """Start phase phi_sq(0) of a run.
+    """Start phase phi_sq(0) at the phase offset phi0_prime; evolve starts
+    every run at phi0_prime = 0.
 
     On resonance it is the closed form's phase-locked value (see
-    analytic_squeeze); off resonance there is no locked value and the
-    run starts at phi0_prime.
+    analytic_squeeze); off resonance there is no locked value and it is
+    phi0_prime itself.
     """
     if not p.on_resonance():
         return phi0_prime
@@ -171,26 +171,22 @@ class Trajectory:
         return np.abs(self.bogoliubov()[1]) ** 2
 
 
-def evolve(src: MapSource, t_grid: np.ndarray, *, r0: float = 0.0,
-           phi_sq0: Optional[float] = None,
+def evolve(src: MapSource, t_grid: np.ndarray, *,
            seed_r_eps: float = _DEFAULT_SEED, rtol: float = 1e-9,
            atol: float = 1e-12) -> Trajectory:
-    """Evolve the squeeze parameters over t_grid on the map source src.
+    """Evolve the squeeze parameters from the vacuum over t_grid on the
+    map source src.
 
-    src supplies the counterpart coefficients and the drive, src.p.  r0 =
-    0 is replaced by seed_r_eps to stay off the phi_sq pole.  phi_sq0
-    defaults to initial_squeeze_phase with phi0_prime = 0.
+    src supplies the counterpart coefficients and the drive, src.p.  The
+    run starts at r = seed_r_eps, off the phi_sq pole at the vacuum's
+    r = 0, with phi_sq = initial_squeeze_phase(src.p, src.chi0, 0.0).
 
     src.integrate carries (r, phi_sq, Omega_tilde) along the map, with its
     period/16 step cap and, on the integrated source, its crossing guards.
     """
-    if r0 == 0.0:
-        r0 = seed_r_eps
-    if phi_sq0 is None:
-        phi_sq0 = initial_squeeze_phase(src.p, src.chi0, 0.0)
-
+    phi_sq0 = initial_squeeze_phase(src.p, src.chi0, 0.0)
     run = src.integrate(lambda m, y: squeeze_rhs(y[0], y[1], m.W, m.T),
-                        (r0, phi_sq0, 0.0), t_grid, rtol, atol)
+                        (seed_r_eps, phi_sq0, 0.0), t_grid, rtol, atol)
     r, phi_sq, Omega_tilde = run.y.T
     return Trajectory(t=run.t, r=r, phi_sq=phi_sq, Omega_tilde=Omega_tilde, m=run.m,
                       residual_hermiticity=src.residual(run.t, run.m), stats=run.stats)

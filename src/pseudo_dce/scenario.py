@@ -24,7 +24,6 @@ from .dynamics import (
     amplification_factor,
     bogoliubov_ode_oracle,
     evolve,
-    initial_squeeze_phase,
 )
 from .errors import ParseError, PseudoDceError, ValidationError
 from .hermitize import CHI_GUARD, ConstraintState, MapSource
@@ -65,13 +64,9 @@ class ScenarioConfig:
     chi: float = 1.0002
     z_abs: float = 1.0 - 1e-6
     varphi0: float = 0.5 * math.pi
-    r0: float = 0.0
-    phi0_prime: float = 0.0
     tau_max: float = 50.0
     grid_per_period: int = 200
     dyson_source: str = "approximate"
-    seed_r_eps: float = 1e-8
-    oracle: bool = True
     rtol: float = 1e-9
     atol: float = 1e-12
     outputs: tuple[str, ...] = CANONICAL_COLUMNS
@@ -106,12 +101,8 @@ class ScenarioConfig:
             )
         if not (0.0 < self.z_abs <= 1.0):
             raise ValidationError(f"z_abs must lie in (0, 1], got {self.z_abs}")
-        if not (self.seed_r_eps > 0.0):
-            raise ValidationError(f"seed_r_eps must be > 0, got {self.seed_r_eps}")
         if abs(self.chi - 1.0) < CHI_GUARD:
             raise ValidationError(f"chi = {self.chi} is at the chi = 1 singularity")
-        if not isinstance(self.oracle, bool):
-            raise ValidationError(f"oracle must be a boolean, got {self.oracle!r}")
         if not isinstance(self.outputs, tuple) or not self.outputs:
             raise ValidationError(
                 f"outputs must be a nonempty tuple of column names, got {self.outputs!r}")
@@ -155,9 +146,6 @@ class ScenarioConfig:
         return ConstraintState.from_chi(self.chi, self.z_abs, self.varphi0)
 
 
-_BOOL_WORDS = {"true": True, "on": True, "yes": True, "1": True,
-               "false": False, "off": False, "no": False, "0": False}
-
 _FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
 
 
@@ -169,13 +157,6 @@ def _parse_value(key: str, raw: str, lineno: int):
         if not cols:
             raise ValidationError(f"line {lineno}: outputs must name columns")
         return cols
-    if key == "oracle":
-        word = raw.lower()
-        if word not in _BOOL_WORDS:
-            raise ValidationError(
-                f"line {lineno}: expected a boolean for {key}, got {raw!r}"
-            )
-        return _BOOL_WORDS[word]
     if key == "grid_per_period":
         try:
             return int(raw)
@@ -277,20 +258,12 @@ def run(cfg: ScenarioConfig, out_dir=None, name: str = "run") -> RunRecord:
     src = MapSource(p, cfg.dyson_source, chi=cfg.chi, varphi0=cfg.varphi0,
                     constraint0=cfg.constraint0())
     if p.on_resonance():
-        r_analytic, phi_analytic = analytic_squeeze(
-            t_grid, p, cfg.chi, cfg.r0, cfg.phi0_prime)
+        r_analytic, phi_analytic = analytic_squeeze(t_grid, p, cfg.chi, 0.0, 0.0)
     else:
         r_analytic = phi_analytic = np.full(t_grid.size, np.nan)
 
-    traj = evolve(src, t_grid, r0=cfg.r0,
-                  phi_sq0=initial_squeeze_phase(p, cfg.chi, cfg.phi0_prime),
-                  seed_r_eps=cfg.seed_r_eps, rtol=cfg.rtol, atol=cfg.atol)
+    traj = evolve(src, t_grid, rtol=cfg.rtol, atol=cfg.atol)
     n_numeric = traj.mean_photon()
-    if cfg.oracle:
-        _, v = bogoliubov_ode_oracle(src, t_grid, rtol=cfg.rtol, atol=cfg.atol)
-        n_oracle = np.abs(v) ** 2
-    else:
-        n_oracle = np.full(traj.t.size, np.nan)
 
     columns = {
         "tau": traj.t * cfg.omega0,
@@ -300,7 +273,6 @@ def run(cfg: ScenarioConfig, out_dir=None, name: str = "run") -> RunRecord:
         "phi_analytic_raw": phi_analytic,
         "N_numeric": n_numeric,
         "N_analytic": np.sinh(r_analytic) ** 2,
-        "N_oracle": n_oracle,
         "W": traj.m.W,
         "T_abs": np.abs(traj.m.T),
         "phi_T": np.angle(traj.m.T),
@@ -309,6 +281,9 @@ def run(cfg: ScenarioConfig, out_dir=None, name: str = "run") -> RunRecord:
         "varphi": traj.m.varphi,
         "residual_hermiticity": traj.residual_hermiticity,
     }
+    if "N_oracle" in cfg.outputs:
+        _, v = bogoliubov_ode_oracle(src, t_grid, rtol=cfg.rtol, atol=cfg.atol)
+        columns["N_oracle"] = np.abs(v) ** 2
     selected = {k: columns[k] for k in cfg.outputs}
 
     record = RunRecord(name=name, config=cfg, columns=selected,

@@ -23,8 +23,7 @@ import numpy as np
 
 from .drive import (DriveParams, PolarComplex, ZetaMode, alpha_beta,
                     heaviside, omega as drive_omega, sgn, zeta, zeta_signed)
-from .dyson import (DysonState, bogoliubov_matrix, epsilon_from_phi,
-                    gauss_coefficients, phi_from_z)
+from .dyson import DysonState, bogoliubov_matrix, epsilon_from_phi, phi_from_z
 from .dynamics import (amplification_factor, analytic_squeeze,
                        bogoliubov_ode_oracle, evolve, initial_squeeze_phase,
                        squeeze_rhs)

@@ -306,7 +306,7 @@ def test_criterion_11_budgets_and_exit_codes(tmp_path, monkeypatch, capsys):
         preset_walls[name] = time.perf_counter() - t0
 
     cfg_ok = tmp_path / "ok.cfg"
-    cfg_ok.write_text("tau_max = 10\noracle = off\n")
+    cfg_ok.write_text("tau_max = 10\n")
     code_ok = cli.main(["run", "--config", str(cfg_ok),
                         "--out", str(tmp_path)])
     cfg_bad = tmp_path / "bad.cfg"
@@ -314,8 +314,7 @@ def test_criterion_11_budgets_and_exit_codes(tmp_path, monkeypatch, capsys):
     code_bad = cli.main(["run", "--config", str(cfg_bad),
                          "--out", str(tmp_path)])
     cfg_sim = tmp_path / "sim.cfg"
-    cfg_sim.write_text("tau_max = 10\noracle = off\n"
-                       "dyson_source = integrated\n")
+    cfg_sim.write_text("tau_max = 10\ndyson_source = integrated\n")
     code_sim = cli.main(["run", "--config", str(cfg_sim),
                          "--out", str(tmp_path)])
     # The real suite passes, so the verification-failure code is exercised

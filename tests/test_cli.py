@@ -1,7 +1,6 @@
 import concurrent.futures
 import os
 import string
-from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -10,9 +9,9 @@ from hypothesis import HealthCheck, given, settings
 from pseudo_dce import cli
 from pseudo_dce.verify import VerifyReport
 
-FAST_CFG = "tau_max = 10\noracle = off\n"
-FAILING_CFG = "tau_max = 10\noracle = off\ndyson_source = integrated\n"
-SHORT_CFG = "tau_max = 1\noracle = off\n"
+FAST_CFG = "tau_max = 10\n"
+FAILING_CFG = "tau_max = 10\ndyson_source = integrated\n"
+SHORT_CFG = "tau_max = 1\n"
 
 
 def write_cfg(tmp_path, text, name="case.cfg"):
@@ -214,7 +213,7 @@ class TestSweepCommand:
                          "--values", "0.1"])
         assert code == 1
 
-    @pytest.mark.parametrize("axis", ["outputs", "oracle", "grid_per_period"])
+    @pytest.mark.parametrize("axis", ["outputs", "zeta_mode", "grid_per_period"])
     def test_non_numeric_axis_exits_one(self, tmp_path, capsys, axis):
         cfg = write_cfg(tmp_path, SHORT_CFG)
         code = cli.main(["sweep", "--config", cfg, "--axis", axis,
@@ -268,8 +267,8 @@ class TestSweepCommand:
 FUZZ_CONFIGS = (
     SHORT_CFG,
     "tau_max = 0.5\n",
-    "tau_max = 1\ndyson_source = integrated\noracle = off\n",
-    "tau_max = 1\noracle = off\noutputs = tau, N_numeric\n",
+    "tau_max = 1\ndyson_source = integrated\n",
+    "tau_max = 1\noutputs = tau, N_numeric\n",
     "tau_max = 1\neps_mod = 1.5\n",
     "tau_max = 1\nnot a config line\n",
 )
@@ -277,8 +276,9 @@ FUZZ_CONFIGS = (
 JUNK = st.text(alphabet=string.ascii_letters + "-=_.,:/ ", max_size=8)
 NUMBERS = st.sampled_from(["0", "-0", "1", "-1", "0.5", "1.5", "2", "300.5",
                            "1e-300", "1e308", "nan", "inf", "-inf"])
-# Every field of another type than float, and a few float ones.  tau_max is
-# left out so that no drawn value lengthens a run past one time unit.
+# Every field of another type than float, a few float ones, and three
+# unknown keys.  tau_max is left out so that no drawn value lengthens a run
+# past one time unit.
 AXES = st.sampled_from(["outputs", "oracle", "grid_per_period", "zeta_mode",
                         "dyson_source", "chi", "kappa", "r0", "gamma"])
 # Junk tokens include real flags out of place, with whatever follows them.

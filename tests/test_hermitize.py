@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pseudo_dce.drive import (DriveParams, PolarComplex, alpha_beta,
+from pseudo_dce.drive import (PolarComplex, alpha_beta,
                               omega as drive_omega, zeta_signed)
 from pseudo_dce.dyson import DysonState
 from pseudo_dce.errors import ChiSingular, PhiZero, ZeroLambda

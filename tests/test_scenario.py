@@ -27,7 +27,7 @@ ADVERSARIAL_VALUES = st.one_of(
 
 
 def fast_config(**overrides):
-    base = dict(tau_max=10.0, oracle=False)
+    base = dict(tau_max=10.0)
     base.update(overrides)
     return ScenarioConfig(**base)
 
@@ -59,9 +59,12 @@ class TestParseConfig:
         with pytest.raises(ValidationError, match="expected a number"):
             parse_config("omega0 = fast\n")
 
-    def test_bad_bool_rejected(self):
-        with pytest.raises(ValidationError, match="boolean"):
-            parse_config("oracle = maybe\n")
+    def test_readme_config_block_lists_every_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        keys = {line.split("=", 1)[0].strip() for line in block.splitlines()}
+        parse_config(block)
+        assert keys == set(CONFIG_KEYS)
 
     def test_outputs_list(self):
         cfg = parse_config("outputs = tau, r_numeric\n")
@@ -106,7 +109,6 @@ class TestValidation:
         dict(outputs=("tau", "momentum")),
         dict(outputs=300.5),
         dict(outputs=()),
-        dict(oracle=300.5),
         dict(grid_per_period=300.5),
         dict(grid_per_period=True),
     ])
@@ -158,6 +160,16 @@ class TestRun:
         b = run(fast_config(), out_dir=tmp_path / "b")
         assert (Path(a.csv_path).read_bytes()
                 == Path(b.csv_path).read_bytes())
+
+    def test_oracle_runs_only_for_the_n_oracle_column(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("oracle reached")
+
+        monkeypatch.setattr("pseudo_dce.scenario.bogoliubov_ode_oracle", refuse)
+        rec = run(fast_config(outputs=("tau", "N_numeric", "N_analytic")))
+        assert list(rec.columns) == ["tau", "N_numeric", "N_analytic"]
+        with pytest.raises(RuntimeError, match="oracle reached"):
+            run(fast_config())
 
     def test_off_resonance_leaves_analytic_columns_empty(self):
         cfg = fast_config(kappa=1.7)
