@@ -24,9 +24,9 @@ A MapSource supplies the map along the drive, closed-form or integrated.
 Its MapPoint (coordinates, rates, chi, W, T) is the one record of the map,
 built by one set of expressions for a scalar time inside a right-hand side
 and for the whole output grid afterwards.  The source integrates a route
-(the squeeze ODE, the (u, v) oracle; integrate_constraints is the empty
-route) together with the map, so a route sees only the map point and its
-own components.  The general-input functions are the independent
+(the squeeze ODE, the (u, v) oracle, or both in one state;
+integrate_constraints is the empty route) together with the map, so a
+route sees only the map point and its own components.  The general-input functions are the independent
 references that the verify suite compares against.
 """
 
@@ -440,7 +440,8 @@ class MapSource:
 
         rhs(m, y) returns the rates of the route's components y (a list of
         floats, as many as y0) at the map point m (scalar t).  The map's
-        own state is integrated alongside and returned on the grid.  An
+        own state is integrated alongside and returned on the grid; routes
+        stacked in one y0 share one map evaluation per stage.  An
         empty route (y0 = ()) integrates the map alone and never calls rhs.
         A step that carries the integrated flow across chi = 1 or Phi = 0
         raises ChiSingular or PhiZero at the crossing.

@@ -46,6 +46,9 @@ CANONICAL_COLUMNS = (
     "residual_hermiticity",
 )
 
+# Rows per block of CSV text: the text buffer stays near 100 kB.
+_CSV_BLOCK_ROWS = 256
+
 # Grid size above which a config is refused before anything allocates:
 # 15 float64 columns at 1e7 points take 1.2 GB, over 3,000 times a preset grid.
 _MAX_GRID_POINTS = 10_000_000
@@ -282,7 +285,11 @@ def run(cfg: ScenarioConfig, out_dir=None, name: str = "run") -> RunRecord:
         "residual_hermiticity": traj.residual_hermiticity,
     }
     if "N_oracle" in cfg.outputs:
-        _, v = bogoliubov_ode_oracle(src, t_grid, rtol=cfg.rtol, atol=cfg.atol)
+        # evolve carries the oracle on sources whose W and T do not repeat.
+        if traj.oracle is None:
+            _, v = bogoliubov_ode_oracle(src, t_grid, rtol=cfg.rtol, atol=cfg.atol)
+        else:
+            _, v = traj.oracle
         columns["N_oracle"] = np.abs(v) ** 2
     selected = {k: columns[k] for k in cfg.outputs}
 
@@ -302,8 +309,14 @@ def write_outputs(record: RunRecord, out_dir) -> RunRecord:
     csv_path = out / f"{record.name}.csv"
     cols = list(record.columns)
     rows = np.column_stack([record.columns[c] for c in cols])
-    np.savetxt(csv_path, rows, fmt="%.17g", delimiter=",",
-               header=",".join(cols), comments="")
+    # np.savetxt's bytes (fmt="%.17g", delimiter=",", comments=""), with one
+    # format string per block of rows instead of one per row.
+    line = ",".join(["%.17g"] * len(cols)) + "\n"
+    with open(csv_path, "w", encoding="latin1") as fh:
+        fh.write(",".join(cols) + "\n")
+        for a in range(0, len(rows), _CSV_BLOCK_ROWS):
+            block = rows[a:a + _CSV_BLOCK_ROWS]
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
     plot_path = out / f"{record.name}.gp"
     plot_path.write_text(_plot_script(record.name, cols))

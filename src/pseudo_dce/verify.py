@@ -85,7 +85,7 @@ class VerifyReport:
 
 
 def _bound(label: str, value: float, limit: float) -> tuple[bool, str]:
-    return bool(value < limit), f"{label}={value:.3e} (limit {limit:.0e})"
+    return bool(value < limit), f"{label}={value:.3e} (limit {limit:.4g})"
 
 
 # --- fast checks -----------------------------------------------------------
@@ -274,8 +274,8 @@ def check_seed_insensitivity() -> tuple[bool, str]:
 def check_route_agreement() -> tuple[bool, str]:
     """Squeeze ODE vs closed-form uvw vs Bogoliubov oracle, tau <= 20.
 
-    Relative comparison above N = 1e-3 (below it the seeded origin makes
-    ratios meaningless), absolute below.
+    Relative comparison above N = 1e-3 (below it, near the vacuum's N = 0,
+    ratios say little), absolute below.
     """
     tg = np.linspace(0.0, 20.0, 801)
     traj = evolve(_FIG1_SOURCE, tg, rtol=1e-11, atol=1e-14)

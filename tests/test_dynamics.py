@@ -12,10 +12,11 @@ from pseudo_dce.dynamics import (SqueezeState, amplification_factor,
                                  initial_squeeze_phase, squeeze_rhs)
 from pseudo_dce.errors import ChiSingular, NotOnResonance
 from pseudo_dce.fock import FockSpace, propagate
-from pseudo_dce.hermitize import (HermitizedCoeffs, MapSource,
-                                  approx_dyson_trajectory,
+from pseudo_dce.hermitize import (ConstraintState, HermitizedCoeffs,
+                                  MapSource, approx_dyson_trajectory,
                                   hermitized_coefficients)
 from pseudo_dce.integrate import IvpProblem, integrate
+from pseudo_dce.scenario import ScenarioConfig
 
 CHI_FIG = 1.0002
 VARPHI0 = 0.5 * math.pi
@@ -136,7 +137,7 @@ class TestMeanPhoton:
 
     def test_vacuum(self, fig1_params):
         # Every run starts from the vacuum: N = |v|^2 of the pair from the
-        # first grid point, and sinh(r)^2 up to the seed's cross-term.
+        # first grid point, and sinh(r)^2, r being the vacuum's own.
         traj = evolve(frozen(fig1_params), np.linspace(0.0, 10.0, 201))
         _, v = bogoliubov_uv(traj.squeeze_state(0), traj.squeeze_state(slice(None)))
         n = traj.mean_photon()
@@ -147,10 +148,11 @@ class TestMeanPhoton:
 class TestEvolve:
 
     def test_unmodulated_drive_stays_dark(self):
+        # The chart keeps its start radius; the vacuum's own r stays 0.
         p = DriveParams(omega0=1.0, eps_mod=0.0, kappa=2.0,
                         alpha0_tilde=0.01, beta0_tilde=0.001)
         traj = evolve(frozen(p), np.linspace(0.0, 10.0, 101))
-        assert float(np.abs(traj.r - 1e-8).max()) < 1e-20
+        assert float(np.abs(traj.r).max()) < 1e-20
         assert float(traj.mean_photon().max()) < 1e-15
 
     def test_balanced_drive_matches_closed_form(self, hermitian_params):
@@ -199,11 +201,12 @@ class TestEvolve:
 
     @pytest.mark.parametrize("kappa", [2.0, 2.05])
     def test_default_start_phase(self, kappa):
-        # Off resonance no locked phase exists and the run starts at 0.
+        # On and off resonance the run starts in the direction the vacuum
+        # squeezes in: 0 here, where (at - chi*bt)/(1 - chi) < 0.
         p = DriveParams(omega0=1.0, eps_mod=0.01, kappa=kappa,
                         alpha0_tilde=0.01, beta0_tilde=0.001)
         traj = evolve(frozen(p), np.linspace(0.0, 2.0, 21))
-        assert traj.phi_sq[0] == initial_squeeze_phase(p, CHI_FIG, 0.0)
+        assert traj.phi_sq[0] == 0.0
         assert np.all(np.isfinite(traj.mean_photon()))
 
     def test_trajectory_accessors(self, fig1_params):
@@ -215,6 +218,70 @@ class TestEvolve:
         n = traj.mean_photon()
         assert n.shape == tg.shape
         assert np.all(n >= 0.0)
+
+
+def moderate_cell():
+    """An off-resonance cell of the benchmark's kappa sweep: the integrated
+    moderate map and its default grid."""
+    cfg = ScenarioConfig(alpha0_tilde=0.6, beta0_tilde=0.2, chi=-2.25,
+                         z_abs=0.8, dyson_source="integrated", tau_max=25.0,
+                         kappa=1.97)
+    src = MapSource(cfg.drive_params(), "integrated",
+                    constraint0=cfg.constraint0())
+    return src, cfg.time_grid()
+
+
+def worst_rel(n, n_ref, floor=1e-3):
+    hi = n_ref > floor
+    assert hi.any()
+    return float((np.abs(n - n_ref)[hi] / n_ref[hi]).max())
+
+
+class TestVacuumStart:
+    """The chart's start state is a gauge: the vacuum's pair does not see it."""
+
+    @pytest.mark.parametrize("at, bt, chi, source, phase", [
+        (0.01, 0.001, CHI_FIG, "approximate", 0.0),   # (at - chi*bt)/(1 - chi) < 0
+        (0.01, 0.001, 0.5, "approximate", math.pi),   # > 0
+        (0.6, 0.2, -2.25, "integrated", math.pi),     # > 0, on the flow
+        (0.5, 0.25, 2.0, "approximate", 0.0),         # at = chi*bt: T = 0
+    ])
+    def test_starts_at_the_vacuum_in_its_squeeze_direction(self, at, bt, chi,
+                                                           source, phase):
+        p = DriveParams(omega0=1.0, eps_mod=0.01, kappa=1.97,
+                        alpha0_tilde=at, beta0_tilde=bt)
+        src = MapSource(p, source, chi=chi, varphi0=VARPHI0,
+                        constraint0=ConstraintState.from_chi(chi, 0.8, VARPHI0))
+        tg = np.linspace(0.0, 0.5, 51)
+        traj = evolve(src, tg)
+        assert traj.r[0] == 0.0 and traj.mean_photon()[0] == 0.0
+        assert traj.phi_sq[0] == phase
+        if at != chi * bt:
+            # The oracle's v leaves 0 in that direction.
+            _, v = bogoliubov_ode_oracle(src, tg)
+            assert abs(np.angle(v[1] * np.exp(-1j * phase))) < 1e-2
+
+    @pytest.mark.parametrize("cell", ["fig1", "moderate"])
+    def test_photon_number_does_not_depend_on_the_start(self, fig1_params, cell):
+        if cell == "fig1":
+            src, tg = frozen(fig1_params), ScenarioConfig().time_grid()
+        else:
+            src, tg = moderate_cell()
+        n = [evolve(src, tg, seed_r_eps=seed).mean_photon()
+             for seed in (1e-2, 3e-2, 1e-8)]
+        assert worst_rel(n[1], n[0]) < 1e-8
+        assert worst_rel(n[2], n[0]) < 1e-8
+
+    def test_riding_oracle_matches_the_standalone_one(self):
+        src, tg = moderate_cell()
+        traj = evolve(src, tg)
+        _, v = bogoliubov_ode_oracle(src, tg)
+        assert worst_rel(np.abs(traj.oracle[1]) ** 2, np.abs(v) ** 2) < 1e-9
+
+    def test_oracle_rides_only_on_aperiodic_sources(self, fig1_params):
+        tg = np.linspace(0.0, 5.0, 101)
+        assert evolve(frozen(fig1_params), tg).oracle is None
+        assert evolve(moderate_cell()[0], tg).oracle is not None
 
 
 def _direct_uv(p, tg, rtol=1e-13, atol=1e-16):

@@ -186,13 +186,13 @@ def test_work_on_the_paper_runs_is_pinned(fig1_params, moderate_params,
     the arithmetic keeps them, and a change of work shows without timing."""
     fig1 = evolve(MapSource(fig1_params, chi=CHI_FIG, varphi0=VARPHI0),
                   ScenarioConfig().time_grid()).stats
-    assert (fig1.n_steps, fig1.n_rejected, fig1.nfev) == (292, 8, 4394)
+    assert (fig1.n_steps, fig1.n_rejected, fig1.nfev) == (268, 4, 4064)
     flow = integrate_constraints(moderate_params, moderate_state0,
                                  np.linspace(0.0, 25.0, 1001)).stats
     assert (flow.n_steps, flow.n_rejected, flow.nfev) == (129, 0, 1937)
 
-    # One cell of the benchmark's kappa sweep: evolve, then the oracle, on
-    # the integrated moderate map at its default grid.
+    # One cell of the benchmark's kappa sweep on the integrated moderate map
+    # at its default grid: the oracle rides in evolve's one integration.
     work = []
 
     def counted(problem, **kwargs):
@@ -203,7 +203,7 @@ def test_work_on_the_paper_runs_is_pinned(fig1_params, moderate_params,
     monkeypatch.setattr(hermitize, "integrate", counted)
     run(ScenarioConfig(alpha0_tilde=0.6, beta0_tilde=0.2, chi=-2.25, z_abs=0.8,
                        dyson_source="integrated", tau_max=25.0, kappa=2.0))
-    assert work == [(160, 8, 2498), (130, 0, 1952)]
+    assert work == [(130, 0, 1952)]
 
 
 def test_grid_fill_memory_is_bounded():

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 
 import pseudo_dce
+from pseudo_dce import scenario
 from pseudo_dce.errors import ParseError, PseudoDceError, ValidationError
 from pseudo_dce.scenario import (CANONICAL_COLUMNS, PRESETS, RunRecord,
                                  ScenarioConfig, SweepFailure, load_config,
@@ -97,20 +98,22 @@ class TestParseConfig:
 
 class TestValidation:
 
+    # Explicit ids, the ones the cases had by position, so deleting a case
+    # leaves the ids of the others as they are.
     @pytest.mark.parametrize("kwargs", [
-        dict(eps_mod=1.5),
-        dict(kappa=-1.0),
-        dict(tau_max=0.0),
-        dict(grid_per_period=50),
-        dict(z_abs=1.5),
-        dict(chi=1.0),
-        dict(zeta_mode="sloppy"),
-        dict(dyson_source="exact"),
-        dict(outputs=("tau", "momentum")),
-        dict(outputs=300.5),
-        dict(outputs=()),
-        dict(grid_per_period=300.5),
-        dict(grid_per_period=True),
+        pytest.param(dict(eps_mod=1.5), id="kwargs0"),
+        pytest.param(dict(kappa=-1.0), id="kwargs1"),
+        pytest.param(dict(tau_max=0.0), id="kwargs2"),
+        pytest.param(dict(grid_per_period=50), id="kwargs3"),
+        pytest.param(dict(z_abs=1.5), id="kwargs4"),
+        pytest.param(dict(chi=1.0), id="kwargs5"),
+        pytest.param(dict(zeta_mode="sloppy"), id="kwargs6"),
+        pytest.param(dict(dyson_source="exact"), id="kwargs7"),
+        pytest.param(dict(outputs=("tau", "momentum")), id="kwargs8"),
+        pytest.param(dict(outputs=300.5), id="kwargs9"),
+        pytest.param(dict(outputs=()), id="kwargs10"),
+        pytest.param(dict(grid_per_period=300.5), id="kwargs11"),
+        pytest.param(dict(grid_per_period=True), id="kwargs12"),
     ])
     def test_rejected(self, kwargs):
         with pytest.raises(ValidationError):
@@ -170,6 +173,38 @@ class TestRun:
         assert list(rec.columns) == ["tau", "N_numeric", "N_analytic"]
         with pytest.raises(RuntimeError, match="oracle reached"):
             run(fast_config())
+
+    @pytest.mark.parametrize("overrides", [
+        pytest.param(dict(kappa=1.93), id="off_resonance"),
+        pytest.param(dict(alpha0_tilde=0.6, beta0_tilde=0.2, chi=-2.25,
+                          z_abs=0.8, dyson_source="integrated", tau_max=25.0),
+                     id="integrated"),
+    ])
+    def test_n_numeric_does_not_depend_on_outputs(self, overrides):
+        # W and T do not repeat here, so the oracle rides in evolve's
+        # integration whether or not N_oracle is asked for.
+        cols = ("tau", "N_numeric")
+        alone = run(fast_config(outputs=cols, **overrides)).column("N_numeric")
+        both = run(fast_config(outputs=cols + ("N_oracle",), **overrides))
+        assert alone.tobytes() == both.column("N_numeric").tobytes()
+        hi = alone > 1e-3
+        assert hi.any()
+        rel = np.abs(both.column("N_oracle") - alone)[hi] / alone[hi]
+        assert rel.max() < 1e-6
+
+    def test_csv_matches_savetxt(self, tmp_path):
+        # NaN analytic columns (off resonance), and a row count that is
+        # not a multiple of the writer's block.
+        rec = run(fast_config(kappa=1.7, tau_max=11.3))
+        assert np.isnan(rec.column("r_analytic")).all()
+        n_rows = rec.column("tau").size
+        assert n_rows % scenario._CSV_BLOCK_ROWS != 0 and n_rows > scenario._CSV_BLOCK_ROWS
+        cols = list(rec.columns)
+        want = tmp_path / "want.csv"
+        np.savetxt(want, np.column_stack([rec.column(c) for c in cols]),
+                   fmt="%.17g", delimiter=",", header=",".join(cols), comments="")
+        got = scenario.write_outputs(rec, tmp_path / "got").csv_path
+        assert Path(got).read_bytes() == want.read_bytes()
 
     def test_off_resonance_leaves_analytic_columns_empty(self):
         cfg = fast_config(kappa=1.7)
