@@ -63,7 +63,7 @@ def main():
     print("route comparison on the (0.01, 1e-3) drive:")
     print(f"{'tau':>6} {'N squeeze ODE':>14} {'N closed form':>14} {'N (u,v) ODE':>14}")
     for i in range(0, len(tg), 100):
-        r_ana, _ = analytic_squeeze(float(tg[i]), p, CHI, 0.0, 0.0)
+        r_ana, _ = analytic_squeeze(float(tg[i]), p, CHI)
         print(f"{tg[i]:6.1f} {n_sq[i]:14.6e} {math.sinh(r_ana) ** 2:14.6e} "
               f"{n_uv[i]:14.6e}")
 

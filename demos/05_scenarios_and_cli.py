@@ -40,8 +40,8 @@ def main():
 
     cfg = parse_config(CONFIG_TEXT)
     rec = run(cfg, out_dir=out, name="demo_case")
-    print(f"config run '{rec.name}': {rec.n_steps} steps "
-          f"({rec.n_rejected} rejected), {rec.wall_seconds:.2f}s")
+    print(f"config run '{rec.name}': {rec.stats.n_steps} steps "
+          f"({rec.stats.n_rejected} rejected), {rec.wall_seconds:.2f}s")
     print(f"  csv  -> {rec.csv_path}")
     print(f"  plot -> {rec.plot_path}")
     r_num = rec.column("r_numeric")

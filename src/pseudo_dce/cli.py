@@ -77,7 +77,7 @@ def _cmd_run(args) -> int:
     for rec in records:
         print(f"{rec.name}: r_final={rec.r_final:.6g} "
               f"N_final={rec.N_final:.6g} "
-              f"steps={rec.n_steps} wall={rec.wall_seconds:.2f}s "
+              f"steps={rec.stats.n_steps} wall={rec.wall_seconds:.2f}s "
               f"-> {rec.csv_path}")
     return EXIT_OK
 

@@ -13,8 +13,8 @@ together with the accumulated phase Omega_tilde = integral of
 
 which carries the phases of u and v.  From two squeeze states the
 Bogoliubov pair (u, v) follows in closed form.  Every run starts from the
-vacuum, whose mean photon number is N = |v|^2 (sinh(r)^2 from an
-unsqueezed start).  The closed forms take scalars or whole grids.
+vacuum, whose mean photon number is N = |v|^2.  The closed forms take
+scalars or whole grids.
 
 The phi_sq equation has a coordinate pole at r = 0, where the vacuum
 starts.  The chart is stiff near it: started at r = 1e-8, the integrator
@@ -22,8 +22,8 @@ spent 1,622 of its 3,629 right-hand-side calls in t < 0.1 on an
 off-resonance cell of the integrated moderate map (kappa = 1.97), with 36
 rejected steps.  The start state is a gauge, though: the pair (u, v)
 composed from any squeezed start is the vacuum's.  So evolve starts the
-chart at r = 1e-2, in the direction the vacuum squeezes in, and reads the
-vacuum's own r, phi_sq and Omega_tilde off the composed pair.
+chart at r = 1e-2, in the direction the vacuum squeezes in, and keeps the
+vacuum's composed pair.
 """
 
 from __future__ import annotations
@@ -91,14 +91,15 @@ def amplification_factor(alpha0_tilde: float, beta0_tilde: float,
     return abs(alpha0_tilde - chi * beta0_tilde) / abs(chi - 1.0)
 
 
-def analytic_squeeze(t: float, p: DriveParams, chi: float, r0: float,
-                     phi0_prime: float) -> tuple[float, float]:
-    """Leading-order closed form for (r, phi_sq) on resonance (kappa = 2*omega0).
+def analytic_squeeze(t: float, p: DriveParams, chi: float) -> tuple[float, float]:
+    """Leading-order closed form for the vacuum's (r, phi_sq) on resonance
+    (kappa = 2*omega0).
 
-    r(t) = r0 + (eps_mod*A/8)*[cos(phi0')*(4*w0*t - sin(4*w0*t))
-                               - sin(phi0')*(1 - cos(4*w0*t))],
-    A the amplification factor, and the squeeze phase falls linearly,
-    phi_sq = phi0' - pi/2 - h(1-chi)*pi - h(at - chi*bt)*pi - 2*w0*t.
+    r(t) = (eps_mod*A/8)*(4*w0*t - sin(4*w0*t)), A the amplification
+    factor, and the squeeze phase falls linearly from its phase-locked
+    start,
+    phi_sq = -pi/2 - h(1-chi)*pi - h(at - chi*bt)*pi - 2*w0*t,
+    h(x) being 1 for x < 0 and 0 otherwise.
 
     The phase is the secular line only: it omits the counter-rotating
     (1 - cos(4*w0*t)) quadrature, which is O(eps_mod) in amplitude but
@@ -113,26 +114,10 @@ def analytic_squeeze(t: float, p: DriveParams, chi: float, r0: float,
         )
     big_a = amplification_factor(p.alpha0_tilde, p.beta0_tilde, chi)
     th = 4.0 * p.omega0 * t
-    r = r0 + (p.eps_mod * big_a / 8.0) * (
-        math.cos(phi0_prime) * (th - np.sin(th))
-        - math.sin(phi0_prime) * (1.0 - np.cos(th))
-    )
-    return r, initial_squeeze_phase(p, chi, phi0_prime) - 2.0 * p.omega0 * t
-
-
-def initial_squeeze_phase(p: DriveParams, chi: float, phi0_prime: float) -> float:
-    """The closed form's start phase phi_sq(0) at the phase offset
-    phi0_prime, for analytic_squeeze.
-
-    On resonance it is the closed form's phase-locked value (see
-    analytic_squeeze); off resonance there is no locked value and it is
-    phi0_prime itself.
-    """
-    if not p.on_resonance():
-        return phi0_prime
-    return (phi0_prime - 0.5 * math.pi
-            - heaviside(1.0 - chi) * math.pi
+    r = (p.eps_mod * big_a / 8.0) * (th - np.sin(th))
+    phi0 = (-0.5 * math.pi - heaviside(1.0 - chi) * math.pi
             - heaviside(p.alpha0_tilde - chi * p.beta0_tilde) * math.pi)
+    return r, phi0 - 2.0 * p.omega0 * t
 
 
 def bogoliubov_uv(s0: SqueezeState, s: SqueezeState) -> tuple:
@@ -156,31 +141,24 @@ def bogoliubov_uv(s0: SqueezeState, s: SqueezeState) -> tuple:
 @dataclass(frozen=True)
 class Trajectory:
     """Columnar evolution history on the requested grid, starting from the
-    vacuum: r(t[0]) = 0.  m is the map source's record of the map and its
-    coefficients W and T there.  oracle is the (u, v) oracle's pair, when it
-    was integrated alongside (see evolve), else None."""
+    vacuum.  (u, v) is the vacuum's Bogoliubov pair from t[0], so
+    u(t[0]) = 1 and v(t[0]) = 0; r = asinh|v| and phi_sq = arg(u*v) are the
+    squeeze state it defines.  m is the map source's record of the map and
+    its coefficients W and T there.  oracle is the (u, v) oracle's pair,
+    when it was integrated alongside (see evolve), else None."""
 
     t: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
     r: np.ndarray
     phi_sq: np.ndarray
-    Omega_tilde: np.ndarray
     m: MapPoint
-    residual_hermiticity: np.ndarray
     stats: IntegrationStats
     oracle: Optional[tuple]
 
-    def squeeze_state(self, i) -> SqueezeState:
-        """The state at grid point i; arrays when i is a slice."""
-        return SqueezeState(r=self.r[i], phi_sq=self.phi_sq[i],
-                            Omega_tilde=self.Omega_tilde[i])
-
-    def bogoliubov(self, i=slice(None)) -> tuple:
-        """(u, v) from the first grid point to point i, by default to each."""
-        return bogoliubov_uv(self.squeeze_state(0), self.squeeze_state(i))
-
     def mean_photon(self) -> np.ndarray:
         """Photon number N = |v|^2 created from the vacuum, on the grid."""
-        return np.abs(self.bogoliubov()[1]) ** 2
+        return np.abs(self.v) ** 2
 
 
 def _start_phase(p: DriveParams, chi: float) -> float:
@@ -220,11 +198,11 @@ def evolve(src: MapSource, t_grid: np.ndarray, *,
     map, with its period/16 step cap and, on the integrated source, its
     crossing guards.  The chart starts at r = seed_r_eps, away from its
     pole at r = 0, with phi_sq the direction the vacuum squeezes in at t = 0+
-    (so the pole term starts at 0), and Omega_tilde = 0.  The vacuum's pair
-    (u, v) is bogoliubov_uv of the chart's first and current states, and
-    the trajectory holds the state it defines: r = asinh|v|, phi_sq =
-    arg(u*v) and Omega_tilde = -arg u, each on the branch nearest the
-    chart's value, which it approaches as r grows.
+    (so the pole term starts at 0), and Omega_tilde = 0.  The trajectory
+    keeps the vacuum's pair (u, v), bogoliubov_uv of the chart's first and
+    current states, and the state it defines: r = asinh|v| and phi_sq =
+    arg(u*v), on the branch nearest the chart's phi_sq, which it
+    approaches as r grows.
 
     Measured against perfbench's tight-tolerance reference (worst relative
     N error above N = 1e-3): on the integrated moderate map's kappa sweep
@@ -252,10 +230,8 @@ def evolve(src: MapSource, t_grid: np.ndarray, *,
         oracle = None
     chart = SqueezeState(*run.y[:, :3].T)
     u, v = bogoliubov_uv(SqueezeState(*s0), chart)
-    return Trajectory(t=run.t, r=np.arcsinh(np.abs(v)),
-                      phi_sq=_branch(chart.phi_sq, u * v),
-                      Omega_tilde=_branch(chart.Omega_tilde, np.conj(u)),
-                      m=run.m, residual_hermiticity=src.residual(run.t, run.m),
+    return Trajectory(t=run.t, u=u, v=v, r=np.arcsinh(np.abs(v)),
+                      phi_sq=_branch(chart.phi_sq, u * v), m=run.m,
                       stats=run.stats, oracle=oracle)
 
 

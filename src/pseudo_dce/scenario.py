@@ -27,6 +27,7 @@ from .dynamics import (
 )
 from .errors import ParseError, PseudoDceError, ValidationError
 from .hermitize import CHI_GUARD, ConstraintState, MapSource
+from .integrate import IntegrationStats
 
 CANONICAL_COLUMNS = (
     "tau",
@@ -234,15 +235,15 @@ PRESETS: dict[str, tuple[tuple[str, ScenarioConfig], ...]] = {
 class RunRecord:
     """Results of one run: columns plus provenance and timing.
 
-    r_final and N_final are kept whatever columns the config selects.
+    r_final and N_final are kept whatever columns the config selects, and
+    stats is the squeeze route's integration work.
     """
 
     name: str
     config: ScenarioConfig
     columns: dict[str, np.ndarray]
     wall_seconds: float
-    n_steps: int
-    n_rejected: int
+    stats: IntegrationStats
     r_final: float
     N_final: float
     csv_path: Optional[str] = None
@@ -261,7 +262,7 @@ def run(cfg: ScenarioConfig, out_dir=None, name: str = "run") -> RunRecord:
     src = MapSource(p, cfg.dyson_source, chi=cfg.chi, varphi0=cfg.varphi0,
                     constraint0=cfg.constraint0())
     if p.on_resonance():
-        r_analytic, phi_analytic = analytic_squeeze(t_grid, p, cfg.chi, 0.0, 0.0)
+        r_analytic, phi_analytic = analytic_squeeze(t_grid, p, cfg.chi)
     else:
         r_analytic = phi_analytic = np.full(t_grid.size, np.nan)
 
@@ -282,7 +283,7 @@ def run(cfg: ScenarioConfig, out_dir=None, name: str = "run") -> RunRecord:
         "Phi": traj.m.Phi,
         "chi": traj.m.chi,
         "varphi": traj.m.varphi,
-        "residual_hermiticity": traj.residual_hermiticity,
+        "residual_hermiticity": src.residual(traj.t, traj.m),
     }
     if "N_oracle" in cfg.outputs:
         # evolve carries the oracle on sources whose W and T do not repeat.
@@ -294,8 +295,7 @@ def run(cfg: ScenarioConfig, out_dir=None, name: str = "run") -> RunRecord:
     selected = {k: columns[k] for k in cfg.outputs}
 
     record = RunRecord(name=name, config=cfg, columns=selected,
-                       wall_seconds=0.0, n_steps=traj.stats.n_steps,
-                       n_rejected=traj.stats.n_rejected,
+                       wall_seconds=0.0, stats=traj.stats,
                        r_final=float(traj.r[-1]), N_final=float(n_numeric[-1]))
     if out_dir is not None:
         record = write_outputs(record, out_dir)

@@ -25,8 +25,7 @@ from .drive import (DriveParams, PolarComplex, ZetaMode, alpha_beta,
                     heaviside, omega as drive_omega, sgn, zeta, zeta_signed)
 from .dyson import DysonState, bogoliubov_matrix, epsilon_from_phi, phi_from_z
 from .dynamics import (amplification_factor, analytic_squeeze,
-                       bogoliubov_ode_oracle, evolve, initial_squeeze_phase,
-                       squeeze_rhs)
+                       bogoliubov_ode_oracle, evolve, squeeze_rhs)
 from .fock import (FockSpace, eta_matrix, metric, nonhermitian_expectation,
                    map_observable, propagate, drive_hamiltonian,
                    quasi_hermiticity_residual, squeeze_trust_bound)
@@ -218,7 +217,7 @@ def check_flow_fixed_point() -> tuple[bool, str]:
 def check_hermitian_baseline() -> tuple[bool, str]:
     tg = np.linspace(0.0, 10.0, 201)
     traj = evolve(_HERMITIAN_SOURCE, tg, rtol=1e-10, atol=1e-13)
-    r_ref, _ = analytic_squeeze(10.0, _HERMITIAN, _CHI_FIG, 1e-8, 0.0)
+    r_ref, _ = analytic_squeeze(10.0, _HERMITIAN, _CHI_FIG)
     rel = abs(traj.r[-1] - r_ref) / r_ref
     return _bound("r(10) vs closed form rel", rel, 1e-2)
 
@@ -227,7 +226,7 @@ def check_analytic_r() -> tuple[bool, str]:
     tg = np.linspace(0.0, 50.0, 1001)
     traj = evolve(_FIG1_SOURCE, tg, rtol=1e-10, atol=1e-13)
     mask = tg >= 10.0
-    r_ref, _ = analytic_squeeze(tg[mask], _FIG1, _CHI_FIG, 1e-8, 0.0)
+    r_ref, _ = analytic_squeeze(tg[mask], _FIG1, _CHI_FIG)
     worst = float(np.max(np.abs(traj.r[mask] - r_ref) / r_ref))
     return _bound("max rel r dev, tau in [10,50]", worst, 0.05)
 
@@ -235,9 +234,10 @@ def check_analytic_r() -> tuple[bool, str]:
 def identity_suite_trajectories() -> list[tuple[str, np.ndarray, np.ndarray]]:
     """The verification suite for the |u|^2 - |v|^2 = 1 identity.
 
-    Returns (label, u, v) triples.  Trajectories are capped where float64
-    can still resolve the identity: the roundoff floor is eps*cosh(r)^2,
-    which crosses 1e-9 near r = 7.
+    Returns (label, u, v) triples.  The "closed-form uvw" leg is the pair
+    evolve composes from its chart's states with bogoliubov_uv.
+    Trajectories are capped where float64 can still resolve the identity:
+    the roundoff floor is eps*cosh(r)^2, which crosses 1e-9 near r = 7.
     """
     out = []
     t6 = np.linspace(0.0, 6.0, 301)
@@ -248,8 +248,7 @@ def identity_suite_trajectories() -> list[tuple[str, np.ndarray, np.ndarray]]:
     out.append(("hermitian oracle tau<=10", u, v))
     t30 = np.linspace(0.0, 30.0, 601)  # r(30) ~ 6.8, inside the float floor
     traj = evolve(_FIG1_SOURCE, t30, rtol=1e-11, atol=1e-14)
-    u, v = traj.bogoliubov()
-    out.append(("closed-form uvw r<=7", u, v))
+    out.append(("closed-form uvw r<=7", traj.u, traj.v))
     return out
 
 
@@ -274,8 +273,11 @@ def check_seed_insensitivity() -> tuple[bool, str]:
 def check_route_agreement() -> tuple[bool, str]:
     """Squeeze ODE vs closed-form uvw vs Bogoliubov oracle, tau <= 20.
 
-    Relative comparison above N = 1e-3 (below it, near the vacuum's N = 0,
-    ratios say little), absolute below.
+    The squeeze and uvw legs are sinh(asinh|v|)^2 and |v|^2 of the same
+    composed pair, so they agree to rounding; the oracle, which integrates
+    the linear (u, v) flow, is the independent leg.  Relative comparison
+    above N = 1e-3 (below it, near the vacuum's N = 0, ratios say little),
+    absolute below.
     """
     tg = np.linspace(0.0, 20.0, 801)
     traj = evolve(_FIG1_SOURCE, tg, rtol=1e-11, atol=1e-14)
@@ -350,7 +352,7 @@ def check_fault_injection() -> tuple[bool, str]:
     t_grid = np.linspace(0.0, 10.0, 2001)
     h = float(t_grid[1] - t_grid[0])
     m = _HERMITIAN_SOURCE.at(t_grid, ())
-    phi0 = initial_squeeze_phase(_HERMITIAN, _CHI_FIG, 0.0)
+    phi0 = analytic_squeeze(0.0, _HERMITIAN, _CHI_FIG)[1]
 
     def step(pump_scale: float) -> float:
         r, phi = 1e-8, phi0

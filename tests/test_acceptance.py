@@ -94,7 +94,7 @@ def test_criterion_01_hermitian_baseline():
 def test_criterion_02_phase_tracking(fig1_traj50):
     traj, tg, wall_traj = fig1_traj50
     t0 = time.perf_counter()
-    phi_ana = np.array([analytic_squeeze(float(t), FIG1, CHI, 0.0, 0.0)[1]
+    phi_ana = np.array([analytic_squeeze(float(t), FIG1, CHI)[1]
                         for t in tg])
     dev = np.abs(wrap_angle(traj.phi_sq - phi_ana))
     # The closed form is the secular line only; it holds once r has grown
@@ -124,7 +124,7 @@ def test_criterion_03_squeeze_tracking(fig1_traj50):
     mask = tg >= 10.0
     worst = 0.0
     for i in np.nonzero(mask)[0]:
-        r_ref, _ = analytic_squeeze(float(tg[i]), FIG1, CHI, 1e-8, 0.0)
+        r_ref, _ = analytic_squeeze(float(tg[i]), FIG1, CHI)
         worst = max(worst, abs(float(traj.r[i]) - r_ref) / r_ref)
     wall = wall_traj + time.perf_counter() - t0
     ok = worst < 0.05 and wall < 5.0

@@ -8,8 +8,7 @@ import hypothesis.strategies as st
 from pseudo_dce.drive import DriveParams
 from pseudo_dce.dynamics import (SqueezeState, amplification_factor,
                                  analytic_squeeze, bogoliubov_ode_oracle,
-                                 bogoliubov_uv, evolve,
-                                 initial_squeeze_phase, squeeze_rhs)
+                                 bogoliubov_uv, evolve, squeeze_rhs)
 from pseudo_dce.errors import ChiSingular, NotOnResonance
 from pseudo_dce.fock import FockSpace, propagate
 from pseudo_dce.hermitize import (ConstraintState, HermitizedCoeffs,
@@ -81,29 +80,34 @@ class TestAmplificationFactor:
 class TestAnalyticSqueeze:
 
     def test_initial_point(self, fig1_params):
-        r, phi = analytic_squeeze(0.0, fig1_params, CHI_FIG, 0.0, 0.0)
+        r, phi = analytic_squeeze(0.0, fig1_params, CHI_FIG)
         assert r == 0.0
         assert phi == -1.5 * math.pi
 
     def test_linear_growth_envelope(self, hermitian_params):
         # Secular part grows at eps_mod*A/2 per unit time; the bounded
         # oscillation stays within eps_mod*A/4.
-        r, _ = analytic_squeeze(100.0, hermitian_params, CHI_FIG, 0.0, 0.0)
+        r, _ = analytic_squeeze(100.0, hermitian_params, CHI_FIG)
         assert abs(r - 0.5) < 0.01 * 0.5
 
-    def test_initial_phase(self, fig1_params):
-        # The closed form's phase at t = 0 on resonance; phi0' off it.
-        _, want = analytic_squeeze(0.0, fig1_params, CHI_FIG, 0.0, 0.3)
-        assert initial_squeeze_phase(fig1_params, CHI_FIG, 0.3) == want
-        p = DriveParams(omega0=1.0, eps_mod=0.01, kappa=1.9,
-                        alpha0_tilde=0.01, beta0_tilde=0.001)
-        assert initial_squeeze_phase(p, CHI_FIG, 0.3) == 0.3
+    def test_initial_phase(self):
+        # The phase locks at -pi/2, less pi for each negative sign of
+        # (1 - chi) and (at - chi*bt), and falls at 2*w0 from there.
+        for at, bt, chi, negative in ((0.01, 0.001, CHI_FIG, 1),
+                                      (0.001, 0.01, CHI_FIG, 2),
+                                      (0.01, 0.001, 0.5, 0),
+                                      (0.001, 0.01, 0.5, 1)):
+            p = DriveParams(omega0=1.0, eps_mod=0.01, kappa=2.0,
+                            alpha0_tilde=at, beta0_tilde=bt)
+            phi0 = -0.5 * math.pi - negative * math.pi
+            assert abs(analytic_squeeze(0.0, p, chi)[1] - phi0) < 1e-15
+            assert abs(analytic_squeeze(3.0, p, chi)[1] - (phi0 - 6.0)) < 1e-14
 
     def test_off_resonance_rejected(self):
         p = DriveParams(omega0=1.0, eps_mod=0.01, kappa=1.9,
                         alpha0_tilde=0.01, beta0_tilde=0.001)
         with pytest.raises(NotOnResonance):
-            analytic_squeeze(1.0, p, CHI_FIG, 0.0, 0.0)
+            analytic_squeeze(1.0, p, CHI_FIG)
 
 
 class TestBogoliubovPair:
@@ -139,10 +143,14 @@ class TestMeanPhoton:
         # Every run starts from the vacuum: N = |v|^2 of the pair from the
         # first grid point, and sinh(r)^2, r being the vacuum's own.
         traj = evolve(frozen(fig1_params), np.linspace(0.0, 10.0, 201))
-        _, v = bogoliubov_uv(traj.squeeze_state(0), traj.squeeze_state(slice(None)))
         n = traj.mean_photon()
-        assert np.array_equal(n, np.abs(v) ** 2)
         assert abs(n[-1] - math.sinh(traj.r[-1]) ** 2) < 1e-6 * n[-1]
+
+    def test_reads_the_composed_pair(self, fig1_params):
+        # N and r are read off the pair evolve composed.
+        traj = evolve(frozen(fig1_params), np.linspace(0.0, 10.0, 201))
+        assert np.array_equal(traj.mean_photon(), np.abs(traj.v) ** 2)
+        assert np.array_equal(traj.r, np.arcsinh(np.abs(traj.v)))
 
 
 class TestEvolve:
@@ -159,8 +167,7 @@ class TestEvolve:
         tg = np.linspace(0.0, 10.0, 201)
         traj = evolve(frozen(hermitian_params), tg,
                       rtol=1e-10, atol=1e-13)
-        r_ref, _ = analytic_squeeze(10.0, hermitian_params, CHI_FIG,
-                                    1e-8, 0.0)
+        r_ref, _ = analytic_squeeze(10.0, hermitian_params, CHI_FIG)
         assert abs(traj.r[-1] - r_ref) / r_ref < 1e-2
 
     def test_seed_insensitivity(self, fig1_params):
@@ -178,8 +185,7 @@ class TestEvolve:
         traj = evolve(frozen(fig1_params), tg, rtol=1e-11, atol=1e-14)
         u_o, v_o = bogoliubov_ode_oracle(frozen(fig1_params), tg,
                                          rtol=1e-11, atol=1e-14)
-        u, v = traj.bogoliubov()
-        worst = max(np.abs(u - u_o).max(), np.abs(v - v_o).max())
+        worst = max(np.abs(traj.u - u_o).max(), np.abs(traj.v - v_o).max())
         assert worst < 1e-7, f"oracle deviation {worst}"
 
     def test_second_moment_matches_number_basis(self, hermitian_params):
@@ -187,7 +193,7 @@ class TestEvolve:
         tg = np.linspace(0.0, 10.0, 201)
         src = frozen(hermitian_params)
         traj = evolve(src, tg, rtol=1e-11, atol=1e-14)
-        u, v = traj.bogoliubov(tg.size - 1)
+        u, v = traj.u[-1], traj.v[-1]
 
         def coeffs(t):
             m = src.at(t, ())
@@ -212,9 +218,8 @@ class TestEvolve:
     def test_trajectory_accessors(self, fig1_params):
         tg = np.linspace(0.0, 2.0, 21)
         traj = evolve(frozen(fig1_params), tg)
-        u0, v0 = traj.bogoliubov(0)
-        assert abs(u0 - 1.0) < 1e-14
-        assert abs(v0) < 1e-14
+        assert abs(traj.u[0] - 1.0) < 1e-14
+        assert abs(traj.v[0]) < 1e-14
         n = traj.mean_photon()
         assert n.shape == tg.shape
         assert np.all(n >= 0.0)

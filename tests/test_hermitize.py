@@ -215,6 +215,15 @@ class TestFlowCrossingGuard:
         with pytest.raises(ChiSingular, match=r"tau = 2\.2"):
             integrate_constraints(fig1_params, s0, np.linspace(0.0, 3.0, 601))
 
+    def test_crossing_time_has_at_most_12_digits(self, fig1_params):
+        # chi - 1 cancels at the 1e-16 level near the crossing, and
+        # bisection and brentq land 1.3e-12 apart: digits beyond 12 are noise.
+        s0 = ScenarioConfig().constraint0()
+        with pytest.raises(ChiSingular, match=r"tau = 2\.2") as info:
+            integrate_constraints(fig1_params, s0, np.linspace(0.0, 3.0, 601))
+        tau = str(info.value).split("tau = ")[1].split(" ")[0]
+        assert len(tau.replace(".", "").lstrip("0")) <= 12
+
     def test_guard_locates_the_crossing(self):
         # chi - 1 = Phi^2 - Lambda - 1 falls linearly through zero at t = 0.3.
         def y_at(t):

@@ -12,7 +12,9 @@ from hypothesis import given, settings
 
 import pseudo_dce
 from pseudo_dce import scenario
+from pseudo_dce.dynamics import evolve
 from pseudo_dce.errors import ParseError, PseudoDceError, ValidationError
+from pseudo_dce.hermitize import MapSource
 from pseudo_dce.scenario import (CANONICAL_COLUMNS, PRESETS, RunRecord,
                                  ScenarioConfig, SweepFailure, load_config,
                                  parse_config, run, run_preset, sweep)
@@ -191,6 +193,29 @@ class TestRun:
         assert hi.any()
         rel = np.abs(both.column("N_oracle") - alone)[hi] / alone[hi]
         assert rel.max() < 1e-6
+
+    @pytest.mark.parametrize("overrides", [
+        pytest.param({}, id="fig1"),
+        pytest.param(dict(alpha0_tilde=0.6, beta0_tilde=0.2, chi=-2.25,
+                          z_abs=0.8, dyson_source="integrated", tau_max=25.0),
+                     id="integrated"),
+    ])
+    def test_columns_read_the_trajectory(self, overrides):
+        # N is |v|^2 of the pair evolve composed, and the map residual is
+        # the source's own, both bit for bit.
+        cfg = ScenarioConfig(**overrides)
+        src = MapSource(cfg.drive_params(), cfg.dyson_source, chi=cfg.chi,
+                        varphi0=cfg.varphi0, constraint0=cfg.constraint0())
+        traj = evolve(src, cfg.time_grid(), rtol=cfg.rtol, atol=cfg.atol)
+        rec = run(cfg)
+        assert rec.column("N_numeric").tobytes() == (np.abs(traj.v) ** 2).tobytes()
+        assert (rec.column("residual_hermiticity").tobytes()
+                == src.residual(traj.t, traj.m).tobytes())
+
+    def test_record_keeps_the_integration_stats(self):
+        work = run(ScenarioConfig()).stats
+        assert (work.n_steps, work.n_rejected, work.nfev) == (268, 4, 4064)
+        assert 0.0 < work.h_min <= work.h_max
 
     def test_csv_matches_savetxt(self, tmp_path):
         # NaN analytic columns (off resonance), and a row count that is
