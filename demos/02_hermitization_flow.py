@@ -28,7 +28,7 @@ def main():
 
     tau = np.linspace(0.0, 30.0, 601)
     src = MapSource(p, "integrated", constraint0=state0)
-    flow = src.integrate(None, (), tau, rtol=1e-11, atol=1e-12)
+    flow = src.integrate(lambda m, y: (), (), tau, rtol=1e-11, atol=1e-12)
     W, T, V = src.raw_coefficients(flow.t, flow.m)
     im_w = np.abs(W.imag)
     vt = np.abs(V - np.conj(T))

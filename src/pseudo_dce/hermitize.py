@@ -26,8 +26,9 @@ built by one set of expressions for a scalar time inside a right-hand side
 and for the whole output grid afterwards.  The source integrates a route
 (the squeeze ODE, the (u, v) oracle, or both in one state;
 integrate_constraints is the empty route) together with the map, so a
-route sees only the map point and its own components.  The general-input functions are the independent
-references that the verify suite compares against.
+route sees only the map point and its own components.  The general-input
+functions are the independent references that the verify suite compares
+against.
 """
 
 from __future__ import annotations
@@ -444,9 +445,9 @@ class MapSource:
         rhs(m, y) returns the rates of the route's components y (a list of
         floats, as many as y0) at the map point m (scalar t).  The map's
         own state is integrated alongside and returned on the grid; routes
-        stacked in one y0 share one map evaluation per stage.  An
-        empty route (y0 = ()) integrates the map alone and never calls rhs.
-        A step that carries the integrated flow across chi = 1 or Phi = 0
+        stacked in one y0 share one map evaluation per stage.  The empty
+        route (rhs returning (), y0 = ()) integrates the map alone.  A
+        step that carries the integrated flow across chi = 1 or Phi = 0
         raises ChiSingular or PhiZero at the crossing.
 
         Steps are capped at a sixteenth of the drive period.  The error
@@ -456,20 +457,11 @@ class MapSource:
         """
         n = len(self._map0)
 
-        if len(y0):
-            def full_rhs(t, y):
-                # Python floats: arithmetic on numpy scalars is several times slower.
-                t, y = float(t), y.tolist()
-                m = self.at(t, y)
-                return np.array([*m.rates[:n], *rhs(m, y[n:])])
-        else:
-            p = self.p
-
-            def full_rhs(t, y):
-                # The empty route needs the map's rates only, not W and T.
-                t = float(t)
-                m = self._coordinates(t, y.tolist())
-                return np.array(self._rates(t, *omega_and_zeta(t, p), *m, sin(m[1])))
+        def full_rhs(t, y):
+            # Python floats: arithmetic on numpy scalars is several times slower.
+            t, y = float(t), y.tolist()
+            m = self.at(t, y)
+            return np.array([*m.rates[:n], *rhs(m, y[n:])])
 
         problem = IvpProblem(rhs=full_rhs, t_eval=t_grid,
                              y0=np.array(self._map0 + tuple(y0)), guard=self._guard)
@@ -487,7 +479,7 @@ def integrate_constraints(p: DriveParams, s0: ConstraintState,
     empty route, with its step cap and guards; the map comes back as run.m.
     """
     return MapSource(p, "integrated", constraint0=s0).integrate(
-        None, (), t_grid, rtol, atol)
+        lambda m, y: (), (), t_grid, rtol, atol)
 
 
 def z_residual(p: DriveParams, run: MapRun) -> np.ndarray:

@@ -15,7 +15,7 @@ import json
 import math
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
@@ -24,8 +24,8 @@ import numpy as np
 from .drive import (DriveParams, PolarComplex, ZetaMode, alpha_beta,
                     heaviside, omega as drive_omega, sgn, zeta, zeta_signed)
 from .dyson import DysonState, bogoliubov_matrix, epsilon_from_phi, phi_from_z
-from .dynamics import (amplification_factor, analytic_squeeze,
-                       bogoliubov_ode_oracle, evolve, squeeze_rhs)
+from .dynamics import (_DEFAULT_SEED, amplification_factor, analytic_squeeze,
+                       bogoliubov_ode_oracle, evolve)
 from .fock import (FockSpace, eta_matrix, metric, nonhermitian_expectation,
                    map_observable, propagate, drive_hamiltonian,
                    quasi_hermiticity_residual, squeeze_trust_bound)
@@ -192,7 +192,7 @@ def check_flow_residuals() -> tuple[bool, str]:
     p = _MODERATE
     tg = np.linspace(0.0, 50.0, 1001)
     src = MapSource(p, "integrated", constraint0=_moderate_state0())
-    run = src.integrate(None, (), tg, rtol=1e-11, atol=1e-14)
+    run = src.integrate(lambda m, y: (), (), tg, rtol=1e-11, atol=1e-14)
     W, T, V = src.raw_coefficients(run.t, run.m)
     im_w = float(np.abs(W.imag).max())
     v_t = float(np.abs(V - np.conj(T)).max())
@@ -266,35 +266,25 @@ def check_bogoliubov_identity() -> tuple[bool, str]:
 def check_seed_insensitivity() -> tuple[bool, str]:
     tg = np.linspace(0.0, 20.0, 401)
     r = [evolve(_FIG1_SOURCE, tg, seed_r_eps=seed, rtol=1e-11, atol=1e-14).r[-1]
-         for seed in (1e-8, 1e-9)]
-    return _bound("|dr(20)| for seed 1e-8 vs 1e-9", abs(r[0] - r[1]), 1e-6)
+         for seed in (_DEFAULT_SEED, 1e-8)]
+    return _bound(f"|dr(20)| for seed {_DEFAULT_SEED:g} vs 1e-8",
+                  abs(r[0] - r[1]), 1e-6)
 
 
 def check_route_agreement() -> tuple[bool, str]:
-    """Squeeze ODE vs closed-form uvw vs Bogoliubov oracle, tau <= 20.
+    """evolve's N = |v|^2 vs the Bogoliubov oracle's, tau <= 20.
 
-    The squeeze and uvw legs are sinh(asinh|v|)^2 and |v|^2 of the same
-    composed pair, so they agree to rounding; the oracle, which integrates
-    the linear (u, v) flow, is the independent leg.  Relative comparison
-    above N = 1e-3 (below it, near the vacuum's N = 0, ratios say little),
-    absolute below.
+    The oracle integrates the linear (u, v) flow, evolve the polar
+    (r, phi_sq) chart.  Relative comparison above N = 1e-3 (below it, near
+    the vacuum's N = 0, ratios say little), absolute below.
     """
     tg = np.linspace(0.0, 20.0, 801)
-    traj = evolve(_FIG1_SOURCE, tg, rtol=1e-11, atol=1e-14)
-    n_sq = np.sinh(traj.r) ** 2
-    n_uvw = traj.mean_photon()
+    n = evolve(_FIG1_SOURCE, tg, rtol=1e-11, atol=1e-14).mean_photon()
     _, v = bogoliubov_ode_oracle(_FIG1_SOURCE, tg, rtol=1e-11, atol=1e-14)
-    n_or = np.abs(v) ** 2
-    hi = n_sq > 1e-3
-    rel = max(
-        float((np.abs(n_sq - n_uvw)[hi] / n_sq[hi]).max()),
-        float((np.abs(n_sq - n_or)[hi] / n_sq[hi]).max()),
-        float((np.abs(n_uvw - n_or)[hi] / n_sq[hi]).max()),
-    )
-    ab = max(float(np.abs(n_sq - n_uvw)[~hi].max()),
-             float(np.abs(n_sq - n_or)[~hi].max()))
-    ok1, d1 = _bound("pairwise rel above floor", rel, 1e-4)
-    ok2, d2 = _bound("abs below floor", ab, 1e-6)
+    diff = np.abs(n - np.abs(v) ** 2)
+    hi = n > 1e-3
+    ok1, d1 = _bound("rel above floor", float((diff[hi] / n[hi]).max()), 1e-4)
+    ok2, d2 = _bound("abs below floor", float(diff[~hi].max()), 1e-6)
     return ok1 and ok2, f"{d1}; {d2}"
 
 
@@ -344,25 +334,17 @@ def check_quasi_hermiticity_spot() -> tuple[bool, str]:
 def check_fault_injection() -> tuple[bool, str]:
     """A pump at a fifth of its strength must cut the resonant growth.
 
-    r grows in proportion to |T|: r(10) is 0.0491 healthy and 0.0098
+    evolve runs the Hermitian drive and the same drive at alpha0_tilde =
+    beta0_tilde = 0.2, whose pump is a fifth as strong at the same W.  r
+    grows in proportion to |T|: r(10) is 0.0491 healthy and 0.0098
     faulty, 2.5x inside the 0.5 ratio bound, and a 2*pi shift of phi_T
-    moves neither beyond the seventh digit.  A flipped sign is no fault
-    to test against: its r(10), 1.2e-5, becomes 4.1e-6 under that shift.
+    moves either by less than 5e-15 relative.  A flipped sign is no fault
+    to test against: the vacuum's r does not see a constant phase of the
+    pump, and -T gives the healthy r(10) to 1.4e-11 relative.
     """
-    t_grid = np.linspace(0.0, 10.0, 2001)
-    h = float(t_grid[1] - t_grid[0])
-    m = _HERMITIAN_SOURCE.at(t_grid, ())
-    phi0 = analytic_squeeze(0.0, _HERMITIAN, _CHI_FIG)[1]
-
-    def step(pump_scale: float) -> float:
-        r, phi = 1e-8, phi0
-        for k in range(t_grid.size - 1):
-            dr, dphi, _ = squeeze_rhs(r, phi, m.W[k], pump_scale * m.T[k])
-            r = max(r + h * dr, 1e-12)
-            phi = phi + h * dphi
-        return r
-
-    good, bad = step(1.0), step(0.2)
+    weak = replace(_HERMITIAN, alpha0_tilde=0.2, beta0_tilde=0.2)
+    good, bad = (evolve(MapSource(p, chi=_CHI_FIG, varphi0=_VARPHI0),
+                        np.array([0.0, 10.0])).r[-1] for p in (_HERMITIAN, weak))
     if not good > 0.04:  # ~0.049 expected at tau=10
         return False, f"healthy run failed to grow: r(10)={good:.4f}"
     if not bad < 0.5 * good:

@@ -285,7 +285,7 @@ def test_criterion_09_metric_equation_of_motion():
 def test_criterion_10_constraint_residuals():
     tg = np.linspace(0.0, 50.0, 1001)
     src = MapSource(MODERATE, "integrated", constraint0=_moderate_state0())
-    run = src.integrate(None, (), tg, rtol=1e-11, atol=1e-14)
+    run = src.integrate(lambda m, y: (), (), tg, rtol=1e-11, atol=1e-14)
     W, T, V = src.raw_coefficients(run.t, run.m)
     im_w = float(np.abs(W.imag).max())
     v_t = float(np.abs(V - np.conj(T)).max())

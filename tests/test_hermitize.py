@@ -173,7 +173,7 @@ class TestIntegratedFlow:
     def test_residuals_stay_small(self, moderate_params, moderate_state0):
         tg = np.linspace(0.0, 10.0, 201)
         src = MapSource(moderate_params, "integrated", constraint0=moderate_state0)
-        traj = src.integrate(None, (), tg, rtol=1e-11, atol=1e-14)
+        traj = src.integrate(lambda m, y: (), (), tg, rtol=1e-11, atol=1e-14)
         W, T, V = src.raw_coefficients(traj.t, traj.m)
         im_w = float(np.abs(W.imag).max())
         v_t = float(np.abs(V - np.conj(T)).max())

@@ -190,6 +190,11 @@ def test_work_on_the_paper_runs_is_pinned(fig1_params, moderate_params,
     flow = integrate_constraints(moderate_params, moderate_state0,
                                  np.linspace(0.0, 25.0, 1001)).stats
     assert (flow.n_steps, flow.n_rejected, flow.nfev) == (129, 0, 1937)
+    # The moderate flow that verify's flow_residuals check integrates.
+    flow = integrate_constraints(moderate_params, moderate_state0,
+                                 np.linspace(0.0, 50.0, 1001),
+                                 rtol=1e-11, atol=1e-14).stats
+    assert (flow.n_steps, flow.n_rejected, flow.nfev) == (256, 0, 3842)
 
     # One cell of the benchmark's kappa sweep on the integrated moderate map
     # at its default grid: the oracle rides in evolve's one integration.

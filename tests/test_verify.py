@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from pseudo_dce import verify
+from pseudo_dce import dynamics, verify
 from pseudo_dce.dynamics import squeeze_rhs
 
 
@@ -41,12 +41,16 @@ def test_fast_level_passes_within_budget():
 
 def test_fault_injection_blind_to_a_2pi_pump_phase(monkeypatch):
     """The verdict and its figures stay put when the pump phase
-    psi = phi_T + phi_sq is shifted by 2*pi."""
+    psi = phi_T + phi_sq is shifted by 2*pi in the right-hand side that
+    evolve integrates."""
     before = verify.check_fault_injection()
+    calls = []
 
     def shifted(r, phi_sq, W, T):
+        calls.append(r)
         return squeeze_rhs(r, phi_sq + 2.0 * math.pi, W, T)
 
-    monkeypatch.setattr(verify, "squeeze_rhs", shifted)
+    monkeypatch.setattr(dynamics, "squeeze_rhs", shifted)
     after = verify.check_fault_injection()
+    assert calls
     assert before[0] and after == before
