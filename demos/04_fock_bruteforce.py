@@ -33,8 +33,7 @@ from pseudo_dce.dyson import DysonState
 from pseudo_dce.fock import (FockSpace, drive_hamiltonian, eta_matrix,
                              inverse_map_state, propagate,
                              quasi_hermiticity_residual, squeeze_trust_bound)
-from pseudo_dce.hermitize import (ConstraintState, MapSource,
-                                  coefficients_general, integrate_constraints)
+from pseudo_dce.hermitize import ConstraintState, MapSource, coefficients_general
 
 CHI = 1.0002
 FIG = DriveParams(omega0=1.0, eps_mod=0.01, kappa=2.0,
@@ -89,11 +88,12 @@ def main():
     print()
 
     tt, fd_h = 5.0, 1e-4
+    flow = MapSource(MODERATE, "integrated", constraint0=moderate_state0())
 
     def theta_at(t_s: float) -> np.ndarray:
-        m = integrate_constraints(MODERATE, moderate_state0(),
-                                  np.array([0.0, t_s]),
-                                  rtol=1e-13, atol=1e-16).m
+        # The empty route: the flow alone.
+        m = flow.integrate(lambda m, y: (), (), np.array([0.0, t_s]),
+                           rtol=1e-13, atol=1e-16).m
         dd = DysonState(z_abs=float(m.z_abs[-1]), Phi=float(m.Phi[-1]),
                         varphi=float(m.varphi[-1]))
         # Theta = eta^dag eta collapses to one exponential with doubled
@@ -115,7 +115,7 @@ def main():
     r_trust = squeeze_trust_bound(f_big.dim)
     tg = np.linspace(0.0, 10.0, 201)
     src = MapSource(FIG, chi=CHI)
-    traj = evolve(src, tg, rtol=1e-10)
+    traj = evolve(src, tg)
 
     def coeffs(ts: float):
         m = src.at(ts, ())

@@ -24,11 +24,11 @@ A MapSource supplies the map along the drive, closed-form or integrated.
 Its MapPoint (coordinates, rates, chi, W, T) is the one record of the map,
 built by one set of expressions for a scalar time inside a right-hand side
 and for the whole output grid afterwards.  The source integrates a route
-(the squeeze ODE, the (u, v) oracle, or both in one state;
-integrate_constraints is the empty route) together with the map, so a
-route sees only the map point and its own components.  The general-input
-functions are the independent references that the verify suite compares
-against.
+(the squeeze ODE, the (u, v) oracle, or both in one state; the empty
+route, whose rates are (), integrates the flow alone) together with the
+map, so a route sees only the map point and its own components.  The
+general-input functions are the independent references that the verify
+suite compares against.
 """
 
 from __future__ import annotations
@@ -364,8 +364,9 @@ class MapSource:
     ignored.  One source serves any number of evolve and
     bogoliubov_ode_oracle calls.  period is the time after which W and T
     repeat: the drive period for the approximate source on resonance,
-    else inf.  at, raw_coefficients and residual take a scalar t, or the
-    whole grid.
+    else inf.  closed_form tells whether at needs no integrated state (the
+    approximate source).  at, raw_coefficients and residual take a scalar
+    t, or arrays of times.
     """
 
     def __init__(self, p: DriveParams, dyson_source: str = "approximate",
@@ -380,6 +381,7 @@ class MapSource:
 
             s0 = ConstraintState.from_chi(chi, 1.0, varphi0)
             self.chi0, self._map0, self._guard = chi, (), None
+            self.closed_form = True
             self.period = p.period() if p.on_resonance() else math.inf
             # Phi and Lambda are frozen; adding 0*t gives them the shape of t.
             self._coordinates = lambda t, y: (s0.Phi + 0.0 * t,
@@ -397,6 +399,7 @@ class MapSource:
             s0 = constraint0
             self.chi0, self._map0 = s0.chi, (s0.Phi, s0.varphi, s0.Lambda)
             self._guard, self.period = guard_flow_crossings, math.inf
+            self.closed_form = False
             self._coordinates = lambda t, y: (y[0], y[1], y[2])
             self._rates = rates
         else:
@@ -468,18 +471,6 @@ class MapSource:
         sol = integrate(problem, rtol=rtol, atol=atol,
                         max_step=self.p.period() / 16.0)
         return MapRun(sol.t, self.at(sol.t, sol.y.T), sol.y[:, n:], sol.stats)
-
-
-def integrate_constraints(p: DriveParams, s0: ConstraintState,
-                          t_grid: np.ndarray, rtol: float = 1e-9,
-                          atol: float = 1e-12) -> MapRun:
-    """Integrate the hermitization flow for the modulated drive from s0.
-
-    The state vector is (Phi, varphi, Lambda).  This is MapSource.integrate's
-    empty route, with its step cap and guards; the map comes back as run.m.
-    """
-    return MapSource(p, "integrated", constraint0=s0).integrate(
-        lambda m, y: (), (), t_grid, rtol, atol)
 
 
 def z_residual(p: DriveParams, run: MapRun) -> np.ndarray:

@@ -236,7 +236,8 @@ class RunRecord:
     """Results of one run: columns plus provenance and timing.
 
     r_final and N_final are kept whatever columns the config selects, and
-    stats is the squeeze route's integration work.
+    stats is evolve's work: Magnus steps on a closed-form map, else the
+    polar chart's integration.
     """
 
     name: str
@@ -286,7 +287,7 @@ def run(cfg: ScenarioConfig, out_dir=None, name: str = "run") -> RunRecord:
         "residual_hermiticity": src.residual(traj.t, traj.m),
     }
     if "N_oracle" in cfg.outputs:
-        # evolve carries the oracle on sources whose W and T do not repeat.
+        # evolve carries the oracle on the integrated map.
         if traj.oracle is None:
             _, v = bogoliubov_ode_oracle(src, t_grid, rtol=cfg.rtol, atol=cfg.atol)
         else:

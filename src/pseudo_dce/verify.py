@@ -31,7 +31,7 @@ from .fock import (FockSpace, eta_matrix, metric, nonhermitian_expectation,
                    quasi_hermiticity_residual, squeeze_trust_bound)
 from .hermitize import (ConstraintState, MapSource, constraint_rhs_general,
                         constraint_rhs_polar, hermitized_coefficients_general,
-                        integrate_constraints, z_residual)
+                        z_residual)
 from .integrate import IvpProblem, integrate
 from .scenario import PRESETS, ScenarioConfig, run, run_preset
 
@@ -52,6 +52,10 @@ _HERMITIAN_SOURCE = MapSource(_HERMITIAN, chi=_CHI_FIG, varphi0=_VARPHI0)
 
 def _moderate_state0() -> ConstraintState:
     return ConstraintState.from_chi(-2.25, 0.8, _VARPHI0)
+
+
+def _moderate_source() -> MapSource:
+    return MapSource(_MODERATE, "integrated", constraint0=_moderate_state0())
 
 
 @dataclass
@@ -191,7 +195,7 @@ def check_flow_residuals() -> tuple[bool, str]:
     """
     p = _MODERATE
     tg = np.linspace(0.0, 50.0, 1001)
-    src = MapSource(p, "integrated", constraint0=_moderate_state0())
+    src = _moderate_source()
     run = src.integrate(lambda m, y: (), (), tg, rtol=1e-11, atol=1e-14)
     W, T, V = src.raw_coefficients(run.t, run.m)
     im_w = float(np.abs(W.imag).max())
@@ -216,7 +220,7 @@ def check_flow_fixed_point() -> tuple[bool, str]:
 
 def check_hermitian_baseline() -> tuple[bool, str]:
     tg = np.linspace(0.0, 10.0, 201)
-    traj = evolve(_HERMITIAN_SOURCE, tg, rtol=1e-10, atol=1e-13)
+    traj = evolve(_HERMITIAN_SOURCE, tg)
     r_ref, _ = analytic_squeeze(10.0, _HERMITIAN, _CHI_FIG)
     rel = abs(traj.r[-1] - r_ref) / r_ref
     return _bound("r(10) vs closed form rel", rel, 1e-2)
@@ -224,7 +228,7 @@ def check_hermitian_baseline() -> tuple[bool, str]:
 
 def check_analytic_r() -> tuple[bool, str]:
     tg = np.linspace(0.0, 50.0, 1001)
-    traj = evolve(_FIG1_SOURCE, tg, rtol=1e-10, atol=1e-13)
+    traj = evolve(_FIG1_SOURCE, tg)
     mask = tg >= 10.0
     r_ref, _ = analytic_squeeze(tg[mask], _FIG1, _CHI_FIG)
     worst = float(np.max(np.abs(traj.r[mask] - r_ref) / r_ref))
@@ -234,8 +238,8 @@ def check_analytic_r() -> tuple[bool, str]:
 def identity_suite_trajectories() -> list[tuple[str, np.ndarray, np.ndarray]]:
     """The verification suite for the |u|^2 - |v|^2 = 1 identity.
 
-    Returns (label, u, v) triples.  The "closed-form uvw" leg is the pair
-    evolve composes from its chart's states with bogoliubov_uv.
+    Returns (label, u, v) triples.  The "Magnus uv" leg is the pair that
+    evolve multiplies out of Magnus steps on the frozen-chi map.
     Trajectories are capped where float64 can still resolve the identity:
     the roundoff floor is eps*cosh(r)^2, which crosses 1e-9 near r = 7.
     """
@@ -247,8 +251,8 @@ def identity_suite_trajectories() -> list[tuple[str, np.ndarray, np.ndarray]]:
     u, v = bogoliubov_ode_oracle(_HERMITIAN_SOURCE, t10, rtol=1e-13, atol=1e-15)
     out.append(("hermitian oracle tau<=10", u, v))
     t30 = np.linspace(0.0, 30.0, 601)  # r(30) ~ 6.8, inside the float floor
-    traj = evolve(_FIG1_SOURCE, t30, rtol=1e-11, atol=1e-14)
-    out.append(("closed-form uvw r<=7", traj.u, traj.v))
+    traj = evolve(_FIG1_SOURCE, t30)
+    out.append(("Magnus uv r<=7", traj.u, traj.v))
     return out
 
 
@@ -264,8 +268,11 @@ def check_bogoliubov_identity() -> tuple[bool, str]:
 
 
 def check_seed_insensitivity() -> tuple[bool, str]:
+    """The polar chart's start radius is a gauge: r(20) on the integrated
+    moderate map, the one source on which evolve still runs the chart."""
     tg = np.linspace(0.0, 20.0, 401)
-    r = [evolve(_FIG1_SOURCE, tg, seed_r_eps=seed, rtol=1e-11, atol=1e-14).r[-1]
+    src = _moderate_source()
+    r = [evolve(src, tg, seed_r_eps=seed, rtol=1e-11, atol=1e-14).r[-1]
          for seed in (_DEFAULT_SEED, 1e-8)]
     return _bound(f"|dr(20)| for seed {_DEFAULT_SEED:g} vs 1e-8",
                   abs(r[0] - r[1]), 1e-6)
@@ -274,12 +281,14 @@ def check_seed_insensitivity() -> tuple[bool, str]:
 def check_route_agreement() -> tuple[bool, str]:
     """evolve's N = |v|^2 vs the Bogoliubov oracle's, tau <= 20.
 
-    The oracle integrates the linear (u, v) flow, evolve the polar
-    (r, phi_sq) chart.  Relative comparison above N = 1e-3 (below it, near
-    the vacuum's N = 0, ratios say little), absolute below.
+    On this frozen-chi map evolve multiplies out Magnus steps of the linear
+    (u, v) flow, and the oracle integrates that flow with DOP853 over one
+    drive period and composes the rest.  Relative comparison above
+    N = 1e-3 (below it, near the vacuum's N = 0, ratios say little),
+    absolute below.
     """
     tg = np.linspace(0.0, 20.0, 801)
-    n = evolve(_FIG1_SOURCE, tg, rtol=1e-11, atol=1e-14).mean_photon()
+    n = evolve(_FIG1_SOURCE, tg).mean_photon()
     _, v = bogoliubov_ode_oracle(_FIG1_SOURCE, tg, rtol=1e-11, atol=1e-14)
     diff = np.abs(n - np.abs(v) ** 2)
     hi = n > 1e-3
@@ -335,12 +344,13 @@ def check_fault_injection() -> tuple[bool, str]:
     """A pump at a fifth of its strength must cut the resonant growth.
 
     evolve runs the Hermitian drive and the same drive at alpha0_tilde =
-    beta0_tilde = 0.2, whose pump is a fifth as strong at the same W.  r
-    grows in proportion to |T|: r(10) is 0.0491 healthy and 0.0098
-    faulty, 2.5x inside the 0.5 ratio bound, and a 2*pi shift of phi_T
-    moves either by less than 5e-15 relative.  A flipped sign is no fault
-    to test against: the vacuum's r does not see a constant phase of the
-    pump, and -T gives the healthy r(10) to 1.4e-11 relative.
+    beta0_tilde = 0.2, whose pump is a fifth as strong at the same W, on
+    the grid [0, 10], which its Magnus product cuts into 203 and 202
+    steps.  r grows in proportion to |T|: r(10) is 0.0491 healthy and
+    0.0098 faulty, 2.5x inside the 0.5 ratio bound, and a 2*pi shift of
+    phi_T moves either by less than 2e-16 relative.  A flipped sign is no
+    fault to test against: the vacuum's r does not see a constant phase of
+    the pump, and -T gives the healthy r(10) bit for bit.
     """
     weak = replace(_HERMITIAN, alpha0_tilde=0.2, beta0_tilde=0.2)
     good, bad = (evolve(MapSource(p, chi=_CHI_FIG, varphi0=_VARPHI0),
@@ -366,13 +376,13 @@ def _quasi_hermiticity_samples(times, dim: int = 64,
     keeps it exact within the truncation.
     """
     p = _MODERATE
-    s0 = _moderate_state0()
+    src = _moderate_source()
     f = FockSpace(dim)
     eye = np.eye(dim, dtype=complex)
 
     def theta_at(tt: float) -> np.ndarray:
-        m = integrate_constraints(p, s0, np.array([0.0, tt]),
-                                  rtol=1e-13, atol=1e-16).m
+        m = src.integrate(lambda m, y: (), (), np.array([0.0, tt]),
+                          rtol=1e-13, atol=1e-16).m
         d = DysonState(z_abs=float(m.z_abs[-1]), Phi=float(m.Phi[-1]),
                        varphi=float(m.varphi[-1]))
         return eta_matrix(2.0 * d.eps_map, 2.0 * d.mu(), f, form="gauss")
@@ -489,7 +499,7 @@ def check_fock_three_route() -> tuple[bool, str]:
     tg = np.linspace(0.0, 16.0, 321)
     res = propagate(coeffs, f.vacuum(), tg, f, rtol=1e-10, atol=1e-13)
     n_fock = res.mean_photon(f)
-    traj = evolve(_FIG1_SOURCE, tg, rtol=1e-10, atol=1e-13)
+    traj = evolve(_FIG1_SOURCE, tg)
     n_sq = np.sinh(traj.r) ** 2
     win = (traj.r <= 1.8) & (n_sq > 1e-3)
     rel = float((np.abs(n_fock - n_sq)[win] / n_sq[win]).max())

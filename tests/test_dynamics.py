@@ -1,21 +1,24 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from pseudo_dce.drive import DriveParams
-from pseudo_dce.dynamics import (SqueezeState, amplification_factor,
+from pseudo_dce.drive import DriveParams, ZetaMode
+from pseudo_dce.dynamics import (SqueezeState, _magnus_factors,
+                                 _prefix_products, amplification_factor,
                                  analytic_squeeze, bogoliubov_ode_oracle,
                                  bogoliubov_uv, evolve, squeeze_rhs)
-from pseudo_dce.errors import ChiSingular, NotOnResonance
+from pseudo_dce.errors import (ChiSingular, NonFiniteState, NotOnResonance,
+                               StepRejected)
 from pseudo_dce.fock import FockSpace, propagate
 from pseudo_dce.hermitize import (ConstraintState, HermitizedCoeffs,
                                   MapSource, approx_dyson_trajectory,
                                   hermitized_coefficients)
 from pseudo_dce.integrate import IvpProblem, integrate
-from pseudo_dce.scenario import ScenarioConfig
+from pseudo_dce.scenario import PRESETS, ScenarioConfig
 
 CHI_FIG = 1.0002
 VARPHI0 = 0.5 * math.pi
@@ -156,7 +159,7 @@ class TestMeanPhoton:
 class TestEvolve:
 
     def test_unmodulated_drive_stays_dark(self):
-        # The chart keeps its start radius; the vacuum's own r stays 0.
+        # T = 0: every Magnus factor is diagonal, so v stays exactly 0.
         p = DriveParams(omega0=1.0, eps_mod=0.0, kappa=2.0,
                         alpha0_tilde=0.01, beta0_tilde=0.001)
         traj = evolve(frozen(p), np.linspace(0.0, 10.0, 101))
@@ -165,24 +168,25 @@ class TestEvolve:
 
     def test_balanced_drive_matches_closed_form(self, hermitian_params):
         tg = np.linspace(0.0, 10.0, 201)
-        traj = evolve(frozen(hermitian_params), tg,
-                      rtol=1e-10, atol=1e-13)
+        traj = evolve(frozen(hermitian_params), tg)
         r_ref, _ = analytic_squeeze(10.0, hermitian_params, CHI_FIG)
         assert abs(traj.r[-1] - r_ref) / r_ref < 1e-2
 
-    def test_seed_insensitivity(self, fig1_params):
+    def test_seed_insensitivity(self, moderate_params, moderate_state0):
+        # The polar chart's start radius, on the integrated map: the one
+        # source on which evolve integrates the chart.
+        src = MapSource(moderate_params, "integrated", constraint0=moderate_state0)
         tg = np.linspace(0.0, 10.0, 201)
         finals = []
         for seed in (1e-8, 1e-10):
-            traj = evolve(frozen(fig1_params), tg, seed_r_eps=seed,
-                          rtol=1e-11, atol=1e-14)
+            traj = evolve(src, tg, seed_r_eps=seed, rtol=1e-11, atol=1e-14)
             finals.append(traj.r[-1])
         assert abs(finals[0] - finals[1]) < 1e-6
 
     def test_matrix_element_oracle_agrees(self, fig1_params):
         # u, v from direct integration of the mode-mixing equations.
         tg = np.linspace(0.0, 6.0, 121)
-        traj = evolve(frozen(fig1_params), tg, rtol=1e-11, atol=1e-14)
+        traj = evolve(frozen(fig1_params), tg)
         u_o, v_o = bogoliubov_ode_oracle(frozen(fig1_params), tg,
                                          rtol=1e-11, atol=1e-14)
         worst = max(np.abs(traj.u - u_o).max(), np.abs(traj.v - v_o).max())
@@ -192,7 +196,7 @@ class TestEvolve:
         # <a^2> propagated in a truncated number basis equals u*v.
         tg = np.linspace(0.0, 10.0, 201)
         src = frozen(hermitian_params)
-        traj = evolve(src, tg, rtol=1e-11, atol=1e-14)
+        traj = evolve(src, tg)
         u, v = traj.u[-1], traj.v[-1]
 
         def coeffs(t):
@@ -225,12 +229,112 @@ class TestEvolve:
         assert np.all(n >= 0.0)
 
 
-def moderate_cell():
-    """An off-resonance cell of the benchmark's kappa sweep: the integrated
-    moderate map and its default grid."""
+class TestMagnusProduct:
+    """On a closed-form map evolve multiplies out sixth-order Magnus steps."""
+
+    @pytest.mark.parametrize("overrides, tg, bound", [
+        pytest.param({}, np.linspace(0.0, 50.0, 3185), 1e-11, id="fig1"),
+        pytest.param({"kappa": 1.9}, np.linspace(0.0, 50.0, 3185), 1e-9,
+                     id="kappa_1.9"),
+        pytest.param({"zeta_mode": ZetaMode.APPROXIMATE},
+                     np.linspace(0.0, 50.0, 3185), 1e-11, id="approximate_zeta"),
+        pytest.param({}, np.array([0.0, 10.0]), 1e-9, id="two_point"),
+    ])
+    def test_matches_the_oracle(self, fig1_params, overrides, tg, bound):
+        # Measured: 9.0e-13, 2.0e-10, 1.2e-12 and 5.8e-11 relative.
+        src = frozen(replace(fig1_params, **overrides))
+        n = evolve(src, tg).mean_photon()
+        _, v = bogoliubov_ode_oracle(src, tg, rtol=1e-13, atol=1e-16)
+        n_ref = np.abs(v) ** 2
+        assert worst_rel(n, n_ref) < bound
+        assert np.abs(n - n_ref)[n_ref <= 1e-3].max(initial=0.0) < 1e-12
+
+    @pytest.mark.parametrize("W, T", [pytest.param(1.3, 0.2 - 0.1j, id="rotating"),
+                                      pytest.param(0.4, 0.5j, id="squeezing"),
+                                      pytest.param(0.0, 0.0, id="identity")])
+    def test_constant_generator_steps_are_its_exponential(self, W, T):
+        # With A constant, Omega is h*A and exp(Omega) the exact propagator.
+        from scipy.linalg import expm
+
+        h = np.array([0.05, 0.3])
+        p, q = _magnus_factors(np.full((2, 3), W), np.full((2, 3), complex(T)), h)
+        for k in range(2):
+            A = np.array([[-1j * W, -2j * np.conj(T)], [2j * T, 1j * W]])
+            want = expm(h[k] * A)[:, 0]
+            assert abs(p[k] - want[0]) < 1e-15 and abs(q[k] - want[1]) < 1e-15
+
+    def test_prefix_products_match_the_sequential_product(self):
+        # Recursive doubling reorders the multiplications, so the two agree
+        # to rounding, which grows at most with the number of factors.
+        rng = np.random.default_rng(3)
+        W = 1.0 + 0.1 * rng.standard_normal((1000, 3))
+        T = 0.3 * (rng.standard_normal((1000, 3)) + 1j * rng.standard_normal((1000, 3)))
+        p, q = _magnus_factors(W, T, np.full(1000, 0.05))
+        u, w, want = 1.0 + 0.0j, 0.0j, []
+        for a, b in zip(p, q):
+            u, w = a * u + np.conj(b) * w, b * u + np.conj(a) * w
+            want.append((u, w))
+        _prefix_products(p, q)
+        want = np.array(want)
+        scale = np.abs(want[:, 0])
+        assert np.all(np.abs(p - want[:, 0]) < 1000 * np.finfo(float).eps * scale)
+        assert np.all(np.abs(q - want[:, 1]) < 1000 * np.finfo(float).eps * scale)
+
+    def test_every_preset_grid_takes_one_step_per_interval(self):
+        for series in PRESETS.values():
+            for name, cfg in series:
+                src = MapSource(cfg.drive_params(), chi=cfg.chi, varphi0=cfg.varphi0)
+                tg = cfg.time_grid()
+                stats = evolve(src, tg).stats
+                assert (stats.n_steps, stats.n_rejected, stats.nfev) == (
+                    tg.size - 1, 0, 3 * (tg.size - 1)), name
+
+    def test_coarse_grid_is_sub_stepped(self, hermitian_params):
+        # One interval of 10: |W| + 2|T| is about 1.01, so 203 steps keep
+        # each step's span under 0.05; its first three points choose them.
+        stats = evolve(frozen(hermitian_params), np.array([0.0, 10.0])).stats
+        assert (stats.n_steps, stats.n_rejected, stats.nfev) == (203, 0, 3 + 3 * 203)
+        assert stats.h_min == stats.h_max == 10.0 / 203
+
+    @pytest.mark.parametrize("p, tg", [
+        pytest.param("fig1", np.linspace(0.0, 50.0, 3185), id="fig1"),
+        pytest.param("hermitian", np.linspace(0.0, 50.0, 3185), id="hermitian"),
+        pytest.param("hermitian", np.linspace(0.0, 200.0, 12001), id="hermitian_200"),
+    ])
+    def test_unit_determinant_at_its_floor(self, p, tg, request):
+        # Each factor keeps |u|^2 - |v|^2 = 1 to a rounding, and the
+        # roundings add up like a random walk over the steps (measured: at
+        # most 66 eps*(|u|^2 + |v|^2), on hermitian).
+        traj = evolve(frozen(request.getfixturevalue(f"{p}_params")), tg)
+        a, b = np.abs(traj.u) ** 2, np.abs(traj.v) ** 2
+        floor = 4.0 * np.finfo(float).eps * math.sqrt(traj.stats.n_steps) * (a + b)
+        assert np.all(np.abs(a - b - 1.0) < floor)
+
+    def test_overflow_names_its_tau(self, fig1_params):
+        # chi = 1 + 1e-5 amplifies the pump 900-fold, and |u| passes the
+        # largest float near tau = 158; no numpy warning escapes either.
+        src = MapSource(fig1_params, chi=1.0 + 1e-5, varphi0=VARPHI0)
+        with pytest.raises(NonFiniteState, match=r"finite domain at tau = 157\.8"):
+            evolve(src, np.linspace(0.0, 200.0, 201))
+
+    def test_unresolvable_steps_rejected(self):
+        # W ~ 1e20 would need steps of 5e-22, far below the ulps of t ~ 1.
+        p = DriveParams(omega0=1e20, eps_mod=0.01, kappa=2e20)
+        with pytest.raises(StepRejected, match="10 ulps at tau = 0.0"):
+            evolve(frozen(p), np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize("tg", [[0.0], [0.0, 0.0, 1.0], [0.0, math.inf]])
+    def test_bad_grid_rejected(self, fig1_params, tg):
+        with pytest.raises(ValueError, match="t_grid"):
+            evolve(frozen(fig1_params), np.array(tg))
+
+
+def moderate_cell(kappa=1.97):
+    """A cell of the benchmark's kappa sweep (off resonance by default):
+    the integrated moderate map and its default grid."""
     cfg = ScenarioConfig(alpha0_tilde=0.6, beta0_tilde=0.2, chi=-2.25,
                          z_abs=0.8, dyson_source="integrated", tau_max=25.0,
-                         kappa=1.97)
+                         kappa=kappa)
     src = MapSource(cfg.drive_params(), "integrated",
                     constraint0=cfg.constraint0())
     return src, cfg.time_grid()
@@ -243,7 +347,9 @@ def worst_rel(n, n_ref, floor=1e-3):
 
 
 class TestVacuumStart:
-    """The chart's start state is a gauge: the vacuum's pair does not see it."""
+    """Every run starts at the vacuum, with phi_sq in the direction it
+    squeezes in; on the integrated map, where evolve runs the polar chart,
+    the chart's start state is a gauge that the vacuum's pair does not see."""
 
     @pytest.mark.parametrize("at, bt, chi, source, phase", [
         (0.01, 0.001, CHI_FIG, "approximate", 0.0),   # (at - chi*bt)/(1 - chi) < 0
@@ -266,12 +372,10 @@ class TestVacuumStart:
             _, v = bogoliubov_ode_oracle(src, tg)
             assert abs(np.angle(v[1] * np.exp(-1j * phase))) < 1e-2
 
-    @pytest.mark.parametrize("cell", ["fig1", "moderate"])
-    def test_photon_number_does_not_depend_on_the_start(self, fig1_params, cell):
-        if cell == "fig1":
-            src, tg = frozen(fig1_params), ScenarioConfig().time_grid()
-        else:
-            src, tg = moderate_cell()
+    @pytest.mark.parametrize("kappa", [pytest.param(2.0, id="moderate_resonant"),
+                                       pytest.param(1.97, id="moderate")])
+    def test_photon_number_does_not_depend_on_the_start(self, kappa):
+        src, tg = moderate_cell(kappa)
         n = [evolve(src, tg, seed_r_eps=seed).mean_photon()
              for seed in (1e-2, 3e-2, 1e-8)]
         assert worst_rel(n[1], n[0]) < 1e-8

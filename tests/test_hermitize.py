@@ -16,8 +16,7 @@ from pseudo_dce.hermitize import (ConstraintState, MapRun, MapSource,
                                   guard_flow_crossings,
                                   hermitized_coefficients,
                                   hermitized_coefficients_general,
-                                  integrate_constraints, z_abs_from,
-                                  z_residual)
+                                  z_abs_from, z_residual)
 from pseudo_dce.dynamics import bogoliubov_ode_oracle, evolve
 from pseudo_dce.scenario import ScenarioConfig
 
@@ -200,9 +199,12 @@ class TestIntegratedFlow:
 
     def test_state_accessor(self, moderate_params, moderate_state0):
         tg = np.linspace(0.0, 1.0, 11)
-        traj = integrate_constraints(moderate_params, moderate_state0, tg)
+        traj = MapSource(moderate_params, "integrated",
+                         constraint0=moderate_state0).integrate(
+            lambda m, y: (), (), tg, 1e-9, 1e-12)
         assert traj.m.Phi[0] == moderate_state0.Phi
         assert traj.m.varphi[0] == moderate_state0.varphi
+        assert traj.y.shape == (tg.size, 0)
         assert traj.stats.n_steps > 0
 
 
@@ -213,14 +215,16 @@ class TestFlowCrossingGuard:
         # no grid point (nor rhs sample) comes within the 1e-9 guard.
         s0 = ScenarioConfig().constraint0()
         with pytest.raises(ChiSingular, match=r"tau = 2\.2"):
-            integrate_constraints(fig1_params, s0, np.linspace(0.0, 3.0, 601))
+            MapSource(fig1_params, "integrated", constraint0=s0).integrate(
+                lambda m, y: (), (), np.linspace(0.0, 3.0, 601), 1e-9, 1e-12)
 
     def test_crossing_time_has_at_most_12_digits(self, fig1_params):
         # chi - 1 cancels at the 1e-16 level near the crossing, and
         # bisection and brentq land 1.3e-12 apart: digits beyond 12 are noise.
         s0 = ScenarioConfig().constraint0()
         with pytest.raises(ChiSingular, match=r"tau = 2\.2") as info:
-            integrate_constraints(fig1_params, s0, np.linspace(0.0, 3.0, 601))
+            MapSource(fig1_params, "integrated", constraint0=s0).integrate(
+                lambda m, y: (), (), np.linspace(0.0, 3.0, 601), 1e-9, 1e-12)
         tau = str(info.value).split("tau = ")[1].split(" ")[0]
         assert len(tau.replace(".", "").lstrip("0")) <= 12
 
@@ -278,8 +282,8 @@ class TestMapSource:
     def test_grid_matches_scalar_route_on_the_integrated_map(
             self, moderate_params, moderate_state0):
         tg = np.linspace(0.0, 25.0, 501)
-        flow = integrate_constraints(moderate_params, moderate_state0, tg).m
         src = MapSource(moderate_params, "integrated", constraint0=moderate_state0)
+        flow = src.integrate(lambda m, y: (), (), tg, 1e-9, 1e-12).m
         m = src.at(tg, np.array([flow.Phi, flow.varphi, flow.Lambda]))
         residual = src.residual(tg, m)
         for i in range(0, tg.size, 7):
@@ -314,18 +318,6 @@ class TestMapSource:
         want = src.at(tg, np.array([run.m.Phi, run.m.varphi, run.m.Lambda]))
         for got, ref in zip(run.m, want):
             assert np.array_equal(got, ref)
-
-    def test_integrated_map_is_the_constraint_flow(self, moderate_params,
-                                                    moderate_state0):
-        tg = np.linspace(0.0, 25.0, 501)
-        flow = integrate_constraints(moderate_params, moderate_state0, tg)
-        src = MapSource(moderate_params, "integrated", constraint0=moderate_state0)
-        run = src.integrate(lambda m, y: (), (), tg, 1e-9, 1e-12)
-        assert run.y.shape == (tg.size, 0)
-        assert np.array_equal(run.m.Phi, flow.m.Phi)
-        assert np.array_equal(run.m.varphi, flow.m.varphi)
-        assert np.array_equal(run.m.Lambda, flow.m.Lambda)
-        assert run.stats == flow.stats
 
     def test_bad_source_rejected(self, fig1_params):
         with pytest.raises(ValueError, match="dyson_source"):

@@ -6,9 +6,9 @@ import pytest
 
 from conftest import CHI_FIG, VARPHI0
 from pseudo_dce import hermitize
-from pseudo_dce.dynamics import evolve
+from pseudo_dce.dynamics import bogoliubov_ode_oracle, evolve
 from pseudo_dce.errors import NonFiniteState, StepRejected
-from pseudo_dce.hermitize import MapSource, integrate_constraints
+from pseudo_dce.hermitize import MapSource
 from pseudo_dce.integrate import _A, _C, _D, _E3, _E5, IvpProblem, integrate
 from pseudo_dce.scenario import ScenarioConfig, run
 
@@ -184,16 +184,18 @@ def test_work_on_the_paper_runs_is_pinned(fig1_params, moderate_params,
                                           moderate_state0, monkeypatch):
     """Steps, rejections and nfev are deterministic; a refactor that keeps
     the arithmetic keeps them, and a change of work shows without timing."""
+    # fig1's closed-form map: one Magnus step per grid interval, three
+    # coefficient points a step.
     fig1 = evolve(MapSource(fig1_params, chi=CHI_FIG, varphi0=VARPHI0),
                   ScenarioConfig().time_grid()).stats
-    assert (fig1.n_steps, fig1.n_rejected, fig1.nfev) == (268, 4, 4064)
-    flow = integrate_constraints(moderate_params, moderate_state0,
-                                 np.linspace(0.0, 25.0, 1001)).stats
+    assert (fig1.n_steps, fig1.n_rejected, fig1.nfev) == (3184, 0, 9552)
+    src = MapSource(moderate_params, "integrated", constraint0=moderate_state0)
+    flow = src.integrate(lambda m, y: (), (), np.linspace(0.0, 25.0, 1001),
+                         1e-9, 1e-12).stats
     assert (flow.n_steps, flow.n_rejected, flow.nfev) == (129, 0, 1937)
     # The moderate flow that verify's flow_residuals check integrates.
-    flow = integrate_constraints(moderate_params, moderate_state0,
-                                 np.linspace(0.0, 50.0, 1001),
-                                 rtol=1e-11, atol=1e-14).stats
+    flow = src.integrate(lambda m, y: (), (), np.linspace(0.0, 50.0, 1001),
+                         1e-11, 1e-14).stats
     assert (flow.n_steps, flow.n_rejected, flow.nfev) == (256, 0, 3842)
 
     # One cell of the benchmark's kappa sweep on the integrated moderate map
@@ -312,7 +314,8 @@ class TestScipyParity:
                         rtol=1e-9, atol=1e-12, max_step=0.3)
         assert sol.y.tobytes() == ref.y.T.tobytes()
 
-    def test_fig1_evolve_rhs(self, fig1_params, monkeypatch):
+    def test_fig1_oracle_rhs(self, fig1_params, monkeypatch):
+        # The (u, v) oracle's integration of one drive period on fig1's map.
         problems = []
 
         def capture(problem, **kwargs):
@@ -320,8 +323,8 @@ class TestScipyParity:
             return integrate(problem, **kwargs)
 
         monkeypatch.setattr(hermitize, "integrate", capture)
-        evolve(MapSource(fig1_params, chi=CHI_FIG, varphi0=VARPHI0),
-               np.linspace(0.0, 4.0 * math.pi, 401))
+        bogoliubov_ode_oracle(MapSource(fig1_params, chi=CHI_FIG, varphi0=VARPHI0),
+                              np.linspace(0.0, 4.0 * math.pi, 401))
         (problem, kwargs), = problems
         te = problem.t_eval
         self.assert_parity(problem.rhs, te[0], te[-1], problem.y0, **kwargs)

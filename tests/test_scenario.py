@@ -213,8 +213,9 @@ class TestRun:
                 == src.residual(traj.t, traj.m).tobytes())
 
     def test_record_keeps_the_integration_stats(self):
+        # fig1's Magnus product: one step per grid interval.
         work = run(ScenarioConfig()).stats
-        assert (work.n_steps, work.n_rejected, work.nfev) == (268, 4, 4064)
+        assert (work.n_steps, work.n_rejected, work.nfev) == (3184, 0, 9552)
         assert 0.0 < work.h_min <= work.h_max
 
     def test_csv_matches_savetxt(self, tmp_path):
@@ -329,13 +330,14 @@ assert all(c.passed for c in run_verify("fast").checks)
 check("run_verify fast")
 import numpy as np
 from pseudo_dce.errors import ChiSingular
-from pseudo_dce.hermitize import integrate_constraints
+from pseudo_dce.hermitize import MapSource
 fig1 = ScenarioConfig()
 try:  # the step guard bisects the chi = 1 crossing near tau = 2.29
-    integrate_constraints(fig1.drive_params(), fig1.constraint0(),
-                          np.linspace(0.0, 3.0, 601))
+    MapSource(fig1.drive_params(), "integrated",
+              constraint0=fig1.constraint0()).integrate(
+        lambda m, y: (), (), np.linspace(0.0, 3.0, 601), 1e-9, 1e-12)
 except ChiSingular:
-    check("integrate_constraints across chi = 1")
+    check("the integrated map across chi = 1")
 else:
     raise AssertionError("the fig1 flow crossed chi = 1 unguarded")
 """

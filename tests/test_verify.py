@@ -1,10 +1,10 @@
+import cmath
 import json
 import math
 
 import pytest
 
-from pseudo_dce import dynamics, verify
-from pseudo_dce.dynamics import squeeze_rhs
+from pseudo_dce import hermitize, verify
 
 
 def test_unknown_level_rejected():
@@ -40,17 +40,18 @@ def test_fast_level_passes_within_budget():
 
 
 def test_fault_injection_blind_to_a_2pi_pump_phase(monkeypatch):
-    """The verdict and its figures stay put when the pump phase
-    psi = phi_T + phi_sq is shifted by 2*pi in the right-hand side that
-    evolve integrates."""
+    """The verdict and its figures stay put when the pump phase phi_T is
+    shifted by 2*pi in the T that evolve's Magnus steps read."""
     before = verify.check_fault_injection()
     calls = []
+    counterpart = hermitize._counterpart
 
-    def shifted(r, phi_sq, W, T):
-        calls.append(r)
-        return squeeze_rhs(r, phi_sq + 2.0 * math.pi, W, T)
+    def shifted(*args):
+        chi, W, T = counterpart(*args)
+        calls.append(T)
+        return chi, W, T * cmath.exp(2j * math.pi)
 
-    monkeypatch.setattr(dynamics, "squeeze_rhs", shifted)
+    monkeypatch.setattr(hermitize, "_counterpart", shifted)
     after = verify.check_fault_injection()
     assert calls
     assert before[0] and after == before
