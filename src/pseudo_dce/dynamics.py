@@ -1,4 +1,4 @@
-"""Squeeze-parameter dynamics of the Hermitian counterpart and photon numbers.
+"""Photon creation from the vacuum under the Hermitian counterpart.
 
 Under the counterpart generator W*(n + 1/2) + T*a^2 + conj(T)*a^dag^2, with
 the complex pump T = |T|*exp(i*phi_T) from the hermitize module's map
@@ -8,40 +8,19 @@ linear flow
     du/dt = -i*(W*u + 2*conj(T)*conj(v)),
     dv/dt = -i*(W*v + 2*conj(T)*conj(u)),
 
-from (u, v) = (1, 0), and its mean photon number is N = |v|^2.  Where W
-and T are closed-form (the approximate map source, which every preset
-uses) evolve multiplies out sixth-order Magnus steps of this flow
+from (u, v) = (1, 0), and its mean photon number is N = |v|^2; r = asinh|v|
+and phi_sq = arg(u*v) are the squeeze state it defines.  On either map
+source evolve multiplies out sixth-order Magnus steps of this flow
 (Iserles & Norsett, Phil. Trans. R. Soc. A 357, 983 (1999); Blanes, Casas
-& Ros, BIT 40, 434 (2000)), and no ODE is integrated.
-
-On the integrated map, whose W and T come from an ODE anyway, evolve
-integrates an invariant-based squeeze parametrization (r, phi_sq) along
-the map,
-
-    dr/dt      = -2*|T|*sin(phi_T + phi_sq)
-    dphi_sq/dt = -2*W - 4*|T|*coth(2r)*cos(phi_T + phi_sq),
-
-together with the accumulated phase Omega_tilde = integral of
-
-    Omega = W + 2*|T|*tanh(r)*cos(phi_T + phi_sq),
-
-which carries the phases of u and v.  From two squeeze states the
-Bogoliubov pair (u, v) follows in closed form.  The closed forms take
-scalars or whole grids.
-
-The phi_sq equation has a coordinate pole at r = 0, where the vacuum
-starts.  The chart is stiff near it: started at r = 1e-8, the integrator
-spent 1,622 of its 3,629 right-hand-side calls in t < 0.1 on an
-off-resonance cell of the integrated moderate map (kappa = 1.97), with 36
-rejected steps.  The start state is a gauge, though: the pair (u, v)
-composed from any squeezed start is the vacuum's.  So evolve starts the
-chart at r = 1e-2, in the direction the vacuum squeezes in, and keeps the
-vacuum's composed pair.
+& Ros, BIT 40, 434 (2000)), reading W and T at the steps' Gauss nodes.
+Where W and T are closed-form (the approximate map source, which every
+preset uses) no ODE is integrated.  The integrated map reports W and T at
+those nodes from its own integration, which carries the same flow under
+DOP853 as the (u, v) oracle.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -50,12 +29,8 @@ import numpy as np
 
 from .drive import DriveParams, heaviside
 from .errors import NonFiniteState, NotOnResonance, StepRejected
-from .hermitize import MapPoint, MapSource, guard_chi
+from .hermitize import MapPoint, MapRun, MapSource, guard_chi
 from .integrate import IntegrationStats
-
-# The chart's start radius: far enough from the pole at r = 0 that the
-# integrator meets no stiff transient (see evolve).
-_DEFAULT_SEED = 1e-2
 
 # Gauss-Legendre nodes of the sixth-order Magnus step, in units of the step.
 _GAUSS_NODES = 0.5 + math.sqrt(0.15) * np.array([-1.0, 0.0, 1.0])
@@ -65,41 +40,6 @@ _MAGNUS_SPAN = 0.05
 # Magnus steps multiplied out at a time, which bounds the memory a run's
 # arrays of steps take, however many steps it needs.
 _MAGNUS_BLOCK = 4096
-
-
-@dataclass(frozen=True)
-class SqueezeState:
-    """Invariant parameters at one instant."""
-
-    r: float
-    phi_sq: float
-    Omega_tilde: float = 0.0
-
-
-def _coth(x: float) -> float:
-    t = math.tanh(x)
-    if t == 0.0:
-        return math.copysign(math.inf, x)
-    return 1.0 / t
-
-
-def squeeze_rhs(r: float, phi_sq: float, W: float,
-                T: complex) -> tuple[float, float, float]:
-    """(dr/dt, dphi_sq/dt, Omega) at the given squeeze coordinates, for the
-    frequency W and the complex pump T."""
-    T_abs = abs(T)
-    psi = cmath.phase(T) + phi_sq
-    cos_psi = math.cos(psi)
-    dr = -2.0 * T_abs * math.sin(psi)
-    if T_abs == 0.0:
-        pump = 0.0
-        omega_term = 0.0
-    else:
-        pump = 4.0 * T_abs * _coth(2.0 * r) * cos_psi
-        omega_term = 2.0 * T_abs * math.tanh(r) * cos_psi
-    dphi = -2.0 * W - pump
-    Omega = W + omega_term
-    return dr, dphi, Omega
 
 
 def amplification_factor(alpha0_tilde: float, beta0_tilde: float,
@@ -142,33 +82,15 @@ def analytic_squeeze(t: float, p: DriveParams, chi: float) -> tuple[float, float
     return r, phi0 - 2.0 * p.omega0 * t
 
 
-def bogoliubov_uv(s0: SqueezeState, s: SqueezeState) -> tuple:
-    """Bogoliubov pair (u, v) connecting two squeeze states of one evolution.
-
-    Uses the accumulated phase difference Omega_tilde(s) - Omega_tilde(s0).
-    |u|^2 - |v|^2 = 1 identically.  The fields of s may be arrays.
-    """
-    dom = s.Omega_tilde - s0.Omega_tilde
-    c0, s0h = np.cosh(s0.r), np.sinh(s0.r)
-    c1, s1h = np.cosh(s.r), np.sinh(s.r)
-    # The real products first: at s = s0 the two terms of v are then equal
-    # bit for bit, and v is exactly 0.
-    u = np.exp(-1j * dom) * (c0 * c1) - np.exp(
-        1j * (dom + s.phi_sq - s0.phi_sq)) * (s0h * s1h)
-    v = np.exp(1j * (dom + s.phi_sq)) * (c0 * s1h) - np.exp(
-        -1j * (dom - s0.phi_sq)) * (s0h * c1)
-    return u, v
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Columnar evolution history on the requested grid, starting from the
-    vacuum.  (u, v) is the vacuum's Bogoliubov pair from t[0], so
-    u(t[0]) = 1 and v(t[0]) = 0; r = asinh|v| and phi_sq = arg(u*v) are the
-    squeeze state it defines.  m is the map source's record of the map and
-    its coefficients W and T there.  oracle is the (u, v) oracle's pair,
-    when it was integrated alongside (on the integrated map, see evolve),
-    else None."""
+    vacuum.  (u, v) is the vacuum's Bogoliubov pair from t[0], a Magnus
+    product, so u(t[0]) = 1 and v(t[0]) = 0; r = asinh|v| and
+    phi_sq = arg(u*v) are the squeeze state it defines.  m is the map
+    source's record of the map and its coefficients W and T there.  oracle
+    is the DOP853 (u, v) oracle's pair where it rode in the map's
+    integration (the integrated map, see evolve), else None."""
 
     t: np.ndarray
     u: np.ndarray
@@ -180,7 +102,9 @@ class Trajectory:
     oracle: Optional[tuple]
 
     def mean_photon(self) -> np.ndarray:
-        """Photon number N = |v|^2 created from the vacuum, on the grid."""
+        """Photon number N = |v|^2 created from the vacuum, on the grid.
+
+        It overflows to inf from r ~ 355, where (u, v) are still finite."""
         return np.abs(self.v) ** 2
 
 
@@ -203,11 +127,6 @@ def _uv_rates(m: MapPoint, y) -> tuple[float, float, float, float]:
     du = -1j * (m.W * u + pump * v.conjugate())
     dv = -1j * (m.W * v + pump * u.conjugate())
     return du.real, du.imag, dv.real, dv.imag
-
-
-def _branch(chart: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """arg z on the branch nearest the angle chart (chart where z = 0)."""
-    return chart + np.angle(z * np.exp(-1j * chart))
 
 
 def _bracket(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -256,30 +175,52 @@ def _prefix_products(p: np.ndarray, q: np.ndarray) -> None:
         d *= 2
 
 
-def _magnus_uv(src: MapSource, t: np.ndarray, phase0: float):
-    """The vacuum's (u, v), arg(u*v) and the work done, on the grid t.
+def _nodes(start: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The three Gauss nodes, shape (m, 3), of the steps [start, start + h]."""
+    return start[:, None] + h[:, None] * _GAUSS_NODES
 
-    x = (u, conj(v)) obeys x' = A(t)*x with A = [[-i*W, -2i*conj(T)],
-    [2i*T, i*W]] (bogoliubov_ode_oracle's equations) from x = (1, 0) at
-    t[0], and is carried by a product of sixth-order Magnus steps.  Each
-    grid interval of width H is cut into n equal steps, n the least count
-    that keeps (H/n)*max(|W| + 2|T|) under _MAGNUS_SPAN, the max taken over
-    the interval's three Gauss nodes; one-step intervals reuse them.  A cut
-    below 10 ulps of t raises StepRejected, as integrate does.  The steps
-    are multiplied out _MAGNUS_BLOCK at a time, and arg(u*v) = arg u +
-    arg v, which does not overflow, is unwrapped step by step from phase0
-    at t[0], where v = 0.
-    """
+
+def _step_counts(t: np.ndarray, W: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Magnus steps for each interval of the grid t, from W and T at its
+    three Gauss nodes: the least count n that keeps (H/n)*max(|W| + 2|T|)
+    under _MAGNUS_SPAN, H the interval's width.  A cut below 10 ulps of t
+    raises StepRejected, as integrate does."""
     H = np.diff(t)
-    m = src.at(t[:-1, None] + H[:, None] * _GAUSS_NODES, ())
-    rate = (np.abs(m.W) + 2.0 * np.abs(m.T)).max(axis=1)
+    rate = (np.abs(W) + 2.0 * np.abs(T)).max(axis=1)
     n = np.floor(H * rate / _MAGNUS_SPAN) + 1.0
     ulp = np.spacing(np.abs(t[1:]) + np.abs(t[:-1]))
     small = (n > 1.0) & (H / n < 10.0 * ulp)
     if small.any():
         raise StepRejected(f"a Magnus step falls below 10 ulps at tau = "
                            f"{float(t[np.argmax(small)])!r}")
-    n = n.astype(np.int64)
+    return n.astype(np.int64)
+
+
+def _steps(t: np.ndarray, n: np.ndarray, ends: np.ndarray, step: np.ndarray):
+    """Interval k, place j there, width h and start of the Magnus steps
+    numbered step, with n steps to each interval of t (ends = cumsum(n))."""
+    k = np.searchsorted(ends, step, side="right")
+    j = step - (ends - n)[k]
+    h = (t[k + 1] - t[k]) / n[k]
+    return k, j, h, t[k] + j * h
+
+
+def _magnus_uv(t: np.ndarray, coeffs, phase0: float):
+    """The vacuum's (u, v), arg(u*v) and the work done, on the grid t.
+
+    x = (u, conj(v)) obeys x' = A(t)*x with A = [[-i*W, -2i*conj(T)],
+    [2i*T, i*W]] (bogoliubov_ode_oracle's equations) from x = (1, 0) at
+    t[0], and is carried by a product of sixth-order Magnus steps.
+    coeffs(x) returns W and T at the times x, shape (m, 3): first at the
+    Gauss nodes of every grid interval, which choose its steps
+    (_step_counts), then at those of the steps of the intervals cut into
+    several; one-step intervals reuse the first.  The steps are multiplied
+    out _MAGNUS_BLOCK at a time, and arg(u*v) = arg u + arg v, which does
+    not overflow, is unwrapped step by step from phase0 at t[0], where
+    v = 0.
+    """
+    W0, T0 = coeffs(_nodes(t[:-1], np.diff(t)))
+    n = _step_counts(t, W0, T0)
     ends = np.cumsum(n)
     u = np.empty(t.size, dtype=complex)
     v = np.empty(t.size, dtype=complex)
@@ -287,16 +228,12 @@ def _magnus_uv(src: MapSource, t: np.ndarray, phase0: float):
     u[0], v[0], phase[0] = 1.0, 0.0, phase0
     x = (1.0 + 0.0j, 0.0j, phase0)  # (u, conj(v), phase) before the block
     for a in range(0, int(ends[-1]), _MAGNUS_BLOCK):
-        step = np.arange(a, min(a + _MAGNUS_BLOCK, int(ends[-1])))
-        k = np.searchsorted(ends, step, side="right")  # each step's interval
-        j = step - (ends - n)[k]  # and its place there
-        h = H[k] / n[k]
-        W, T = m.W[k], m.T[k]
+        k, j, h, start = _steps(t, n, ends,
+                                np.arange(a, min(a + _MAGNUS_BLOCK, int(ends[-1]))))
+        W, T = W0[k], T0[k]
         cut = n[k] > 1
         if cut.any():
-            start = t[k[cut]] + j[cut] * h[cut]
-            fine = src.at(start[:, None] + h[cut, None] * _GAUSS_NODES, ())
-            W[cut], T[cut] = fine.W, fine.T
+            W[cut], T[cut] = coeffs(_nodes(start[cut], h[cut]))
         with np.errstate(over="ignore", invalid="ignore"):
             p, q = _magnus_factors(W, T, h)
             _prefix_products(p, q)
@@ -312,77 +249,82 @@ def _magnus_uv(src: MapSource, t: np.ndarray, phase0: float):
         out = k[end] + 1
         u[out], v[out], phase[out] = uk[end], vk[end], ph[end]
         x = (uk[-1], wk[-1], ph[-1])
-    h = H / n
-    nfev = m.W.size + 3 * int(n[n > 1].sum())
+    h = np.diff(t) / n
+    nfev = W0.size + 3 * int(n[n > 1].sum())
     stats = IntegrationStats(int(ends[-1]), 0, nfev, float(h.min()), float(h.max()))
     return u, v, phase, stats
 
 
-def evolve(src: MapSource, t_grid: np.ndarray, *,
-           seed_r_eps: float = _DEFAULT_SEED, rtol: float = 1e-9,
-           atol: float = 1e-12) -> Trajectory:
-    """Evolve the vacuum's squeeze parameters over t_grid on the map source
-    src.
+def _reported(run: MapRun, x: np.ndarray):
+    """W and T of the map run at the times x, each one of its grid's."""
+    i = np.searchsorted(run.t, x)
+    return run.m.W[i], run.m.T[i]
 
-    src supplies the counterpart coefficients and the drive, src.p.  The
-    trajectory keeps the vacuum's pair (u, v) from t_grid[0] and the state
-    it defines: r = asinh|v| and phi_sq = arg(u*v), which starts in the
-    direction the vacuum squeezes in at t = 0+ (_start_phase) and moves
-    without jumps of 2*pi.
+
+def evolve(src: MapSource, t_grid: np.ndarray, *, rtol: float = 1e-9,
+           atol: float = 1e-12) -> Trajectory:
+    """Evolve the vacuum's Bogoliubov pair over t_grid on the map source src.
+
+    src supplies the counterpart coefficients and the drive, src.p.  (u, v)
+    from t_grid[0] is a product of sixth-order Magnus steps (_magnus_uv),
+    one per interval on every preset and sweep grid, more on coarse grids;
+    phi_sq starts in the direction the vacuum squeezes in at t = 0+
+    (_start_phase) and moves without jumps of 2*pi.  Against perfbench's
+    tight-tolerance reference (worst relative N error above N = 1e-3) it
+    reads 9.6e-13, 9.3e-13 and 2.7e-13 on the three fig3 series, and
+    3.5e-13, 2.3e-13 and 1.1e-13 on the moderate map's sweep cells at
+    kappa 1.93, 2.0 and 2.07.
 
     Where W and T are closed-form (src.closed_form: the approximate map)
-    (u, v) is a product of sixth-order Magnus steps (_magnus_uv): one step
-    per interval on every preset grid, more on coarse grids.  seed_r_eps,
-    rtol and atol do not apply there.  The stats count the Magnus steps,
-    no rejections, and as nfev the points W and T were evaluated at: three
-    per step, plus three per interval cut into several steps.  Against
-    perfbench's tight-tolerance reference (worst relative N error above
-    N = 1e-3) it reads 9.6e-13, 9.3e-13 and 2.7e-13 on the three fig3
-    series, where the polar chart read 2.9e-9, 2.8e-9 and 6.3e-10 at the
-    default rtol.  Trajectory.oracle is None.
+    the steps read them directly, and rtol and atol do not apply.  The
+    stats count the Magnus steps, no rejections, and as nfev the points W
+    and T were evaluated at: three per step, plus three per interval cut
+    into several steps.  Trajectory.oracle is None.
 
-    On the integrated map src.integrate carries the polar chart's
-    (r, phi_sq, Omega_tilde) along the map at rtol and atol, with its
-    period/16 step cap and its crossing guards.  The chart starts at
-    r = seed_r_eps, away from its pole at r = 0, with phi_sq the direction
-    the vacuum squeezes in (so the pole term starts at 0) and
-    Omega_tilde = 0.  (u, v) is bogoliubov_uv of the chart's first and
-    current states, and phi_sq takes the branch nearest the chart's.  On
-    the moderate map's kappa sweep (seed 7, 12 cells), starts from 1e-2 to
-    0.5 all take 1,951 rhs calls a cell with no rejected step, and the
-    error stays between 5e-11 and 1.2e-10; starts of 5e-3 and below bring
-    part of the pole's stiff transient back: 12 rejections at 5e-3, 51 and
-    2,302 calls a cell at 1e-8.  The (u, v) oracle's components ride in
-    the same integration, and Trajectory.oracle holds its pair.
+    On the integrated map src.integrate carries the map and the (u, v)
+    oracle at rtol and atol, with its period/16 step cap and its crossing
+    guards, and reports them on the grid and on every interval's Gauss
+    nodes, where the steps read W and T.  Where an interval needs several
+    steps, a second integration of the same route reports their nodes too;
+    integrate does not choose its steps by the grid, so it takes the same
+    steps.  The stats are the integration's, and Trajectory.oracle is the
+    oracle's pair: 3.1e-11 to 3.7e-11 from the reference on those cells.
     """
+    t = np.array(t_grid, dtype=float)
+    if t.ndim != 1 or t.size < 2 or not np.all(np.isfinite(t)):
+        raise ValueError("t_grid must be a 1-D array of at least two "
+                         "finite times")
+    if np.any(np.diff(t) <= 0.0):
+        raise ValueError("t_grid must be strictly increasing")
     phase0 = _start_phase(src.p, src.chi0)
     if src.closed_form:
-        t = np.array(t_grid, dtype=float)
-        if t.ndim != 1 or t.size < 2 or not np.all(np.isfinite(t)):
-            raise ValueError("t_grid must be a 1-D array of at least two "
-                             "finite times")
-        if np.any(np.diff(t) <= 0.0):
-            raise ValueError("t_grid must be strictly increasing")
-        u, v, phi_sq, stats = _magnus_uv(src, t, phase0)
+        def coeffs(x):
+            m = src.at(x, ())
+            return m.W, m.T
+
+        u, v, phi_sq, stats = _magnus_uv(t, coeffs, phase0)
         return Trajectory(t=t, u=u, v=v, r=np.arcsinh(np.abs(v)), phi_sq=phi_sq,
                           m=src.at(t, ()), stats=stats, oracle=None)
-    s0 = (seed_r_eps, phase0, 0.0)
-    run = src.integrate(lambda m, y: (*squeeze_rhs(y[0], y[1], m.W, m.T),
-                                      *_uv_rates(m, y[3:])),
-                        s0 + (1.0, 0.0, 0.0, 0.0), t_grid, rtol, atol)
-    chart = SqueezeState(*run.y[:, :3].T)
-    u, v = bogoliubov_uv(SqueezeState(*s0), chart)
-    return Trajectory(t=run.t, u=u, v=v, r=np.arcsinh(np.abs(v)),
-                      phi_sq=_branch(chart.phi_sq, u * v), m=run.m,
-                      stats=run.stats,
-                      oracle=(run.y[:, 3] + 1j * run.y[:, 4],
-                              run.y[:, 5] + 1j * run.y[:, 6]))
+    nodes = _nodes(t[:-1], np.diff(t))
+    grid = np.unique(np.append(t, nodes))
+    run = src.integrate(_uv_rates, (1.0, 0.0, 0.0, 0.0), grid, rtol, atol)
+    n = _step_counts(t, *_reported(run, nodes))
+    if np.any(n > 1):
+        *_, h, start = _steps(t, n, np.cumsum(n), np.flatnonzero(np.repeat(n > 1, n)))
+        grid = np.unique(np.append(grid, _nodes(start, h)))
+        run = src.integrate(_uv_rates, (1.0, 0.0, 0.0, 0.0), grid, rtol, atol)
+    u, v, phi_sq, _ = _magnus_uv(t, lambda x: _reported(run, x), phase0)
+    g = np.searchsorted(grid, t)
+    y = run.y[g]
+    return Trajectory(t=t, u=u, v=v, r=np.arcsinh(np.abs(v)), phi_sq=phi_sq,
+                      m=src.at(t, [c[g] for c in run.m[:3]]), stats=run.stats,
+                      oracle=(y[:, 0] + 1j * y[:, 1], y[:, 2] + 1j * y[:, 3]))
 
 
 def bogoliubov_ode_oracle(src: MapSource, t_grid: np.ndarray, *,
                           rtol: float = 1e-9, atol: float = 1e-12
                           ) -> tuple[np.ndarray, np.ndarray]:
-    """Independent (u, v) evolution for cross-checking the squeeze route.
+    """Independent (u, v) evolution for cross-checking evolve's Magnus product.
 
     The Heisenberg flow of a(t) = u*a + v*a^dag under the counterpart
     generator closes over (u, conj(v)):
@@ -401,12 +343,10 @@ def bogoliubov_ode_oracle(src: MapSource, t_grid: np.ndarray, *,
     integrated.  Otherwise T is the grid's span: direct integration, the
     standalone form of the pair evolve carries along on the integrated map.
 
-    The route shares W and T with evolve.  On a closed-form map evolve
-    multiplies out Magnus steps of the same linear flow, which this route
-    integrates with DOP853 (and composes over periods): two
-    discretizations of one flow.  On the integrated map, riding in evolve,
-    it shares the map's integration and step sequence, but integrates the
-    linear flow rather than evolve's polar chart.
+    The route shares W and T with evolve, which multiplies out Magnus
+    steps of the same linear flow that this route integrates with DOP853:
+    two discretizations of one flow.  On the integrated map the route rides
+    in evolve's integration, whose map the Magnus steps read.
     """
     t0 = t_grid[0]
     period = min(src.period, t_grid[-1] - t0)

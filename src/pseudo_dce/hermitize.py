@@ -24,11 +24,11 @@ A MapSource supplies the map along the drive, closed-form or integrated.
 Its MapPoint (coordinates, rates, chi, W, T) is the one record of the map,
 built by one set of expressions for a scalar time inside a right-hand side
 and for the whole output grid afterwards.  The source integrates a route
-(the squeeze ODE, the (u, v) oracle, or both in one state; the empty
-route, whose rates are (), integrates the flow alone) together with the
-map, so a route sees only the map point and its own components.  The
-general-input functions are the independent references that the verify
-suite compares against.
+(the (u, v) oracle, whose run also reports the map where evolve's Magnus
+steps read it; the empty route, whose rates are (), integrates the flow
+alone) together with the map, so a route sees only the map point and its
+own components.  The general-input functions are the independent
+references that the verify suite compares against.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from .dynamics import (
     bogoliubov_ode_oracle,
     evolve,
 )
-from .errors import ParseError, PseudoDceError, ValidationError
+from .errors import NonFiniteState, ParseError, PseudoDceError, ValidationError
 from .hermitize import CHI_GUARD, ConstraintState, MapSource
 from .integrate import IntegrationStats
 
@@ -237,7 +237,7 @@ class RunRecord:
 
     r_final and N_final are kept whatever columns the config selects, and
     stats is evolve's work: Magnus steps on a closed-form map, else the
-    polar chart's integration.
+    integration of the map and the (u, v) oracle that the Magnus steps read.
     """
 
     name: str
@@ -268,32 +268,40 @@ def run(cfg: ScenarioConfig, out_dir=None, name: str = "run") -> RunRecord:
         r_analytic = phi_analytic = np.full(t_grid.size, np.nan)
 
     traj = evolve(src, t_grid, rtol=cfg.rtol, atol=cfg.atol)
-    n_numeric = traj.mean_photon()
-
-    columns = {
-        "tau": traj.t * cfg.omega0,
-        "r_numeric": traj.r,
-        "r_analytic": r_analytic,
-        "phi_numeric_raw": traj.phi_sq,
-        "phi_analytic_raw": phi_analytic,
-        "N_numeric": n_numeric,
-        "N_analytic": np.sinh(r_analytic) ** 2,
-        "W": traj.m.W,
-        "T_abs": np.abs(traj.m.T),
-        "phi_T": np.angle(traj.m.T),
-        "Phi": traj.m.Phi,
-        "chi": traj.m.chi,
-        "varphi": traj.m.varphi,
-        "residual_hermiticity": src.residual(traj.t, traj.m),
-    }
-    if "N_oracle" in cfg.outputs:
-        # evolve carries the oracle on the integrated map.
-        if traj.oracle is None:
-            _, v = bogoliubov_ode_oracle(src, t_grid, rtol=cfg.rtol, atol=cfg.atol)
-        else:
-            _, v = traj.oracle
-        columns["N_oracle"] = np.abs(v) ** 2
+    # N = |v|^2 overflows from r ~ 355 on, where (u, v) are still finite;
+    # such a column is refused below, not written as inf.
+    with np.errstate(over="ignore"):
+        n_numeric = traj.mean_photon()
+        columns = {
+            "tau": traj.t * cfg.omega0,
+            "r_numeric": traj.r,
+            "r_analytic": r_analytic,
+            "phi_numeric_raw": traj.phi_sq,
+            "phi_analytic_raw": phi_analytic,
+            "N_numeric": n_numeric,
+            "N_analytic": np.sinh(r_analytic) ** 2,
+            "W": traj.m.W,
+            "T_abs": np.abs(traj.m.T),
+            "phi_T": np.angle(traj.m.T),
+            "Phi": traj.m.Phi,
+            "chi": traj.m.chi,
+            "varphi": traj.m.varphi,
+            "residual_hermiticity": src.residual(traj.t, traj.m),
+        }
+        if "N_oracle" in cfg.outputs:
+            # evolve carries the oracle on the integrated map.
+            if traj.oracle is None:
+                _, v = bogoliubov_ode_oracle(src, t_grid, rtol=cfg.rtol, atol=cfg.atol)
+            else:
+                _, v = traj.oracle
+            columns["N_oracle"] = np.abs(v) ** 2
     selected = {k: columns[k] for k in cfg.outputs}
+    # N_numeric is checked whatever is selected: N_final reads it.
+    for key, col in {"N_numeric": n_numeric, **selected}.items():
+        over = np.isinf(col)
+        if over.any():
+            raise NonFiniteState(f"{key} overflows at tau = "
+                                 f"{float(columns['tau'][np.argmax(over)])!r}")
 
     record = RunRecord(name=name, config=cfg, columns=selected,
                        wall_seconds=0.0, stats=traj.stats,

@@ -126,6 +126,14 @@ class TestRunCommand:
         assert code == 2
         assert "ChiSingular" in capsys.readouterr().err
 
+    def test_photon_number_overflow_exits_two(self, tmp_path, capsys):
+        # |v|^2 overflows near tau = 79 while (u, v) stay finite.
+        cfg = write_cfg(tmp_path, "chi = 1.00001\ntau_max = 100\n")
+        code = cli.main(["run", "--config", cfg, "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "NonFiniteState: N_numeric overflows at tau = 79.0" in err
+
     def test_config_and_preset_conflict(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, FAST_CFG)
         with pytest.raises(SystemExit) as exc:

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 import pseudo_dce
 from pseudo_dce import scenario
 from pseudo_dce.dynamics import evolve
-from pseudo_dce.errors import ParseError, PseudoDceError, ValidationError
+from pseudo_dce.errors import (NonFiniteState, ParseError, PseudoDceError,
+                               ValidationError)
 from pseudo_dce.hermitize import MapSource
 from pseudo_dce.scenario import (CANONICAL_COLUMNS, PRESETS, RunRecord,
                                  ScenarioConfig, SweepFailure, load_config,
@@ -237,6 +238,30 @@ class TestRun:
         rec = run(cfg, out_dir=None)
         assert np.all(np.isnan(rec.column("r_analytic")))
         assert np.all(np.isfinite(rec.column("r_numeric")))
+
+    def test_photon_number_overflow_names_its_column_and_tau(self, tmp_path):
+        # chi = 1 + 1e-5 amplifies the pump 900-fold: r reaches about 452
+        # by tau = 100, and |v|^2 passes the largest float near r = 355
+        # while (u, v) stay finite.  No numpy warning escapes either.
+        with pytest.raises(NonFiniteState, match=r"N_numeric overflows at tau = 79\.0"):
+            run(ScenarioConfig(chi=1.0 + 1e-5, tau_max=100.0), out_dir=tmp_path)
+        assert not list(tmp_path.iterdir())
+
+    def test_oracle_overflow_is_refused_on_the_integrated_map(self, monkeypatch):
+        # No integrated-map run short enough for a test reaches r ~ 355, so
+        # the riding oracle's v is scaled until its |v|^2 overflows.
+        def scaled(*args, **kwargs):
+            traj = evolve(*args, **kwargs)
+            u, v = traj.oracle
+            return dataclasses.replace(traj, oracle=(u, v * 1e160))
+
+        monkeypatch.setattr(scenario, "evolve", scaled)
+        cfg = fast_config(alpha0_tilde=0.6, beta0_tilde=0.2, chi=-2.25, z_abs=0.8,
+                          dyson_source="integrated", tau_max=2.0)
+        alone = dataclasses.replace(cfg, outputs=("tau", "N_numeric"))
+        assert run(alone).N_final < 1e-3
+        with pytest.raises(NonFiniteState, match="N_oracle overflows at tau = "):
+            run(cfg)
 
 
 class TestPresets:
