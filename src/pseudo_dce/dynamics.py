@@ -14,9 +14,9 @@ source evolve multiplies out sixth-order Magnus steps of this flow
 (Iserles & Norsett, Phil. Trans. R. Soc. A 357, 983 (1999); Blanes, Casas
 & Ros, BIT 40, 434 (2000)), reading W and T at the steps' Gauss nodes.
 Where W and T are closed-form (the approximate map source, which every
-preset uses) no ODE is integrated.  The integrated map reports W and T at
-those nodes from its own integration, which carries the same flow under
-DOP853 as the (u, v) oracle.
+preset uses) no ODE is integrated.  The integrated map gives W and T at
+those nodes from the dense output of its one integration, which carries
+the same flow under DOP853 as the (u, v) oracle.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ import numpy as np
 
 from .drive import DriveParams, heaviside
 from .errors import NonFiniteState, NotOnResonance, StepRejected
-from .hermitize import MapPoint, MapRun, MapSource, guard_chi
-from .integrate import IntegrationStats
+from .hermitize import MapPoint, MapSource, guard_chi
+from .integrate import IntegrationStats, dense_at
 
 # Gauss-Legendre nodes of the sixth-order Magnus step, in units of the step.
 _GAUSS_NODES = 0.5 + math.sqrt(0.15) * np.array([-1.0, 0.0, 1.0])
@@ -175,52 +175,30 @@ def _prefix_products(p: np.ndarray, q: np.ndarray) -> None:
         d *= 2
 
 
-def _nodes(start: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """The three Gauss nodes, shape (m, 3), of the steps [start, start + h]."""
-    return start[:, None] + h[:, None] * _GAUSS_NODES
+def _magnus_uv(t: np.ndarray, coeffs, phase0: float):
+    """The vacuum's (u, v), arg(u*v) and the work done, on the grid t.
 
-
-def _step_counts(t: np.ndarray, W: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Magnus steps for each interval of the grid t, from W and T at its
-    three Gauss nodes: the least count n that keeps (H/n)*max(|W| + 2|T|)
-    under _MAGNUS_SPAN, H the interval's width.  A cut below 10 ulps of t
-    raises StepRejected, as integrate does."""
+    x = (u, conj(v)) obeys x' = A(t)*x with A = [[-i*W, -2i*conj(T)],
+    [2i*T, i*W]] (bogoliubov_ode_oracle's equations) from x = (1, 0) at
+    t[0], and is carried by a product of sixth-order Magnus steps that read
+    W and T from coeffs(x) at their Gauss nodes x, shape (m, 3).  A grid
+    interval of width H takes the least count n of equal steps that keeps
+    (H/n)*max(|W| + 2|T|) over its own nodes under _MAGNUS_SPAN; a cut
+    below 10 ulps of t raises StepRejected, as integrate does.  The steps
+    are multiplied out _MAGNUS_BLOCK at a time, and arg(u*v) = arg u +
+    arg v, which does not overflow, is unwrapped step by step from phase0
+    at t[0], where v = 0.
+    """
     H = np.diff(t)
-    rate = (np.abs(W) + 2.0 * np.abs(T)).max(axis=1)
+    W0, T0 = coeffs(t[:-1, None] + H[:, None] * _GAUSS_NODES)
+    rate = (np.abs(W0) + 2.0 * np.abs(T0)).max(axis=1)
     n = np.floor(H * rate / _MAGNUS_SPAN) + 1.0
     ulp = np.spacing(np.abs(t[1:]) + np.abs(t[:-1]))
     small = (n > 1.0) & (H / n < 10.0 * ulp)
     if small.any():
         raise StepRejected(f"a Magnus step falls below 10 ulps at tau = "
                            f"{float(t[np.argmax(small)])!r}")
-    return n.astype(np.int64)
-
-
-def _steps(t: np.ndarray, n: np.ndarray, ends: np.ndarray, step: np.ndarray):
-    """Interval k, place j there, width h and start of the Magnus steps
-    numbered step, with n steps to each interval of t (ends = cumsum(n))."""
-    k = np.searchsorted(ends, step, side="right")
-    j = step - (ends - n)[k]
-    h = (t[k + 1] - t[k]) / n[k]
-    return k, j, h, t[k] + j * h
-
-
-def _magnus_uv(t: np.ndarray, coeffs, phase0: float):
-    """The vacuum's (u, v), arg(u*v) and the work done, on the grid t.
-
-    x = (u, conj(v)) obeys x' = A(t)*x with A = [[-i*W, -2i*conj(T)],
-    [2i*T, i*W]] (bogoliubov_ode_oracle's equations) from x = (1, 0) at
-    t[0], and is carried by a product of sixth-order Magnus steps.
-    coeffs(x) returns W and T at the times x, shape (m, 3): first at the
-    Gauss nodes of every grid interval, which choose its steps
-    (_step_counts), then at those of the steps of the intervals cut into
-    several; one-step intervals reuse the first.  The steps are multiplied
-    out _MAGNUS_BLOCK at a time, and arg(u*v) = arg u + arg v, which does
-    not overflow, is unwrapped step by step from phase0 at t[0], where
-    v = 0.
-    """
-    W0, T0 = coeffs(_nodes(t[:-1], np.diff(t)))
-    n = _step_counts(t, W0, T0)
+    n = n.astype(np.int64)
     ends = np.cumsum(n)
     u = np.empty(t.size, dtype=complex)
     v = np.empty(t.size, dtype=complex)
@@ -228,12 +206,15 @@ def _magnus_uv(t: np.ndarray, coeffs, phase0: float):
     u[0], v[0], phase[0] = 1.0, 0.0, phase0
     x = (1.0 + 0.0j, 0.0j, phase0)  # (u, conj(v), phase) before the block
     for a in range(0, int(ends[-1]), _MAGNUS_BLOCK):
-        k, j, h, start = _steps(t, n, ends,
-                                np.arange(a, min(a + _MAGNUS_BLOCK, int(ends[-1]))))
+        step = np.arange(a, min(a + _MAGNUS_BLOCK, int(ends[-1])))
+        k = np.searchsorted(ends, step, side="right")  # each step's interval
+        j = step - (ends - n)[k]  # and its place there
+        h = H[k] / n[k]
         W, T = W0[k], T0[k]
         cut = n[k] > 1
         if cut.any():
-            W[cut], T[cut] = coeffs(_nodes(start[cut], h[cut]))
+            start = t[k[cut]] + j[cut] * h[cut]
+            W[cut], T[cut] = coeffs(start[:, None] + h[cut, None] * _GAUSS_NODES)
         with np.errstate(over="ignore", invalid="ignore"):
             p, q = _magnus_factors(W, T, h)
             _prefix_products(p, q)
@@ -249,16 +230,10 @@ def _magnus_uv(t: np.ndarray, coeffs, phase0: float):
         out = k[end] + 1
         u[out], v[out], phase[out] = uk[end], vk[end], ph[end]
         x = (uk[-1], wk[-1], ph[-1])
-    h = np.diff(t) / n
+    h = H / n
     nfev = W0.size + 3 * int(n[n > 1].sum())
     stats = IntegrationStats(int(ends[-1]), 0, nfev, float(h.min()), float(h.max()))
     return u, v, phase, stats
-
-
-def _reported(run: MapRun, x: np.ndarray):
-    """W and T of the map run at the times x, each one of its grid's."""
-    i = np.searchsorted(run.t, x)
-    return run.m.W[i], run.m.T[i]
 
 
 def evolve(src: MapSource, t_grid: np.ndarray, *, rtol: float = 1e-9,
@@ -282,12 +257,10 @@ def evolve(src: MapSource, t_grid: np.ndarray, *, rtol: float = 1e-9,
     into several steps.  Trajectory.oracle is None.
 
     On the integrated map src.integrate carries the map and the (u, v)
-    oracle at rtol and atol, with its period/16 step cap and its crossing
-    guards, and reports them on the grid and on every interval's Gauss
-    nodes, where the steps read W and T.  Where an interval needs several
-    steps, a second integration of the same route reports their nodes too;
-    integrate does not choose its steps by the grid, so it takes the same
-    steps.  The stats are the integration's, and Trajectory.oracle is the
+    oracle once, on t_grid, at rtol and atol, with its period/16 step cap
+    and its crossing guards, and the steps read W and T at their nodes from
+    that integration's dense output (MapRun.steps), however coarse the
+    grid.  The stats are the integration's, and Trajectory.oracle is the
     oracle's pair: 3.1e-11 to 3.7e-11 from the reference on those cells.
     """
     t = np.array(t_grid, dtype=float)
@@ -296,29 +269,23 @@ def evolve(src: MapSource, t_grid: np.ndarray, *, rtol: float = 1e-9,
                          "finite times")
     if np.any(np.diff(t) <= 0.0):
         raise ValueError("t_grid must be strictly increasing")
-    phase0 = _start_phase(src.p, src.chi0)
-    if src.closed_form:
-        def coeffs(x):
-            m = src.at(x, ())
-            return m.W, m.T
+    run = (None if src.closed_form else
+           src.integrate(_uv_rates, (1.0, 0.0, 0.0, 0.0), t, rtol, atol))
 
-        u, v, phi_sq, stats = _magnus_uv(t, coeffs, phase0)
-        return Trajectory(t=t, u=u, v=v, r=np.arcsinh(np.abs(v)), phi_sq=phi_sq,
-                          m=src.at(t, ()), stats=stats, oracle=None)
-    nodes = _nodes(t[:-1], np.diff(t))
-    grid = np.unique(np.append(t, nodes))
-    run = src.integrate(_uv_rates, (1.0, 0.0, 0.0, 0.0), grid, rtol, atol)
-    n = _step_counts(t, *_reported(run, nodes))
-    if np.any(n > 1):
-        *_, h, start = _steps(t, n, np.cumsum(n), np.flatnonzero(np.repeat(n > 1, n)))
-        grid = np.unique(np.append(grid, _nodes(start, h)))
-        run = src.integrate(_uv_rates, (1.0, 0.0, 0.0, 0.0), grid, rtol, atol)
-    u, v, phi_sq, _ = _magnus_uv(t, lambda x: _reported(run, x), phase0)
-    g = np.searchsorted(grid, t)
-    y = run.y[g]
+    def coeffs(x):
+        y = () if run is None else np.moveaxis(dense_at(run.steps, x), -1, 0)
+        mx = src.at(x, y)
+        return mx.W, mx.T
+
+    u, v, phi_sq, stats = _magnus_uv(t, coeffs, _start_phase(src.p, src.chi0))
+    if run is None:
+        m, oracle = src.at(t, ()), None
+    else:
+        y = run.y
+        m, stats = run.m, run.stats
+        oracle = (y[:, 0] + 1j * y[:, 1], y[:, 2] + 1j * y[:, 3])
     return Trajectory(t=t, u=u, v=v, r=np.arcsinh(np.abs(v)), phi_sq=phi_sq,
-                      m=src.at(t, [c[g] for c in run.m[:3]]), stats=run.stats,
-                      oracle=(y[:, 0] + 1j * y[:, 1], y[:, 2] + 1j * y[:, 3]))
+                      m=m, stats=stats, oracle=oracle)
 
 
 def bogoliubov_ode_oracle(src: MapSource, t_grid: np.ndarray, *,

@@ -24,11 +24,11 @@ A MapSource supplies the map along the drive, closed-form or integrated.
 Its MapPoint (coordinates, rates, chi, W, T) is the one record of the map,
 built by one set of expressions for a scalar time inside a right-hand side
 and for the whole output grid afterwards.  The source integrates a route
-(the (u, v) oracle, whose run also reports the map where evolve's Magnus
-steps read it; the empty route, whose rates are (), integrates the flow
-alone) together with the map, so a route sees only the map point and its
-own components.  The general-input functions are the independent
-references that the verify suite compares against.
+(the (u, v) oracle, whose run's dense output also gives the map where
+evolve's Magnus steps read it; the empty route, whose rates are (),
+integrates the flow alone) together with the map, so a route sees only
+the map point and its own components.  The general-input functions are
+the independent references that the verify suite compares against.
 """
 
 from __future__ import annotations
@@ -347,12 +347,15 @@ class MapPoint(NamedTuple):
 
 
 class MapRun(NamedTuple):
-    """MapSource.integrate's result: map m and route components y on t."""
+    """MapSource.integrate's result: map m and route components y on t, and
+    the accepted steps (integrate.Step records, which integrate.dense_at
+    reads anywhere in the span) on the integrated source, else []."""
 
     t: np.ndarray
     m: MapPoint
     y: np.ndarray
     stats: IntegrationStats
+    steps: list
 
 
 class MapSource:
@@ -380,7 +383,7 @@ class MapSource:
             guard_chi(chi, " at every tau")
 
             s0 = ConstraintState.from_chi(chi, 1.0, varphi0)
-            self.chi0, self._map0, self._guard = chi, (), None
+            self.chi0, self._map0 = chi, ()
             self.closed_form = True
             self.period = p.period() if p.on_resonance() else math.inf
             # Phi and Lambda are frozen; adding 0*t gives them the shape of t.
@@ -398,7 +401,7 @@ class MapSource:
 
             s0 = constraint0
             self.chi0, self._map0 = s0.chi, (s0.Phi, s0.varphi, s0.Lambda)
-            self._guard, self.period = guard_flow_crossings, math.inf
+            self.period = math.inf
             self.closed_form = False
             self._coordinates = lambda t, y: (y[0], y[1], y[2])
             self._rates = rates
@@ -451,14 +454,15 @@ class MapSource:
         stacked in one y0 share one map evaluation per stage.  The empty
         route (rhs returning (), y0 = ()) integrates the map alone.  A
         step that carries the integrated flow across chi = 1 or Phi = 0
-        raises ChiSingular or PhiZero at the crossing.
+        raises ChiSingular or PhiZero at the crossing; that guard keeps
+        every accepted step in MapRun.steps.
 
         Steps are capped at a sixteenth of the drive period.  The error
         control alone takes longer steps, and against a tight-tolerance
         reference they lose a factor of about 20 in N on the integrated
         source and 2 on the approximate one; the cap costs little time.
         """
-        n = len(self._map0)
+        n, steps = len(self._map0), []
 
         def full_rhs(t, y):
             # Python floats: arithmetic on numpy scalars is several times slower.
@@ -466,11 +470,16 @@ class MapSource:
             m = self.at(t, y)
             return np.array([*m.rates[:n], *rhs(m, y[n:])])
 
+        def guard(t_old, y_old, t_new, y_new, step):
+            guard_flow_crossings(t_old, y_old, t_new, y_new, step)
+            steps.append(step)
+
         problem = IvpProblem(rhs=full_rhs, t_eval=t_grid,
-                             y0=np.array(self._map0 + tuple(y0)), guard=self._guard)
+                             y0=np.array(self._map0 + tuple(y0)),
+                             guard=None if self.closed_form else guard)
         sol = integrate(problem, rtol=rtol, atol=atol,
                         max_step=self.p.period() / 16.0)
-        return MapRun(sol.t, self.at(sol.t, sol.y.T), sol.y[:, n:], sol.stats)
+        return MapRun(sol.t, self.at(sol.t, sol.y.T), sol.y[:, n:], sol.stats, steps)
 
 
 def z_residual(p: DriveParams, run: MapRun) -> np.ndarray:

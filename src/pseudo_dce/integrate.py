@@ -3,9 +3,11 @@
 DOP853, the explicit Runge-Kutta 8(5,3) pair of Dormand and Prince (Hairer,
 Nørsett & Wanner, Solving ODEs I, §II.10), on real state vectors, written
 with numpy alone and stepped so that every accepted step can be handed to a
-guard.  The solution is reported on a fixed grid, filled from each step's
-7th-order dense output, a block of steps at a time: on small states the
-cost of a numpy call outweighs its arithmetic.  The grid's ends are the span.
+guard as a Step record with its 7th-order dense output.  dense_at reads
+such records at any times: the reporting grid, a block of steps at a time
+(on small states a numpy call costs more than its arithmetic); a guard's
+own step; or, kept by a guard, anywhere in the span.  The grid's ends are
+the span.
 
 The loop does scipy.integrate.DOP853's arithmetic in scipy's order: the
 same stage sums, initial-step rule, error norm, step-factor rule,
@@ -20,8 +22,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -133,8 +134,8 @@ class IvpProblem:
     times; the integration runs from its first to its last point.  guard,
     when given, is called after every accepted step as guard(t_old, y_old,
     t_new, y_new, y_at): its ends, y_new being the next step's y_old, and
-    its dense output y_at(t), the state, shape (n,), at a time t in it.
-    The guard raises to stop the integration.
+    its Step record y_at, whose y_at(t) is the state, shape (n,), at a
+    time t in it.  The guard raises to stop the integration.
     """
 
     rhs: Callable[[float, np.ndarray], np.ndarray]
@@ -246,9 +247,8 @@ def _dense_output(rhs, K, t_old, y_old, h, y_new, f_new):
 
 
 def _dense_eval(t, t_old, h, y_old, F):
-    """A step's interpolant at t: a float, F (7, n); or m points, each in its
-    own step: t, t_old, h (m, 1), y_old (m, n), F (7, m, n).  Every value
-    takes the same operations in the same order either way."""
+    """The interpolant at m points, each in its own step: t, t_old, h (m, 1),
+    y_old (m, n), F (7, m, n)."""
     x = (t - t_old) / h
     x1 = 1 - x
     y = np.zeros_like(y_old)
@@ -259,21 +259,42 @@ def _dense_eval(t, t_old, h, y_old, F):
     return y
 
 
-def _fill(out, te, i, steps, snap):
-    """Fill out[i:] up to the last step's grid index j, in blocks of at most
-    _FILL_FLOATS; steps holds each step's (t_old, h, y_old, F, t_new, y_new, j)."""
-    t_old, h, y_old, F, t_new, y_new, ends = (np.array(c) for c in zip(*steps))
-    t_old, h, F = t_old[:, None], h[:, None], F.swapaxes(0, 1)
+class Step(NamedTuple):
+    """An accepted step from t_old to t_new (h = t_new - t_old), the rows F
+    of its interpolant (_dense_output) and the snap of its integration;
+    called as y_at(t), it is dense_at of this step alone."""
+
+    t_old: float
+    h: float
+    y_old: np.ndarray
+    F: np.ndarray
+    t_new: float
+    y_new: np.ndarray
+    snap: float
+
+    def __call__(self, t):
+        return dense_at((self,), t)
+
+
+def dense_at(steps: Sequence[Step], t) -> np.ndarray:
+    """The state, shape t.shape + (n,), at the times t from the dense output
+    of steps, consecutive records of one integration.  A time is read from
+    the first step with t <= t_new + snap, and is y_new where t >= t_new -
+    snap; the points are evaluated _FILL_FLOATS outputs at a time.
+    """
+    t_old, h, y_old, F, t_new, y_new, snap = (np.array(c) for c in zip(*steps))
+    t_old, h, F, snap = t_old[:, None], h[:, None], F.swapaxes(0, 1), snap[0]
+    x = np.ravel(t)
+    out = np.empty((x.size, y_old.shape[1]))
     block = max(1, _FILL_FLOATS // y_old.shape[1])
-    for a in range(i, ends[-1], block):
-        b = min(a + block, ends[-1])
-        k = np.searchsorted(ends, np.arange(a, b), side="right")
-        t = te[a:b]
-        y = _dense_eval(t[:, None], t_old[k], h[k], y_old[k], F[:, k])
-        # Points on a step end take its value, not the interpolant's.
-        on_end = t >= t_new[k] - snap
+    for a in range(0, x.size, block):
+        xa = x[a:a + block]
+        k = np.searchsorted(t_new + snap, xa)
+        y = _dense_eval(xa[:, None], t_old[k], h[k], y_old[k], F[:, k])
+        on_end = xa >= t_new[k] - snap
         y[on_end] = y_new[k[on_end]]
-        out[a:b] = y
+        out[a:a + block] = y
+    return out.reshape(np.shape(t) + out.shape[1:])
 
 
 def integrate(p: IvpProblem, rtol: float = 1e-9, atol: float = 1e-12,
@@ -359,16 +380,16 @@ def integrate(p: IvpProblem, rtol: float = 1e-9, atol: float = 1e-12,
         j = bisect.bisect_right(te_at, t + snap, i)
         if p.guard is None and j == i:
             continue
-        F = _dense_output(p.rhs, K, t_old, y_old, h, y, f)
+        step = Step(t_old, h, y_old, _dense_output(p.rhs, K, t_old, y_old, h, y, f),
+                    t, y, snap)
         nfev += 3
         if p.guard is not None:
-            p.guard(t_old, y_old, t, y, partial(_dense_eval, t_old=t_old, h=h,
-                                                y_old=y_old, F=F))
+            p.guard(t_old, y_old, t, y, step)
         if j > i:
-            pending.append((t_old, h, y_old, F, t, y, j))
+            pending.append(step)
             i = j
             if i == te.size or (i - filled) * y.size >= _FILL_FLOATS:
-                _fill(out_y, te, filled, pending, snap)
+                out_y[filled:i] = dense_at(pending, te[filled:i])
                 filled, pending = i, []
 
     stats = IntegrationStats(n_steps, n_rejected, nfev, h_min, h_max)

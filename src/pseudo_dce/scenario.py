@@ -110,9 +110,11 @@ class ScenarioConfig:
         if not isinstance(self.outputs, tuple) or not self.outputs:
             raise ValidationError(
                 f"outputs must be a nonempty tuple of column names, got {self.outputs!r}")
-        for col in self.outputs:
+        for i, col in enumerate(self.outputs):
             if col not in CANONICAL_COLUMNS:
                 raise ValidationError(f"unknown output column {col!r}")
+            if col in self.outputs[:i]:
+                raise ValidationError(f"output column {col!r} is repeated")
         try:
             self.drive_params()
         except ValueError as exc:

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the current package."""
+"""Every demo script runs to completion against the current package, with
+warnings turned into errors."""
 
 import os
 import subprocess
@@ -22,6 +23,6 @@ def test_demo_exits_zero(demo, tmp_path):
     # (demo 05 writes under tempfile.mkdtemp) lands in the test's temp dir.
     env = dict(os.environ, TMPDIR=str(tmp_path),
                PYTHONPATH=str(Path(pseudo_dce.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-W", "error", str(demo)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -194,7 +194,7 @@ class TestIntegratedFlow:
         Phi = -0.5 * z * (chi + 1.0)
         state = np.array([Phi, rng.uniform(0.0, 2.0 * math.pi, n), Phi * Phi - chi])
         src = MapSource(moderate_params, "integrated", constraint0=generic_state())
-        run = MapRun(t, src.at(t, state), np.empty((n, 0)), None)
+        run = MapRun(t, src.at(t, state), np.empty((n, 0)), None, [])
         assert float(z_residual(moderate_params, run).max()) < 1e-15
 
     def test_state_accessor(self, moderate_params, moderate_state0):

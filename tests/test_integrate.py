@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from conftest import CHI_FIG, VARPHI0
-from pseudo_dce import hermitize
-from pseudo_dce.dynamics import bogoliubov_ode_oracle, evolve
+from pseudo_dce import dynamics, hermitize
+from pseudo_dce.dynamics import _GAUSS_NODES, _uv_rates, bogoliubov_ode_oracle, evolve
 from pseudo_dce.errors import NonFiniteState, StepRejected
 from pseudo_dce.hermitize import MapSource
-from pseudo_dce.integrate import _A, _C, _D, _E3, _E5, IvpProblem, integrate
+from pseudo_dce.integrate import (_A, _C, _D, _E3, _E5, IvpProblem, dense_at,
+                                  integrate)
 from pseudo_dce.scenario import ScenarioConfig, run
 
 
@@ -178,6 +179,58 @@ def test_guard_sees_every_accepted_step():
     assert len(seen) == sol.stats.n_steps
     assert seen[0][0] == 0.0 and seen[-1][1] == 2.0 * math.pi
     assert all(a[1] == b[0] for a, b in zip(seen, seen[1:]))
+
+
+def test_recorded_steps_reproduce_the_grid():
+    """dense_at on a run's recorded steps gives its reported grid bit for
+    bit, points within the snap of a step end included."""
+    def record(problem):
+        steps = []
+        problem = IvpProblem(problem.rhs, problem.t_eval, problem.y0,
+                             guard=lambda *args: steps.append(args[-1]))
+        return integrate(problem, max_step=0.3), steps
+
+    _, steps = record(IvpProblem(osc_rhs, span(6.0), np.array([1.0, 0.5])))
+    ends = np.array([s.t_new for s in steps[:-1]])
+    # Points on step ends, just before and after them inside the snap, and
+    # inside steps.
+    near = np.concatenate([ends, ends - 0.5 * steps[0].snap, ends + 0.5 * steps[0].snap])
+    te = np.unique(np.concatenate([np.linspace(0.0, 6.0, 97), near]))
+    sol, steps = record(IvpProblem(osc_rhs, te, np.array([1.0, 0.5])))
+    assert np.all(np.isin(near, te))
+    assert dense_at(steps, te).tobytes() == sol.y.tobytes()
+    assert dense_at(steps, te[::-1]).tobytes() == sol.y[::-1].tobytes()
+    # Within the snap of a step end, the end state, not the interpolant's.
+    on_ends = sol.y[np.searchsorted(te, near)].reshape(3, ends.size, 2)
+    assert np.all(on_ends == np.array([s.y_new for s in steps[:-1]]))
+    # A step called as y_at(t) reads itself alone.
+    mid = 0.5 * (steps[3].t_old + steps[3].t_new)
+    assert steps[3](mid).tobytes() == dense_at(steps, mid).tobytes()
+
+
+def test_evolve_reads_the_map_a_denser_grid_reports(monkeypatch):
+    """On a sweep cell evolve's W and T at the Gauss nodes, read from the
+    dense output of its one integration, equal those an integration that
+    also reports the nodes gives there."""
+    cfg = ScenarioConfig(alpha0_tilde=0.6, beta0_tilde=0.2, chi=-2.25, z_abs=0.8,
+                         dyson_source="integrated", tau_max=25.0, kappa=2.0)
+    src = MapSource(cfg.drive_params(), "integrated", constraint0=cfg.constraint0())
+    t = cfg.time_grid()
+    magnus_uv, seen = dynamics._magnus_uv, []
+
+    def spy(t, coeffs, phase0):
+        seen.append(coeffs)
+        return magnus_uv(t, coeffs, phase0)
+
+    monkeypatch.setattr(dynamics, "_magnus_uv", spy)
+    traj = evolve(src, t)
+    nodes = t[:-1, None] + np.diff(t)[:, None] * _GAUSS_NODES
+    W, T = seen[0](nodes)
+    grid = np.unique(np.append(t, nodes))
+    run = src.integrate(_uv_rates, (1.0, 0.0, 0.0, 0.0), grid, 1e-9, 1e-12)
+    i = np.searchsorted(grid, nodes)
+    assert run.stats == traj.stats
+    assert W.tobytes() == run.m.W[i].tobytes() and T.tobytes() == run.m.T[i].tobytes()
 
 
 def test_work_on_the_paper_runs_is_pinned(fig1_params, moderate_params,

@@ -117,6 +117,7 @@ class TestValidation:
         pytest.param(dict(outputs=()), id="kwargs10"),
         pytest.param(dict(grid_per_period=300.5), id="kwargs11"),
         pytest.param(dict(grid_per_period=True), id="kwargs12"),
+        pytest.param(dict(outputs=("tau", "N_numeric", "tau")), id="kwargs13"),
     ])
     def test_rejected(self, kwargs):
         with pytest.raises(ValidationError):
