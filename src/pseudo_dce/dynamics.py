@@ -30,7 +30,7 @@ import numpy as np
 from .drive import DriveParams, heaviside
 from .errors import NonFiniteState, NotOnResonance, StepRejected
 from .hermitize import MapPoint, MapSource, guard_chi
-from .integrate import IntegrationStats, dense_at
+from .integrate import IntegrationStats, as_time_grid, dense_at
 
 # Gauss-Legendre nodes of the sixth-order Magnus step, in units of the step.
 _GAUSS_NODES = 0.5 + math.sqrt(0.15) * np.array([-1.0, 0.0, 1.0])
@@ -263,12 +263,7 @@ def evolve(src: MapSource, t_grid: np.ndarray, *, rtol: float = 1e-9,
     grid.  The stats are the integration's, and Trajectory.oracle is the
     oracle's pair: 3.1e-11 to 3.7e-11 from the reference on those cells.
     """
-    t = np.array(t_grid, dtype=float)
-    if t.ndim != 1 or t.size < 2 or not np.all(np.isfinite(t)):
-        raise ValueError("t_grid must be a 1-D array of at least two "
-                         "finite times")
-    if np.any(np.diff(t) <= 0.0):
-        raise ValueError("t_grid must be strictly increasing")
+    t = as_time_grid(t_grid, "t_grid")
     run = (None if src.closed_form else
            src.integrate(_uv_rates, (1.0, 0.0, 0.0, 0.0), t, rtol, atol))
 

@@ -42,7 +42,7 @@ import numpy as np
 
 from .drive import DriveParams, PolarComplex, cos, omega_and_zeta, sin
 from .errors import ChiSingular, PhiZero, ZeroLambda
-from .integrate import IvpProblem, IntegrationStats, integrate
+from .integrate import IvpProblem, IntegrationStats, Step, integrate
 
 # Every chi = 1 guard (flow, map source, amplification factor, config)
 # refuses |chi - 1| below this width.
@@ -149,15 +149,14 @@ def _check_guards(t, Phi, varphi, Lambda, phi_guard: float = _PHI_GUARD):
     raise PhiZero(f"Phi = {Phi!r} below {phi_guard!r}{state}")
 
 
-def guard_flow_crossings(t_old: float, y_old: np.ndarray, t_new: float,
-                         y_new: np.ndarray, y_at) -> None:
+def guard_flow_crossings(step: Step) -> None:
     """Step guard for states that begin with (Phi, varphi, Lambda).
 
     The pointwise guards only see the points a step samples, so a step can
     carry the flow across chi = 1 or Phi = 0 unnoticed.  This looks for a
-    sign change of chi - 1 or Phi between the step's end states y_old and
-    y_new, bisects the step's dense output y_at to the earliest one and
-    raises ChiSingular or PhiZero naming the time and the state there.
+    sign change of chi - 1 or Phi between the step record's end states
+    y_old and y_new, bisects its dense output step(t) to the earliest one
+    and raises ChiSingular or PhiZero naming the time and the state there.
     The time is printed to 12 significant digits: near chi = 1, chi - 1
     cancels at the 1e-16 level, and bisection and brentq land 1.3e-12
     apart on the fig1 flow.
@@ -168,17 +167,17 @@ def guard_flow_crossings(t_old: float, y_old: np.ndarray, t_new: float,
 
     def crossing(k: int) -> float:
         """Bisect component k's sign change to two adjacent floats; the later."""
-        a, b = t_old, t_new
+        a, b = step.t_old, step.t_new
         while a < (mid := 0.5 * (a + b)) < b:
-            a, b = (mid, b) if signs(y_at(mid))[k] == old[k] else (a, mid)
+            a, b = (mid, b) if signs(step(mid))[k] == old[k] else (a, mid)
         return b
 
-    old = signs(y_old)
-    changed = [k for k, s in enumerate(signs(y_new)) if s != old[k]]
+    old = signs(step.y_old)
+    changed = [k for k, s in enumerate(signs(step.y_new)) if s != old[k]]
     if not changed:
         return
     t_c, k = min((crossing(k), k) for k in changed)
-    Phi, varphi, Lambda = (float(x) for x in y_at(t_c)[:3])
+    Phi, varphi, Lambda = (float(x) for x in step(t_c)[:3])
     error, what = (ChiSingular, "chi = 1") if k == 0 else (PhiZero, "Phi = 0")
     raise error(f"the flow crosses {what} at tau = {t_c:.12g} "
                 f"(Phi = {Phi!r}, varphi = {varphi!r}, Lambda = {Lambda!r})")
@@ -348,8 +347,9 @@ class MapPoint(NamedTuple):
 
 class MapRun(NamedTuple):
     """MapSource.integrate's result: map m and route components y on t, and
-    the accepted steps (integrate.Step records, which integrate.dense_at
-    reads anywhere in the span) on the integrated source, else []."""
+    the integration's steps (IvpSolution.steps, which integrate.dense_at
+    reads anywhere in the span): every accepted step on the integrated
+    source, else the steps that hold grid points."""
 
     t: np.ndarray
     m: MapPoint
@@ -454,15 +454,15 @@ class MapSource:
         stacked in one y0 share one map evaluation per stage.  The empty
         route (rhs returning (), y0 = ()) integrates the map alone.  A
         step that carries the integrated flow across chi = 1 or Phi = 0
-        raises ChiSingular or PhiZero at the crossing; that guard keeps
-        every accepted step in MapRun.steps.
+        raises ChiSingular or PhiZero at the crossing; with that guard set,
+        MapRun.steps holds every accepted step.
 
         Steps are capped at a sixteenth of the drive period.  The error
         control alone takes longer steps, and against a tight-tolerance
         reference they lose a factor of about 20 in N on the integrated
         source and 2 on the approximate one; the cap costs little time.
         """
-        n, steps = len(self._map0), []
+        n = len(self._map0)
 
         def full_rhs(t, y):
             # Python floats: arithmetic on numpy scalars is several times slower.
@@ -470,16 +470,11 @@ class MapSource:
             m = self.at(t, y)
             return np.array([*m.rates[:n], *rhs(m, y[n:])])
 
-        def guard(t_old, y_old, t_new, y_new, step):
-            guard_flow_crossings(t_old, y_old, t_new, y_new, step)
-            steps.append(step)
-
-        problem = IvpProblem(rhs=full_rhs, t_eval=t_grid,
-                             y0=np.array(self._map0 + tuple(y0)),
-                             guard=None if self.closed_form else guard)
-        sol = integrate(problem, rtol=rtol, atol=atol,
-                        max_step=self.p.period() / 16.0)
-        return MapRun(sol.t, self.at(sol.t, sol.y.T), sol.y[:, n:], sol.stats, steps)
+        sol = integrate(IvpProblem(full_rhs, t_grid, np.array(self._map0 + tuple(y0)),
+                                   None if self.closed_form else guard_flow_crossings),
+                        rtol=rtol, atol=atol, max_step=self.p.period() / 16.0)
+        return MapRun(sol.t, self.at(sol.t, sol.y.T), sol.y[:, n:], sol.stats,
+                      sol.steps)
 
 
 def z_residual(p: DriveParams, run: MapRun) -> np.ndarray:

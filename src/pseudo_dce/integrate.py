@@ -2,12 +2,12 @@
 
 DOP853, the explicit Runge-Kutta 8(5,3) pair of Dormand and Prince (Hairer,
 Nørsett & Wanner, Solving ODEs I, §II.10), on real state vectors, written
-with numpy alone and stepped so that every accepted step can be handed to a
-guard as a Step record with its 7th-order dense output.  dense_at reads
-such records at any times: the reporting grid, a block of steps at a time
-(on small states a numpy call costs more than its arithmetic); a guard's
-own step; or, kept by a guard, anywhere in the span.  The grid's ends are
-the span.
+with numpy alone.  An accepted step is a Step record, its ends and its
+7th-order dense output; a guard is handed each one, and the solution keeps
+them: every accepted step when a guard is set, else the steps that hold
+grid points.  dense_at reads such records at any times: the reporting grid,
+filled once after the run; a guard's own step; or the solution's steps
+anywhere in the span.  The grid's ends are the span.
 
 The loop does scipy.integrate.DOP853's arithmetic in scipy's order: the
 same stage sums, initial-step rule, error norm, step-factor rule,
@@ -30,7 +30,7 @@ from .errors import NonFiniteState, StepRejected
 
 # Grid points within this fraction of the span of a step end take its value.
 _GRID_SNAP = 1e-14
-# Output floats (points times components) per block of the grid fill.
+# Output floats (points times components) per block of dense_at.
 _FILL_FLOATS = 1 << 12
 
 # The Dormand-Prince 8(5,3) tableau.  Row s of _A weighs the stages before
@@ -125,31 +125,37 @@ _ERROR_EXPONENT = -1 / 8
 _RTOL_FLOOR = 100 * np.finfo(float).eps
 
 
+def as_time_grid(t, name: str) -> np.ndarray:
+    """A float copy of t, which must hold at least two finite, strictly
+    increasing times along one axis; else ValueError naming it name."""
+    t = np.array(t, dtype=float)
+    if t.ndim != 1 or t.size < 2 or not np.all(np.isfinite(t)):
+        raise ValueError(f"{name} must be a 1-D array of at least two finite times")
+    if np.any(np.diff(t) <= 0.0):
+        raise ValueError(f"{name} must be strictly increasing")
+    return t
+
+
 @dataclass(frozen=True)
 class IvpProblem:
     """An initial-value problem dy/dt = rhs(t, y) reported on t_eval.
 
     rhs maps (t, y) to dy/dt with y a real 1-D array and y0 the state at
-    t_eval[0].  t_eval holds at least two finite, strictly increasing
-    times; the integration runs from its first to its last point.  guard,
-    when given, is called after every accepted step as guard(t_old, y_old,
-    t_new, y_new, y_at): its ends, y_new being the next step's y_old, and
-    its Step record y_at, whose y_at(t) is the state, shape (n,), at a
-    time t in it.  The guard raises to stop the integration.
+    t_eval[0].  t_eval is a time grid (as_time_grid); the integration runs
+    from its first to its last point.  guard, when given, is called after
+    every accepted step as guard(step), step being its Step record: its
+    ends, step.y_new being the next step's y_old, and step(t), the state,
+    shape (n,), at a time t in it.  The guard raises to stop the
+    integration.
     """
 
     rhs: Callable[[float, np.ndarray], np.ndarray]
     t_eval: Sequence[float]
     y0: np.ndarray
-    guard: Optional[Callable[..., None]] = None
+    guard: Optional[Callable[[Step], None]] = None
 
     def __post_init__(self):
-        te = np.asarray(self.t_eval, dtype=float)
-        if te.ndim != 1 or te.size < 2 or not np.all(np.isfinite(te)):
-            raise ValueError("t_eval must be a 1-D array of at least two finite times")
-        if np.any(np.diff(te) <= 0.0):
-            raise ValueError("t_eval must be strictly increasing")
-        object.__setattr__(self, "t_eval", te)
+        object.__setattr__(self, "t_eval", as_time_grid(self.t_eval, "t_eval"))
         y0 = np.asarray(self.y0, dtype=float)
         if y0.ndim != 1 or y0.size == 0:
             raise ValueError("y0 must be a nonempty 1-D real array")
@@ -169,11 +175,14 @@ class IntegrationStats:
 
 @dataclass(frozen=True)
 class IvpSolution:
-    """Solution samples: t of shape (m,), y of shape (m, y0.size)."""
+    """Solution samples: t of shape (m,), y of shape (m, y0.size); steps, the
+    Step records for dense_at: every accepted step if the problem has a
+    guard, else those that hold grid points."""
 
     t: np.ndarray
     y: np.ndarray
     stats: IntegrationStats
+    steps: list
 
 
 def _check_finite(t: float, y: np.ndarray):
@@ -262,7 +271,7 @@ def _dense_eval(t, t_old, h, y_old, F):
 class Step(NamedTuple):
     """An accepted step from t_old to t_new (h = t_new - t_old), the rows F
     of its interpolant (_dense_output) and the snap of its integration;
-    called as y_at(t), it is dense_at of this step alone."""
+    called as step(t), it is dense_at of this step alone."""
 
     t_old: float
     h: float
@@ -278,9 +287,10 @@ class Step(NamedTuple):
 
 def dense_at(steps: Sequence[Step], t) -> np.ndarray:
     """The state, shape t.shape + (n,), at the times t from the dense output
-    of steps, consecutive records of one integration.  A time is read from
-    the first step with t <= t_new + snap, and is y_new where t >= t_new -
-    snap; the points are evaluated _FILL_FLOATS outputs at a time.
+    of steps, records of one integration in time order, covering the times
+    read.  A time is read from the first step with t <= t_new + snap, and
+    is y_new where t >= t_new - snap; the points are evaluated _FILL_FLOATS
+    outputs at a time.
     """
     t_old, h, y_old, F, t_new, y_new, snap = (np.array(c) for c in zip(*steps))
     t_old, h, F, snap = t_old[:, None], h[:, None], F.swapaxes(0, 1), snap[0]
@@ -323,13 +333,9 @@ def integrate(p: IvpProblem, rtol: float = 1e-9, atol: float = 1e-12,
     h_abs = _first_step(p.rhs, t0, y, f, t1 - t0, max_step, rtol, atol)
 
     K = np.zeros((16, y.size))
-    out_y = np.empty((te.size, y.size))
-    out_y[0] = y
-    # Points filled..i wait in pending; te_at reads te as floats, uncopied.
+    # te[i:] lie beyond the kept steps; te_at reads te as floats, uncopied.
     te_at = memoryview(te)
-    i = filled = 1
-    pending = []
-    t = t0
+    i, steps, t = 1, [], t0
     nfev, n_steps, n_rejected = 2, 0, 0
     h_min, h_max = math.inf, 0.0
     while t < t1:
@@ -384,13 +390,10 @@ def integrate(p: IvpProblem, rtol: float = 1e-9, atol: float = 1e-12,
                     t, y, snap)
         nfev += 3
         if p.guard is not None:
-            p.guard(t_old, y_old, t, y, step)
-        if j > i:
-            pending.append(step)
-            i = j
-            if i == te.size or (i - filled) * y.size >= _FILL_FLOATS:
-                out_y[filled:i] = dense_at(pending, te[filled:i])
-                filled, pending = i, []
+            p.guard(step)
+        steps.append(step)
+        i = j
 
+    out_y = np.vstack((p.y0, dense_at(steps, te[1:])))
     stats = IntegrationStats(n_steps, n_rejected, nfev, h_min, h_max)
-    return IvpSolution(te.copy(), out_y, stats)
+    return IvpSolution(te.copy(), out_y, stats, steps)

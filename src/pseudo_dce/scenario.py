@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
+import numbers
 import os
 import time
 from dataclasses import dataclass, fields, replace
@@ -394,17 +395,22 @@ def sweep(base: ScenarioConfig, axis: str, values, out_dir=None,
 
     Returns the records (input order) and the summary CSV text with one
     row per value: value, amplification factor, final photon number; a
-    failed cell's row reads value, "failed", the error's type name.
-    At most one worker process is started per cell and per CPU.
+    failed cell's row reads value, "failed", the error's type name.  The
+    axis must be a float or int key; every cell is validated before any
+    runs, and at most one worker process is started per cell and per CPU.
     """
     if axis not in _FIELD_TYPES:
         raise ValidationError(f"unknown sweep axis {axis!r}")
+    if _FIELD_TYPES[axis] not in ("float", "int"):
+        raise ValidationError(f"{axis} must be a numeric key to sweep, "
+                              f"not {_FIELD_TYPES[axis]}")
     if workers < 1:
         raise ValidationError(f"workers must be at least 1, got {workers}")
     jobs = []
     for i, value in enumerate(values):
-        if (_FIELD_TYPES[axis] == "int" and isinstance(value, float)
-                and value.is_integer()):
+        whole = (isinstance(value, numbers.Integral)
+                 or isinstance(value, float) and value.is_integer())
+        if _FIELD_TYPES[axis] == "int" and whole and not isinstance(value, bool):
             value = int(value)
         cfg = replace(base, **{axis: value})
         cfg.validate()

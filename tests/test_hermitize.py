@@ -18,6 +18,7 @@ from pseudo_dce.hermitize import (ConstraintState, MapRun, MapSource,
                                   hermitized_coefficients_general,
                                   z_abs_from, z_residual)
 from pseudo_dce.dynamics import bogoliubov_ode_oracle, evolve
+from pseudo_dce.integrate import Step
 from pseudo_dce.scenario import ScenarioConfig
 
 CHI_FIG = 1.0002
@@ -208,6 +209,15 @@ class TestIntegratedFlow:
         assert traj.stats.n_steps > 0
 
 
+def linear_step(y_old, y_new) -> Step:
+    """The Step record from t = 0 to 1 whose dense output runs linearly from
+    y_old to y_new: its interpolant rows are F = [y_new - y_old, 0, ..., 0]."""
+    y_old, y_new = np.array(y_old), np.array(y_new)
+    F = np.zeros((7, y_old.size))
+    F[0] = y_new - y_old
+    return Step(0.0, 1.0, y_old, F, 1.0, y_new, 1e-14)
+
+
 class TestFlowCrossingGuard:
 
     def test_chi_crossing_inside_a_step_is_caught(self, fig1_params):
@@ -230,27 +240,18 @@ class TestFlowCrossingGuard:
 
     def test_guard_locates_the_crossing(self):
         # chi - 1 = Phi^2 - Lambda - 1 falls linearly through zero at t = 0.3.
-        def y_at(t):
-            return np.array([2.0, 0.0, 2.7 + t])
-
         with pytest.raises(ChiSingular) as info:
-            guard_flow_crossings(0.0, y_at(0.0), 1.0, y_at(1.0), y_at)
+            guard_flow_crossings(linear_step([2.0, 0.0, 2.7], [2.0, 0.0, 3.7]))
         t_c = float(str(info.value).split("tau = ")[1].split(" ")[0])
         assert abs(t_c - 0.3) < 1e-12
         assert "Lambda = 3.0" in str(info.value)
 
     def test_phi_crossing_raises_phi_zero(self):
-        def y_at(t):
-            return np.array([0.5 - t, 0.0, -3.0])
-
         with pytest.raises(PhiZero, match="Phi = 0"):
-            guard_flow_crossings(0.0, y_at(0.0), 1.0, y_at(1.0), y_at)
+            guard_flow_crossings(linear_step([0.5, 0.0, -3.0], [-0.5, 0.0, -3.0]))
 
     def test_no_crossing_passes(self):
-        def y_at(t):
-            return np.array([0.5, 0.0, -3.0 + t])
-
-        guard_flow_crossings(0.0, y_at(0.0), 1.0, y_at(1.0), y_at)
+        guard_flow_crossings(linear_step([0.5, 0.0, -3.0], [0.5, 0.0, -2.0]))
 
     def test_integrated_evolve_stops_at_the_crossing(self, fig1_params):
         # Either guard may trip first: the crossing one or a stage that

@@ -167,12 +167,12 @@ def test_rejected_steps_are_counted():
 def test_guard_sees_every_accepted_step():
     seen = []
 
-    def guard(t_old, y_old, t_new, y_new, y_at):
+    def guard(step):
         # The dense output reproduces the step's ends.
-        assert abs(float(y_at(t_old)[0]) - math.cos(t_old)) < 1e-8
-        assert float(np.abs(y_old - y_at(t_old)).max()) < 1e-8
-        assert float(np.abs(y_new - y_at(t_new)).max()) < 1e-8
-        seen.append((t_old, t_new))
+        assert abs(float(step(step.t_old)[0]) - math.cos(step.t_old)) < 1e-8
+        assert float(np.abs(step.y_old - step(step.t_old)).max()) < 1e-8
+        assert float(np.abs(step.y_new - step(step.t_new)).max()) < 1e-8
+        seen.append((step.t_old, step.t_new))
 
     sol = integrate(IvpProblem(rhs=osc_rhs, t_eval=span(2.0 * math.pi),
                                y0=np.array([1.0, 0.0]), guard=guard))
@@ -182,13 +182,12 @@ def test_guard_sees_every_accepted_step():
 
 
 def test_recorded_steps_reproduce_the_grid():
-    """dense_at on a run's recorded steps gives its reported grid bit for
-    bit, points within the snap of a step end included."""
+    """dense_at on a run's kept steps gives its reported grid bit for bit,
+    points within the snap of a step end included."""
     def record(problem):
-        steps = []
-        problem = IvpProblem(problem.rhs, problem.t_eval, problem.y0,
-                             guard=lambda *args: steps.append(args[-1]))
-        return integrate(problem, max_step=0.3), steps
+        sol = integrate(IvpProblem(problem.rhs, problem.t_eval, problem.y0,
+                                   guard=lambda step: None), max_step=0.3)
+        return sol, sol.steps
 
     _, steps = record(IvpProblem(osc_rhs, span(6.0), np.array([1.0, 0.5])))
     ends = np.array([s.t_new for s in steps[:-1]])
@@ -206,6 +205,34 @@ def test_recorded_steps_reproduce_the_grid():
     # A step called as y_at(t) reads itself alone.
     mid = 0.5 * (steps[3].t_old + steps[3].t_new)
     assert steps[3](mid).tobytes() == dense_at(steps, mid).tobytes()
+
+
+def test_kept_steps_without_a_guard_hold_the_grid():
+    """Without a guard a run keeps exactly the steps that hold grid points:
+    those a guard would see whose span (t_old, t_new] meets the grid."""
+    te = np.array([0.0, 0.05, 0.07, 2.0, 2.01, 5.5, 6.0])
+    y0 = np.array([1.0, 0.5])
+    every = integrate(IvpProblem(osc_rhs, te, y0, guard=lambda step: None),
+                      max_step=0.3)
+    sol = integrate(IvpProblem(osc_rhs, te, y0), max_step=0.3)
+    holding = [s for s in every.steps
+               if np.any((te > s.t_old + s.snap) & (te <= s.t_new + s.snap))]
+    assert [s.t_new for s in sol.steps] == [s.t_new for s in holding]
+    assert len(sol.steps) < len(every.steps)
+    assert sol.stats.n_steps == every.stats.n_steps
+
+
+@pytest.mark.parametrize("guarded", [False, True])
+def test_kept_steps_reproduce_the_grid_bit_for_bit(guarded):
+    """dense_at on sol.steps equals sol.y byte for byte, with or without a
+    guard, and a guard's run keeps one record per accepted step."""
+    te = np.linspace(0.0, 20.0, 1281)
+    problem = IvpProblem(osc_rhs, te, np.array([1.0, 0.5]),
+                         guard=(lambda step: None) if guarded else None)
+    sol = integrate(problem, max_step=0.7)
+    assert dense_at(sol.steps, te).tobytes() == sol.y.tobytes()
+    if guarded:
+        assert len(sol.steps) == sol.stats.n_steps
 
 
 def test_evolve_reads_the_map_a_denser_grid_reports(monkeypatch):
@@ -267,8 +294,9 @@ def test_work_on_the_paper_runs_is_pinned(fig1_params, moderate_params,
 
 
 def test_grid_fill_memory_is_bounded():
-    """A long grid is filled a block at a time: besides the output and its
-    time column, the fill's temporaries stay small."""
+    """A long grid is evaluated a block at a time: besides the output, the
+    one array it is copied from and its time column, the fill's temporaries
+    stay small."""
     problem = IvpProblem(rhs=osc_rhs, t_eval=np.linspace(0.0, 2.0 * math.pi, 10**6),
                          y0=np.array([1.0, 0.0]))
     tracemalloc.start()
@@ -288,7 +316,7 @@ def test_grid_fill_memory_is_bounded():
     [0.0, math.inf],          # not finite
 ])
 def test_t_eval_validation(bad_te):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="t_eval"):
         IvpProblem(rhs=lambda t, y: -y, t_eval=np.array(bad_te),
                    y0=np.array([1.0]))
 
@@ -333,8 +361,8 @@ class TestScipyParity:
                                                         atol, max_step)
         ours = []
 
-        def guard(t_old, y_old, t_new, y_new, y_at):
-            ours.append(y_at(0.5 * (t_old + t_new)))
+        def guard(step):
+            ours.append(step(0.5 * (step.t_old + step.t_new)))
 
         # Reported on scipy's step ends, every grid point is one of the
         # port's step ends and takes its state unchanged.

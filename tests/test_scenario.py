@@ -330,6 +330,27 @@ class TestSweep:
         with pytest.raises(ValidationError):
             sweep(ScenarioConfig(), "eps_mod", [0.01, 1.5])
 
+    @pytest.mark.parametrize("axis, values", [
+        ("zeta_mode", ["exact", "approximate"]),
+        ("dyson_source", ["approximate", "integrated"]),
+        ("outputs", [("tau",), ("tau", "N_numeric")]),
+    ])
+    def test_non_numeric_axis_is_refused_before_any_cell_runs(
+            self, tmp_path, monkeypatch, axis, values):
+        ran = []
+        monkeypatch.setattr(scenario, "run", lambda *args, **kwargs: ran.append(args))
+        with pytest.raises(ValidationError, match=f"{axis} must be"):
+            sweep(fast_config(), axis, values, out_dir=tmp_path)
+        assert ran == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_numpy_integers_set_integer_fields(self):
+        records, summary = sweep(fast_config(), "grid_per_period",
+                                 np.array([200, 400]))
+        assert [r.config.grid_per_period for r in records] == [200, 400]
+        assert all(type(r.config.grid_per_period) is int for r in records)
+        assert [row.split(",")[0] for row in summary.splitlines()[1:]] == ["200", "400"]
+
 
 # Each run path is followed by a check that no scipy module is loaded:
 # integration is numpy-only, and scipy.linalg is imported only for expm.
