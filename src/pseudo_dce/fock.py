@@ -22,6 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -37,19 +38,36 @@ _COND_LIMIT = 1e14
 
 
 class FockSpace:
-    """Ladder operators on a dim-level truncation."""
+    """Ladder operators on a dim-level truncation.
+
+    Only dim and n_levels are set up front.  The dense (dim x dim) ladder
+    matrices a, adag, a_sq and adag_sq are built on first read and kept;
+    propagate, mean_photon and squeeze_trust_bound read none of them.
+    """
 
     def __init__(self, dim: int = 128):
         if dim < 4:
             raise ValueError(f"dim must be at least 4, got {dim}")
         self.dim = dim
-        root = np.sqrt(np.arange(1, dim, dtype=float))
-        self.a = np.diag(root, 1).astype(complex)
-        self.adag = self.a.conj().T.copy()
         self.n_levels = np.arange(dim, dtype=float)
+
+    @cached_property
+    def a(self) -> np.ndarray:
+        return np.diag(np.sqrt(np.arange(1, self.dim, dtype=float)), 1).astype(complex)
+
+    @cached_property
+    def adag(self) -> np.ndarray:
+        return self.a.conj().T.copy()
+
+    @cached_property
+    def a_sq(self) -> np.ndarray:
         # a^2 has one band, sqrt(n + 1)*sqrt(n + 2): what a @ a computes.
-        self.a_sq = np.diag(root[:-1] * root[1:], 2).astype(complex)
-        self.adag_sq = self.a_sq.T.copy()
+        root = np.sqrt(np.arange(1, self.dim, dtype=float))
+        return np.diag(root[:-1] * root[1:], 2).astype(complex)
+
+    @cached_property
+    def adag_sq(self) -> np.ndarray:
+        return self.a_sq.T.copy()
 
     def number_plus_half(self) -> np.ndarray:
         return np.diag(self.n_levels + 0.5).astype(complex)
@@ -129,15 +147,19 @@ def gauss_product_matrix(lam: complex, big_lambda: float, f: FockSpace) -> np.nd
 def _raising_factor(lam: complex, dim: int) -> np.ndarray:
     """exp(lam*K+) on the truncation from its exact Fock-basis series.
 
-    Entry (n + 2k, n) is (lam/2)^k/k! * sqrt((n+2k)!/n!); one vector step
-    per k fills the 2k-th subdiagonal from the (2k-2)-th.
+    Entry (n + 2k, n) is (lam/2)^k/k! * sqrt((n+2k)!/n!): the product over
+    j <= k of the factors (lam/2)/j * sqrt(m*(m-1)), m = n + 2j, taken for
+    every column at once by one cumulative product over k.  Factors past
+    the lid are zero, so they leave the entries inside it unchanged.
     """
+    ks = range(1, (dim + 1) // 2)
+    m = np.arange(dim) + 2 * np.array(ks)[:, np.newaxis]
+    inside = m < dim
+    half = np.array([(lam / 2.0) / k for k in ks])[:, np.newaxis]
+    factors = np.where(inside, half * np.sqrt(m * (m - 1.0)), 0.0)
+    kk, n = np.nonzero(inside)
     up = np.eye(dim, dtype=complex)
-    cols = np.arange(dim)
-    for k in range(1, (dim + 1) // 2):
-        n = cols[:dim - 2 * k]
-        m = n + 2 * k
-        up[m, n] = up[m - 2, n] * ((lam / 2.0) / k * np.sqrt(m * (m - 1.0)))
+    up[n + 2 * (kk + 1), n] = np.cumprod(factors, axis=0)[kk, n]
     return up
 
 
@@ -266,7 +288,8 @@ def propagate(coeffs: CoeffFn, psi0: np.ndarray, t_grid: np.ndarray,
         sector, shift = slice(None), 2
     levels = f.n_levels[sector]
     n_half = levels + 0.5
-    weight = np.sqrt((levels[:-shift] + 1.0) * (levels[:-shift] + 2.0))
+    # Complex, so that weight * phi needs no cast of weight on each call.
+    weight = np.sqrt((levels[:-shift] + 1.0) * (levels[:-shift] + 2.0)).astype(complex)
 
     def rhs(t, y):
         c_n, c2, c2d = coeffs(t)
@@ -277,8 +300,15 @@ def propagate(coeffs: CoeffFn, psi0: np.ndarray, t_grid: np.ndarray,
         d[-1] = c_n.real
         dphi = d[:-1].view(complex)
         np.multiply(c_n.imag * n_half, phi, out=dphi)
-        dphi[:-shift] += (-1j * c2 * turn) * (weight * phi[shift:])
-        dphi[shift:] += (-1j * c2d * turn.conjugate()) * (weight * phi[:-shift])
+        # dphi[:-shift] += (-1j*c2*turn) * (weight*phi[shift:]), and its
+        # adjoint, scaled and added in place.
+        lo, hi = dphi[:-shift], dphi[shift:]
+        up = weight * phi[shift:]
+        np.multiply(-1j * c2 * turn, up, out=up)
+        np.add(lo, up, out=lo)
+        down = weight * phi[:-shift]
+        np.multiply(-1j * c2d * turn.conjugate(), down, out=down)
+        np.add(hi, down, out=hi)
         return d
 
     y0 = np.append(np.ascontiguousarray(psi0[sector]).view(float), 0.0)

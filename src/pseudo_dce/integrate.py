@@ -212,39 +212,46 @@ def _first_step(rhs, t0, y0, f0, span, max_step, rtol, atol):
     return min(100 * h0, h1, span, max_step)
 
 
-def _attempt(rhs, t, y, f, h, K):
+def _attempt(rhs, t, y, f, h, K, KT):
     """One DOP853 step of size h from (t, y), f = rhs(t, y).
 
-    Fills stages 0-12 of K and returns the new state and its rhs.
+    Fills stages 0-12 of K and returns the new state and its rhs; KT[s] is
+    the view K[:s].T.
     """
     K[0] = f
     for s, c, a in _STEP_STAGES:
-        K[s] = rhs(t + c * h, y + np.dot(K[:s].T, a) * h)
-    y_new = y + h * np.dot(K[:12].T, _B)
+        K[s] = rhs(t + c * h, y + np.dot(KT[s], a) * h)
+    y_new = y + h * np.dot(KT[12], _B)
     f_new = np.asarray(rhs(t + h, y_new), dtype=float)
     K[12] = f_new
     return y_new, f_new
 
 
-def _error_norm(K, h, scale):
-    """The step's error in units of its tolerance: below 1 accepts it."""
-    err5 = np.dot(K.T, _E5) / scale
-    err3 = np.dot(K.T, _E3) / scale
-    # np.linalg.norm's own arithmetic on a real vector, without its checks.
-    err5_2 = np.sqrt(err5.dot(err5)) ** 2
-    err3_2 = np.sqrt(err3.dot(err3)) ** 2
-    if err5_2 == 0 and err3_2 == 0:
+def _error_norm(KT13, h, scale):
+    """The step's error in units of its tolerance: below 1 accepts it.
+
+    KT13 is the stage view K[:13].T.
+    """
+    err5 = np.dot(KT13, _E5) / scale
+    err3 = np.dot(KT13, _E3) / scale
+    # np.linalg.norm's own arithmetic on a real vector, without its checks,
+    # on Python floats: math.sqrt rounds as np.sqrt does, and ** as numpy's.
+    err5_2 = math.sqrt(float(err5.dot(err5))) ** 2
+    err3_2 = math.sqrt(float(err3.dot(err3))) ** 2
+    if err5_2 == 0:
+        # The error is 0, also where 0.01 * err3_2 underflows to 0.
         return 0.0
-    return h * err5_2 / np.sqrt((err5_2 + 0.01 * err3_2) * len(scale))
+    return h * err5_2 / math.sqrt((err5_2 + 0.01 * err3_2) * len(scale))
 
 
-def _dense_output(rhs, K, t_old, y_old, h, y_new, f_new):
+def _dense_output(rhs, K, KT, t_old, y_old, h, y_new, f_new):
     """The rows F (7, n) of the step's 7th-order interpolant, for _dense_eval.
 
     Builds stages 13-15 into K from the step's stages 0-12: three rhs calls.
+    KT[s] is the view K[:s].T.
     """
     for s, c, a in _DENSE_STAGES:
-        K[s] = rhs(t_old + c * h, y_old + np.dot(K[:s].T, a) * h)
+        K[s] = rhs(t_old + c * h, y_old + np.dot(KT[s], a) * h)
     f_old = K[0]
     delta_y = y_new - y_old
     F = np.empty((7, y_old.size))
@@ -333,6 +340,8 @@ def integrate(p: IvpProblem, rtol: float = 1e-9, atol: float = 1e-12,
     h_abs = _first_step(p.rhs, t0, y, f, t1 - t0, max_step, rtol, atol)
 
     K = np.zeros((16, y.size))
+    # The stage views the step sums read, KT[s] = K[:s].T, made once.
+    KT = [K[:s].T for s in range(16)]
     # te[i:] lie beyond the kept steps; te_at reads te as floats, uncopied.
     te_at = memoryview(te)
     i, steps, t = 1, [], t0
@@ -362,10 +371,10 @@ def integrate(p: IvpProblem, rtol: float = 1e-9, atol: float = 1e-12,
                 t_new = min(t + h_abs, t1)
                 h = t_new - t
                 h_abs = abs(h)
-                y_new, f_new = _attempt(p.rhs, t, y, f, h, K)
+                y_new, f_new = _attempt(p.rhs, t, y, f, h, K, KT)
                 nfev += 12
                 scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-                error = _error_norm(K[:13], h, scale)
+                error = _error_norm(KT[13], h, scale)
                 if error < 1:
                     break
                 h_abs *= max(_MIN_FACTOR, _SAFETY * error ** _ERROR_EXPONENT)
@@ -386,7 +395,7 @@ def integrate(p: IvpProblem, rtol: float = 1e-9, atol: float = 1e-12,
         j = bisect.bisect_right(te_at, t + snap, i)
         if p.guard is None and j == i:
             continue
-        step = Step(t_old, h, y_old, _dense_output(p.rhs, K, t_old, y_old, h, y, f),
+        step = Step(t_old, h, y_old, _dense_output(p.rhs, K, KT, t_old, y_old, h, y, f),
                     t, y, snap)
         nfev += 3
         if p.guard is not None:

@@ -79,6 +79,10 @@ class ScenarioConfig:
     def validate(self):
         for f in fields(self):
             value = getattr(self, f.name)
+            # Ints count as numbers in a float field; bools and complex do not.
+            if f.type == "float" and (isinstance(value, bool)
+                                      or not isinstance(value, numbers.Real)):
+                raise ValidationError(f"{f.name} must be a number, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValidationError(f"{f.name} must be finite, got {value}")
         for name in ("rtol", "atol"):
@@ -157,7 +161,6 @@ _FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
 
 
 def _parse_value(key: str, raw: str, lineno: int):
-    ftype = _FIELD_TYPES[key]
     raw = raw.strip()
     if key == "outputs":
         cols = tuple(c.strip() for c in raw.split(",") if c.strip())
@@ -396,9 +399,11 @@ def sweep(base: ScenarioConfig, axis: str, values, out_dir=None,
     Returns the records (input order) and the summary CSV text with one
     row per value: value, amplification factor, final photon number; a
     failed cell's row reads value, "failed", the error's type name.  The
-    axis must be a float or int key; every cell is validated before any
-    runs, and at most one worker process is started per cell and per CPU.
+    axis must be a float or int key, and values any nonempty iterable, read
+    once; every cell is validated before any runs, and at most one worker
+    process is started per cell and per CPU.
     """
+    values = list(values)
     if axis not in _FIELD_TYPES:
         raise ValidationError(f"unknown sweep axis {axis!r}")
     if _FIELD_TYPES[axis] not in ("float", "int"):
@@ -406,6 +411,8 @@ def sweep(base: ScenarioConfig, axis: str, values, out_dir=None,
                               f"not {_FIELD_TYPES[axis]}")
     if workers < 1:
         raise ValidationError(f"workers must be at least 1, got {workers}")
+    if not values:
+        raise ValidationError("values must list at least one number")
     jobs = []
     for i, value in enumerate(values):
         whole = (isinstance(value, numbers.Integral)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,6 +43,30 @@ class TestFockSpace:
     def test_minimum_dimension(self):
         with pytest.raises(ValueError):
             FockSpace(3)
+
+    def test_propagation_builds_no_ladder_matrix(self):
+        f = FockSpace(512)
+        res = propagate(lambda t: (1.0, 0.05 + 0.02j, 0.05 - 0.02j),
+                        f.vacuum(), np.linspace(0.0, 1.0, 11), f)
+        res.mean_photon(f)
+        squeeze_trust_bound(f.dim)
+        assert not {"a", "adag", "a_sq", "adag_sq"} & set(vars(f))
+
+    def test_construction_allocates_no_dense_matrix(self):
+        # One 512 x 512 complex matrix takes 4 MB.
+        tracemalloc.start()
+        try:
+            FockSpace(512)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    @pytest.mark.parametrize("dim", [4, 33])
+    def test_squared_ladders_are_the_products(self, dim):
+        f = FockSpace(dim)
+        assert np.array_equal(f.a_sq, f.a @ f.a)
+        assert np.array_equal(f.adag_sq, f.adag @ f.adag)
 
     def test_trust_bound_rule(self):
         r = squeeze_trust_bound(128)
@@ -402,10 +427,9 @@ class TestGaussProduct:
         want = np.diag(2.0 ** (np.arange(16) + 0.5))
         assert np.abs(m - want).max() < 1e-10
 
-    @pytest.mark.parametrize("lam", [0.3 + 0.1j, -1.2 + 0.8j, -0.05j])
-    def test_raising_factor_matches_series_loop(self, lam):
+    @staticmethod
+    def assert_raising_factor_matches_series_loop(lam, dim):
         # Reference: the series filled entry by entry, column by column.
-        dim = 64
         want = np.zeros((dim, dim), dtype=complex)
         for n in range(dim):
             term = 1.0 + 0j
@@ -419,6 +443,15 @@ class TestGaussProduct:
         assert np.all(got[~nz] == 0)
         rel = np.abs(got - want)[nz] / np.abs(want)[nz]
         assert rel.max() < dim * np.finfo(float).eps
+
+    @pytest.mark.parametrize("lam", [0.3 + 0.1j, -1.2 + 0.8j, -0.05j])
+    def test_raising_factor_matches_series_loop(self, lam):
+        self.assert_raising_factor_matches_series_loop(lam, 64)
+
+    @pytest.mark.parametrize("dim", [4, 129])
+    @pytest.mark.parametrize("lam", [0.3 + 0.1j, -1.2 + 0.8j, -0.05j])
+    def test_raising_factor_matches_series_loop_at_small_and_odd_dims(self, lam, dim):
+        self.assert_raising_factor_matches_series_loop(lam, dim)
 
     def test_nonpositive_lambda_rejected(self):
         with pytest.raises(ValueError):

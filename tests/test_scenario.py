@@ -118,6 +118,12 @@ class TestValidation:
         pytest.param(dict(grid_per_period=300.5), id="kwargs11"),
         pytest.param(dict(grid_per_period=True), id="kwargs12"),
         pytest.param(dict(outputs=("tau", "N_numeric", "tau")), id="kwargs13"),
+        pytest.param(dict(kappa="2"), id="kwargs14"),
+        pytest.param(dict(kappa=None), id="kwargs15"),
+        pytest.param(dict(kappa=2 + 0j), id="kwargs16"),
+        pytest.param(dict(kappa=True), id="kwargs17"),
+        pytest.param(dict(rtol="1e-9"), id="kwargs18"),
+        pytest.param(dict(varphi0="pi/2"), id="kwargs19"),
     ])
     def test_rejected(self, kwargs):
         with pytest.raises(ValidationError):
@@ -341,6 +347,29 @@ class TestSweep:
         monkeypatch.setattr(scenario, "run", lambda *args, **kwargs: ran.append(args))
         with pytest.raises(ValidationError, match=f"{axis} must be"):
             sweep(fast_config(), axis, values, out_dir=tmp_path)
+        assert ran == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_values_are_read_once(self):
+        records, summary = sweep(ScenarioConfig(tau_max=2), "kappa",
+                                 (k for k in [1.9, 2.0]))
+        assert len(records) == 2
+        assert ([row.split(",")[0] for row in summary.splitlines()[1:]]
+                == [f"{k:.17g}" for k in (1.9, 2.0)])
+
+    def test_empty_values_are_refused(self, tmp_path):
+        with pytest.raises(ValidationError, match="at least one"):
+            sweep(ScenarioConfig(tau_max=2), "kappa", [], out_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["2.0", None, 2 + 0j, True],
+                             ids=["str", "None", "complex", "bool"])
+    def test_non_number_values_are_refused_before_any_cell_runs(
+            self, tmp_path, monkeypatch, value):
+        ran = []
+        monkeypatch.setattr(scenario, "run", lambda *args, **kwargs: ran.append(args))
+        with pytest.raises(ValidationError, match="kappa must be a number"):
+            sweep(ScenarioConfig(tau_max=2), "kappa", [2.0, value], out_dir=tmp_path)
         assert ran == []
         assert list(tmp_path.iterdir()) == []
 
