@@ -14,7 +14,11 @@ real frequency W and the complex pump
     W = omega - 2*zeta*Phi*(at - bt)*sin(varphi)/(chi - 1),
     T = -i*zeta*(at - chi*bt)/(1 - chi),
 
-with zeta the signed parametric strength of the drive module.  The
+with zeta the signed parametric strength of the drive module.  The map
+modulus |z| = -2*Phi/(chi + 1) follows from (Phi, Lambda) and carries no
+rate of its own.  tests/test_symbolic.py derives the flow (_flow_rates
+for the modulated drive, constraint_rhs_general for polar inputs) and
+these W and T (_counterpart) from coefficients_general with sympy.  The
 overall sign of h above is a convention choice that cancels in every
 observable; the functions here return W, T, V such that the Hermitian
 counterpart generator is W*(n+1/2) + T*a^2 + conj(T)*a^dag^2 with the
@@ -55,22 +59,20 @@ class ConstraintState:
     """Map coordinates carried along the hermitization flow.
 
     Unlike the static map description, Lambda is integrated as an
-    independent coordinate here and |z| is reconstructed from
-    chi = Phi^2 - Lambda via |z| = -2*Phi/(chi + 1); the redundancy is
-    monitored, not enforced.
+    independent coordinate here, and |z| is none: z_abs_from gives it from
+    (Phi, Lambda).
     """
 
-    z_abs: float
     Phi: float
     varphi: float
     Lambda: float
 
     @classmethod
     def from_chi(cls, chi: float, z_abs: float, varphi: float) -> "ConstraintState":
-        """The state at mixing ratio chi: Phi = -|z|*(chi + 1)/2 and
-        Lambda = Phi^2 - chi."""
+        """The state at mixing ratio chi and modulus z_abs:
+        Phi = -|z|*(chi + 1)/2 and Lambda = Phi^2 - chi."""
         Phi = -0.5 * z_abs * (chi + 1.0)
-        return cls(z_abs=z_abs, Phi=Phi, varphi=varphi, Lambda=Phi * Phi - chi)
+        return cls(Phi=Phi, varphi=varphi, Lambda=Phi * Phi - chi)
 
     @property
     def chi(self) -> float:
@@ -187,9 +189,9 @@ def constraint_rhs_general(s: ConstraintState, omega: PolarComplex,
                            alpha: PolarComplex, beta: PolarComplex) -> np.ndarray:
     """Hermitization flow for arbitrary polar inputs.
 
-    Returns [dPhi/dt, dvarphi/dt, dLambda/dt, d|z|/dt].  The first three
-    drive the integration; the |z| rate is redundant (|z| follows from
-    chi) and is returned for consistency monitoring.
+    Returns [dPhi/dt, dvarphi/dt, dLambda/dt], the unique rates that keep
+    Im W = 0 and V = conj(T) in coefficients_general
+    (tests/test_symbolic.py proves it).
     """
     _check_guards(None, s.Phi, s.varphi, s.Lambda)
     chi = s.chi
@@ -216,10 +218,7 @@ def constraint_rhs_general(s: ConstraintState, omega: PolarComplex,
         (1.0 + 2.0 * Phi * Phi / (chi - 1.0)) * w * sin_w
         - (2.0 * Phi / (chi - 1.0)) * (a * sa - b * (2.0 * chi - 1.0) * sb)
     )
-    z = s.z_abs
-    dz = -z * z * ((Phi * Phi + chi) / Phi * w * sin_w
-                   - 2.0 * (a * sa - chi * b * sb)) + (z / Phi) * dPhi
-    return np.array([dPhi, dphi, dLambda, dz])
+    return np.array([dPhi, dphi, dLambda])
 
 
 def _flow_rates(p: DriveParams, w, zs, Phi, Lambda, cosphi, sinphi):
@@ -250,12 +249,8 @@ def constraint_rhs_polar(s: ConstraintState, p: DriveParams,
     """
     _check_guards(t, s.Phi, s.varphi, s.Lambda)
     w, zs = omega_and_zeta(t, p)
-    cosphi, sinphi = cos(s.varphi), sin(s.varphi)
-    dPhi, dphi, dLambda = _flow_rates(p, w, zs, s.Phi, s.Lambda, cosphi, sinphi)
-    z = s.z_abs
-    dz = (2.0 * zs * z * z * (p.alpha0_tilde - p.beta0_tilde * s.chi)
-          * cosphi + (z / s.Phi) * dPhi)
-    return np.array([dPhi, dphi, dLambda, dz])
+    return np.array(_flow_rates(p, w, zs, s.Phi, s.Lambda, cos(s.varphi),
+                                sin(s.varphi)))
 
 
 def _counterpart(p: DriveParams, w, zs, Phi, Lambda, sinphi):
@@ -476,21 +471,3 @@ class MapSource:
         return MapRun(sol.t, self.at(sol.t, sol.y.T), sol.y[:, n:], sol.stats,
                       sol.steps)
 
-
-def z_residual(p: DriveParams, run: MapRun) -> np.ndarray:
-    """|d/dt of the reconstructed |z| minus the flow's own |z| rate| on run.t.
-
-    |z| = -2*Phi/(chi + 1) is redundant with (Phi, Lambda), and the flow's
-    |z| rate is the time derivative of that reconstruction at every state,
-    on a trajectory or off it.  So the residual is rounding (about 1e-17 on
-    the moderate map), whatever the integration tolerance; it tests the
-    flow equations' consistency, not the integration.
-    """
-    m = run.m
-    dPhi, _, dLambda, dz_flow = constraint_rhs_polar(
-        ConstraintState(z_abs=m.z_abs, Phi=m.Phi, varphi=m.varphi, Lambda=m.Lambda),
-        p, run.t)
-    dchi = 2.0 * m.Phi * dPhi - dLambda
-    # d|z|/dt of the reconstruction |z| = -2*Phi/(chi+1).
-    dz_rec = (-2.0 * dPhi * (m.chi + 1.0) + 2.0 * m.Phi * dchi) / (m.chi + 1.0) ** 2
-    return np.abs(dz_rec - dz_flow)

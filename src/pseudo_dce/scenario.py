@@ -83,6 +83,11 @@ class ScenarioConfig:
             if f.type == "float" and (isinstance(value, bool)
                                       or not isinstance(value, numbers.Real)):
                 raise ValidationError(f"{f.name} must be a number, got {value!r}")
+            try:
+                value = float(value) if f.type == "float" else value
+            except OverflowError:
+                raise ValidationError(
+                    f"{f.name} is an integer beyond the float range") from None
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValidationError(f"{f.name} must be finite, got {value}")
         for name in ("rtol", "atol"):

@@ -8,7 +8,7 @@ from pseudo_dce.drive import (PolarComplex, alpha_beta,
 from pseudo_dce.dyson import DysonState
 from pseudo_dce.errors import ChiSingular, PhiZero, ZeroLambda
 from pseudo_dce.fock import FockSpace, drive_hamiltonian, eta_matrix
-from pseudo_dce.hermitize import (ConstraintState, MapRun, MapSource,
+from pseudo_dce.hermitize import (ConstraintState, MapSource,
                                   approx_dyson_trajectory,
                                   coefficients_general,
                                   constraint_rhs_general,
@@ -16,7 +16,7 @@ from pseudo_dce.hermitize import (ConstraintState, MapRun, MapSource,
                                   guard_flow_crossings,
                                   hermitized_coefficients,
                                   hermitized_coefficients_general,
-                                  z_abs_from, z_residual)
+                                  z_abs_from)
 from pseudo_dce.dynamics import bogoliubov_ode_oracle, evolve
 from pseudo_dce.integrate import Step
 from pseudo_dce.scenario import ScenarioConfig
@@ -26,7 +26,7 @@ VARPHI0 = 0.5 * math.pi
 
 
 def generic_state():
-    return ConstraintState(z_abs=0.8, Phi=0.4, varphi=1.1, Lambda=2.0)
+    return ConstraintState(Phi=0.4, varphi=1.1, Lambda=2.0)
 
 
 class TestCoefficientsGeneral:
@@ -71,8 +71,7 @@ class TestConstraintFlow:
         worst = 0.0
         for _ in range(100):
             t = float(rng.uniform(0.0, 10.0))
-            s = ConstraintState(z_abs=float(rng.uniform(0.3, 0.95)),
-                                Phi=float(rng.uniform(0.2, 0.8)),
+            s = ConstraintState(Phi=float(rng.uniform(0.2, 0.8)),
                                 varphi=float(rng.uniform(0.0, 2.0 * math.pi)),
                                 Lambda=float(rng.uniform(1.5, 3.0)))
             a_pol, b_pol = alpha_beta(t, moderate_params)
@@ -88,8 +87,7 @@ class TestConstraintFlow:
     def test_quarter_phase_freezes_radial_motion(self, moderate_params):
         # dPhi and dLambda carry a cos(varphi) factor, so the quarter
         # phase only moves varphi (up to roundoff in cos(pi/2)).
-        s = ConstraintState(z_abs=0.8, Phi=0.4, varphi=0.5 * math.pi,
-                            Lambda=2.0)
+        s = ConstraintState(Phi=0.4, varphi=0.5 * math.pi, Lambda=2.0)
         d = constraint_rhs_polar(s, moderate_params, 0.7)
         assert abs(float(d[0])) < 1e-15
         assert abs(float(d[2])) < 1e-15
@@ -100,22 +98,20 @@ class TestConstraintFlow:
         assert float(d[1]) == 2.0 * drive_omega(0.0, moderate_params)
         assert float(d[0]) == 0.0
         assert float(d[2]) == 0.0
-        assert float(d[3]) == 0.0
 
     def test_locked_state_is_stationary(self, fig1_params):
-        s = ConstraintState(z_abs=1.0, Phi=-(CHI_FIG + 1.0) / 2.0,
-                            varphi=0.3,
+        s = ConstraintState(Phi=-(CHI_FIG + 1.0) / 2.0, varphi=0.3,
                             Lambda=((CHI_FIG + 1.0) / 2.0) ** 2 - CHI_FIG)
         d = constraint_rhs_polar(s, fig1_params, 0.0)
-        assert max(abs(float(d[0])), abs(float(d[2])), abs(float(d[3]))) < 1e-14
+        assert max(abs(float(d[0])), abs(float(d[2]))) < 1e-14
 
     def test_chi_guard(self, moderate_params):
-        s = ConstraintState(z_abs=1.0, Phi=-1.0, varphi=0.0, Lambda=0.0)
+        s = ConstraintState(Phi=-1.0, varphi=0.0, Lambda=0.0)
         with pytest.raises(ChiSingular):
             constraint_rhs_polar(s, moderate_params, 0.7)
 
     def test_phi_guard(self, moderate_params):
-        s = ConstraintState(z_abs=0.5, Phi=1e-14, varphi=0.0, Lambda=1.0)
+        s = ConstraintState(Phi=1e-14, varphi=0.0, Lambda=1.0)
         with pytest.raises(PhiZero):
             constraint_rhs_polar(s, moderate_params, 0.7)
 
@@ -148,8 +144,7 @@ class TestConstraintStateFromChi:
         # Phi = -|z|*(chi + 1)/2 and Lambda = Phi^2 - chi, to the last bit.
         s = ConstraintState.from_chi(chi, z, 0.3)
         phi0 = -z * (chi + 1.0) / 2.0
-        assert (s.z_abs, s.Phi, s.varphi, s.Lambda) == (
-            z, phi0, 0.3, phi0 * phi0 - chi)
+        assert (s.Phi, s.varphi, s.Lambda) == (phi0, 0.3, phi0 * phi0 - chi)
         assert abs(s.chi - chi) < 1e-15
         assert abs(z_abs_from(s.Phi, s.Lambda) - z) < 1e-15
 
@@ -158,7 +153,7 @@ class TestApproxTrajectory:
 
     def test_initial_state(self, fig1_params):
         s = approx_dyson_trajectory(0.0, fig1_params, VARPHI0, CHI_FIG)
-        assert s.z_abs == 1.0
+        assert z_abs_from(s.Phi, s.Lambda) == 1.0
         assert s.Phi == -0.5 * (CHI_FIG + 1.0)
         assert s.varphi == VARPHI0
         assert abs(s.chi - CHI_FIG) < 1e-12
@@ -179,24 +174,6 @@ class TestIntegratedFlow:
         v_t = float(np.abs(V - np.conj(T)).max())
         assert im_w < 1e-7, f"max|Im W| {im_w}"
         assert v_t < 1e-7, f"max|V - conj(T)| {v_t}"
-        assert float(z_residual(moderate_params, traj).max()) < 1e-6
-
-    @pytest.mark.parametrize("chi_lo, chi_hi", [(-3.0, -1.2), (-0.8, 0.8)])
-    def test_z_redundancy_is_an_identity_off_the_flow(self, moderate_params,
-                                                      chi_lo, chi_hi):
-        # The flow's |z| rate is the derivative of |z| = -2*Phi/(chi + 1) at
-        # every state, not only along a trajectory, so z_residual is
-        # rounding at arbitrary states; a wrong |z| rate shows at O(rates).
-        rng = np.random.default_rng(19)
-        n = 2000
-        t = rng.uniform(0.0, 50.0, n)
-        z = rng.uniform(0.05, 1.0, n)
-        chi = rng.uniform(chi_lo, chi_hi, n)
-        Phi = -0.5 * z * (chi + 1.0)
-        state = np.array([Phi, rng.uniform(0.0, 2.0 * math.pi, n), Phi * Phi - chi])
-        src = MapSource(moderate_params, "integrated", constraint0=generic_state())
-        run = MapRun(t, src.at(t, state), np.empty((n, 0)), None, [])
-        assert float(z_residual(moderate_params, run).max()) < 1e-15
 
     def test_state_accessor(self, moderate_params, moderate_state0):
         tg = np.linspace(0.0, 1.0, 11)
@@ -288,8 +265,7 @@ class TestMapSource:
         m = src.at(tg, np.array([flow.Phi, flow.varphi, flow.Lambda]))
         residual = src.residual(tg, m)
         for i in range(0, tg.size, 7):
-            s = ConstraintState(z_abs=float(flow.z_abs[i]), Phi=float(flow.Phi[i]),
-                                varphi=float(flow.varphi[i]),
+            s = ConstraintState(Phi=float(flow.Phi[i]), varphi=float(flow.varphi[i]),
                                 Lambda=float(flow.Lambda[i]))
             t = float(tg[i])
             c = hermitized_coefficients(s, moderate_params, t)

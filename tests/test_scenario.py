@@ -129,6 +129,14 @@ class TestValidation:
         with pytest.raises(ValidationError):
             ScenarioConfig(**kwargs).validate()
 
+    @given(st.sampled_from([f.name for f in dataclasses.fields(ScenarioConfig)
+                            if f.type == "float"]),
+           st.integers(min_value=2**1024) | st.integers(max_value=-2**1024))
+    @settings(max_examples=50, deadline=None)
+    def test_int_beyond_the_float_range_is_refused(self, key, value):
+        with pytest.raises(ValidationError, match=f"^{key} "):
+            ScenarioConfig(**{key: value}).validate()
+
     @pytest.mark.parametrize("kwargs", [
         dict(chi=math.nan),
         dict(varphi0=math.inf),
