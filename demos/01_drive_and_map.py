@@ -45,11 +45,12 @@ def main():
                   f"chi={chi:+.6f} (inverted back to eps={back:.12f})")
     print()
 
-    d = DysonState(z_abs=0.5, Phi=0.3, varphi=0.9)
+    d = DysonState.from_z(z_abs=0.5, Phi=0.3, varphi=0.9)
     g = gauss_coefficients(d.eps_map, d.mu())
-    print("factorized coefficients at (|z|, Phi, varphi) = (0.5, 0.3, 0.9):")
-    print(f"  lam    = {g.lam:+.6f}  (state: {d.lam:+.6f})")
-    print(f"  Lambda = {g.Lambda:+.6f}  (state: {d.Lambda:+.6f})")
+    print("the map's Gauss decomposition at (|z|, Phi, varphi) = (0.5, 0.3, 0.9):")
+    for name in ("Phi", "varphi", "Lambda"):
+        print(f"  {name:6} = {getattr(g, name):+.6f}  "
+              f"(state: {getattr(d, name):+.6f})")
     print()
 
     chi = 1.0002

@@ -16,14 +16,15 @@ Run:  python3 demos/02_hermitization_flow.py
 import numpy as np
 
 from pseudo_dce.drive import DriveParams
-from pseudo_dce.hermitize import ConstraintState, MapSource, constraint_rhs_polar
+from pseudo_dce.dyson import DysonState, z_abs_from
+from pseudo_dce.hermitize import MapSource, constraint_rhs_polar
 
 
 def main():
     p = DriveParams(omega0=1.0, eps_mod=0.01, kappa=2.0,
                     alpha0_tilde=0.6, beta0_tilde=0.2)
     # Initial map chosen self-consistently: |z| = -2*Phi/(chi + 1).
-    state0 = ConstraintState.from_chi(-2.25, 0.8, 0.5 * np.pi)
+    state0 = DysonState.from_chi(-2.25, 0.8, 0.5 * np.pi)
 
     tau = np.linspace(0.0, 30.0, 601)
     src = MapSource(p, "integrated", constraint0=state0)
@@ -31,11 +32,12 @@ def main():
     W, T, V = src.raw_coefficients(flow.t, flow.m)
     im_w = np.abs(W.imag)
     vt = np.abs(V - np.conj(T))
+    z_abs = z_abs_from(flow.m.Phi, flow.m.Lambda)
 
     print("constraint flow for a moderate drive, tau <= 30")
     print(f"{'tau':>6} {'|z|':>10} {'Phi':>10} {'|Im W|':>12} {'|V-conj(T)|':>12}")
     for i in range(0, len(tau), 120):
-        print(f"{tau[i]:6.1f} {flow.m.z_abs[i]:10.6f} {flow.m.Phi[i]:10.6f} "
+        print(f"{tau[i]:6.1f} {z_abs[i]:10.6f} {flow.m.Phi[i]:10.6f} "
               f"{im_w[i]:12.3e} {vt[i]:12.3e}")
     print()
 
@@ -46,8 +48,8 @@ def main():
     locked = MapSource(fig, chi=chi, varphi0=0.5 * np.pi)
     for t in (0.0, 5.0, 25.0):
         m = locked.at(t, ())
-        print(f"  tau={t:5.1f}  |z|={m.z_abs:.6f}  Phi={m.Phi:+.6f}  "
-              f"W={m.W:+.6f}  |T|={abs(m.T):.3e}")
+        print(f"  tau={t:5.1f}  |z|={z_abs_from(m.Phi, m.Lambda):.6f}  "
+              f"Phi={m.Phi:+.6f}  W={m.W:+.6f}  |T|={abs(m.T):.3e}")
     print()
 
     rhs0 = constraint_rhs_polar(state0, p, 0.0)

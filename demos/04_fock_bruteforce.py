@@ -33,7 +33,7 @@ from pseudo_dce.dyson import DysonState
 from pseudo_dce.fock import (FockSpace, drive_hamiltonian, eta_matrix,
                              inverse_map_state, propagate,
                              quasi_hermiticity_residual, squeeze_trust_bound)
-from pseudo_dce.hermitize import ConstraintState, MapSource, coefficients_general
+from pseudo_dce.hermitize import MapSource, coefficients_general
 
 CHI = 1.0002
 FIG = DriveParams(omega0=1.0, eps_mod=0.01, kappa=2.0,
@@ -42,8 +42,8 @@ MODERATE = DriveParams(omega0=1.0, eps_mod=0.01, kappa=2.0,
                        alpha0_tilde=0.6, beta0_tilde=0.2)
 
 
-def moderate_state0() -> ConstraintState:
-    return ConstraintState.from_chi(-2.25, 0.8, 0.5 * math.pi)
+def moderate_state0() -> DysonState:
+    return DysonState.from_chi(-2.25, 0.8, 0.5 * math.pi)
 
 
 def main():
@@ -57,7 +57,7 @@ def main():
     print(f"factorized vs exponentiated map (eps={eps}, |mu|={mu}), "
           f"levels 0..24: {np.abs(a[blk, blk] - b[blk, blk]).max():.2e}")
 
-    d_weak = DysonState(z_abs=0.3, Phi=0.15, varphi=0.7)
+    d_weak = DysonState.from_z(z_abs=0.3, Phi=0.15, varphi=0.7)
     eta_w = eta_matrix(d_weak.eps_map, d_weak.mu(), f, form="gauss")
     psi = f.vacuum()
     back = eta_w @ inverse_map_state(eta_w, psi)
@@ -66,7 +66,7 @@ def main():
     print()
 
     t = 0.7
-    d = DysonState(z_abs=0.5, Phi=0.3, varphi=0.9)
+    d = DysonState.from_z(z_abs=0.5, Phi=0.3, varphi=0.9)
     eta = eta_matrix(d.eps_map, d.mu(), f, form="gauss")
     h = eta @ drive_hamiltonian(t, FIG, f) @ np.linalg.inv(eta)
     W_m = h[1, 1] - h[0, 0]
@@ -94,8 +94,7 @@ def main():
         # The empty route: the flow alone.
         m = flow.integrate(lambda m, y: (), (), np.array([0.0, t_s]),
                            rtol=1e-13, atol=1e-16).m
-        dd = DysonState(z_abs=float(m.z_abs[-1]), Phi=float(m.Phi[-1]),
-                        varphi=float(m.varphi[-1]))
+        dd = DysonState(float(m.Phi[-1]), float(m.varphi[-1]), float(m.Lambda[-1]))
         # Theta = eta^dag eta collapses to one exponential with doubled
         # coefficients because the generator is Hermitian.
         return eta_matrix(2.0 * dd.eps_map, 2.0 * dd.mu(), f, form="gauss")

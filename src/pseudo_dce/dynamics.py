@@ -181,7 +181,8 @@ def _magnus_uv(t: np.ndarray, coeffs, phase0: float):
     x = (u, conj(v)) obeys x' = A(t)*x with A = [[-i*W, -2i*conj(T)],
     [2i*T, i*W]] (bogoliubov_ode_oracle's equations) from x = (1, 0) at
     t[0], and is carried by a product of sixth-order Magnus steps that read
-    W and T from coeffs(x) at their Gauss nodes x, shape (m, 3).  A grid
+    W and T from coeffs(x) at their Gauss nodes x, shape (m, 3); a W or T
+    that is not finite on an interval's nodes raises NonFiniteState.  A grid
     interval of width H takes the least count n of equal steps that keeps
     (H/n)*max(|W| + 2|T|) over its own nodes under _MAGNUS_SPAN; a cut
     below 10 ulps of t raises StepRejected, as integrate does.  The steps
@@ -190,7 +191,12 @@ def _magnus_uv(t: np.ndarray, coeffs, phase0: float):
     at t[0], where v = 0.
     """
     H = np.diff(t)
-    W0, T0 = coeffs(t[:-1, None] + H[:, None] * _GAUSS_NODES)
+    with np.errstate(invalid="ignore"):
+        W0, T0 = coeffs(t[:-1, None] + H[:, None] * _GAUSS_NODES)
+    bad = ~(np.isfinite(W0) & np.isfinite(T0)).all(axis=1)
+    if bad.any():
+        raise NonFiniteState(f"W or T is not finite in the interval from "
+                             f"tau = {float(t[np.argmax(bad)])!r}")
     rate = (np.abs(W0) + 2.0 * np.abs(T0)).max(axis=1)
     n = np.floor(H * rate / _MAGNUS_SPAN) + 1.0
     ulp = np.spacing(np.abs(t[1:]) + np.abs(t[:-1]))

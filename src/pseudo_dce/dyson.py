@@ -1,4 +1,4 @@
-"""SU(1,1) Gauss decomposition of the Dyson map and its parametrizations.
+"""The Dyson map, its one record DysonState, and its Gauss decomposition.
 
 The map is eta = exp[eps_map*(n + 1/2) + mu*a^2 + conj(mu)*a^dag^2], a
 positive operator for eps_map > 2*|mu| >= 0.  Its Gauss (normal-ordered)
@@ -13,10 +13,12 @@ with K0 = (n + 1/2)/2, K+ = a^dag^2/2, K- = a^2/2, and
     Xi     = sqrt(eps_map^2 - 4*|mu|^2)
     D      = Xi*cosh(Xi) - eps_map*sinh(Xi).
 
-Writing z = 2*mu/eps_map = |z|*exp(i*varphi) gives lam = Phi*exp(-i*varphi)
-with a signed radial coordinate Phi, and chi = -2*Phi/|z| - 1 so that
-Lambda = Phi^2 - chi.  The pair (|z|, Phi) and the map strength eps_map are
-interconvertible; the inverse is
+Writing lam = Phi*exp(-i*varphi), with varphi = arg mu and a signed radial
+coordinate Phi, DysonState holds the map as (Phi, varphi, Lambda): the
+chart the hermitization flow integrates.  The mixing ratio is
+chi = Phi^2 - Lambda, and z = 2*mu/eps_map has modulus
+|z| = -2*Phi/(chi + 1) (z_abs_from).  The pair (|z|, Phi) and the map
+strength eps_map are interconvertible; the inverse is
 
     eps_map = (1/(2*s)) * ln[ ((1+s)*Phi + z) / ((1-s)*Phi + z) ],
     s = sqrt(1 - z^2),  z = |z|,
@@ -35,6 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    ChiSingular,
     DegenerateDenominator,
     DivisionByZero,
     ImaginaryXi,
@@ -49,15 +52,6 @@ _XI_SERIES_CUTOFF = 1e-6
 # Threshold on the normalized denominator under which the decomposition
 # is treated as singular (eps_map at the cosh/sinh crossing).
 _DEGENERATE_TOL = 1e-14
-
-
-@dataclass(frozen=True)
-class GaussCoefficients:
-    """Coefficients of the Gauss-decomposed map: lam, Lambda, and xi."""
-
-    lam: complex
-    Lambda: float
-    xi: float
 
 
 def _d_over_xi(eps_map: float, xi: float) -> float:
@@ -87,15 +81,15 @@ def _sinh_over_xi(xi: float) -> float:
     return math.sinh(xi) / xi
 
 
-def gauss_coefficients(eps_map: float, mu: complex) -> GaussCoefficients:
-    """Gauss-decomposition coefficients (lam, Lambda, xi) of the map.
+def gauss_coefficients(eps_map: float, mu: complex) -> DysonState:
+    """The map's Gauss decomposition as its record: Phi = 2*|mu|*sinh(Xi)/D,
+    varphi = arg mu and Lambda = Xi^2/D^2.
 
     Raises ImaginaryXi when eps_map^2 < 4*|mu|^2 (xi would be imaginary),
     DegenerateDenominator when D is numerically zero, and OutOfDomain when
     xi is so large that cosh overflows double precision.
     """
-    mu_abs2 = (mu.real * mu.real + mu.imag * mu.imag)
-    xi2 = eps_map * eps_map - 4.0 * mu_abs2
+    xi2 = eps_map * eps_map - 4.0 * (mu.real * mu.real + mu.imag * mu.imag)
     if xi2 < 0.0:
         raise ImaginaryXi(
             f"eps_map^2 - 4|mu|^2 = {xi2:.3e} < 0; the map is not in the "
@@ -103,9 +97,8 @@ def gauss_coefficients(eps_map: float, mu: complex) -> GaussCoefficients:
         )
     xi = math.sqrt(xi2)
     d_norm = _d_over_xi(eps_map, xi)
-    lam = 2.0 * mu.conjugate() * _sinh_over_xi(xi) / d_norm
-    big_lambda = 1.0 / (d_norm * d_norm)
-    return GaussCoefficients(lam=lam, Lambda=big_lambda, xi=xi)
+    return DysonState(Phi=2.0 * abs(mu) * _sinh_over_xi(xi) / d_norm,
+                      varphi=cmath.phase(mu), Lambda=1.0 / (d_norm * d_norm))
 
 
 def phi_from_z(z_abs: float, eps_map: float) -> tuple[float, float]:
@@ -167,31 +160,53 @@ def epsilon_from_phi(z_abs: float, phi: float) -> float:
     return eps_map
 
 
+def z_abs_from(Phi, Lambda):
+    """|z| = -2*Phi/(chi + 1) with chi = Phi^2 - Lambda, clipped at 1
+    against rounding; scalars or arrays."""
+    denom = Phi * Phi - Lambda + 1.0
+    if np.count_nonzero(denom == 0.0):
+        raise ChiSingular("chi = -1 leaves |z| undetermined")
+    return np.minimum(1.0, -2.0 * Phi / denom)
+
+
 @dataclass(frozen=True)
 class DysonState:
-    """Instantaneous map coordinates (|z|, Phi, varphi).
+    """The map's one record: Phi, varphi and Lambda, with lam = Phi*exp(-i*varphi).
 
-    varphi is the phase of z = 2*mu/eps_map; lam = Phi*exp(-i*varphi).
-    chi, Lambda, the underlying map strength eps_map and mu are derived.
+    chi, |z|, the map strength eps_map and mu are derived.  Bare
+    construction checks nothing (the fields may be arrays or symbols);
+    from_z and from_chi build a state from |z|.
     """
 
-    z_abs: float
     Phi: float
     varphi: float
+    Lambda: float
 
-    def __post_init__(self):
-        if not (0.0 < self.z_abs <= 1.0):
-            raise ValueError(f"z_abs must lie in (0, 1], got {self.z_abs}")
-        if self.Phi == 0.0:
+    @classmethod
+    def from_z(cls, z_abs: float, Phi: float, varphi: float) -> "DysonState":
+        """The state at modulus z_abs (in (0, 1]) and Phi (nonzero), where
+        chi = -2*Phi/|z| - 1 and Lambda = Phi^2 - chi."""
+        if not (0.0 < z_abs <= 1.0):
+            raise ValueError(f"z_abs must lie in (0, 1], got {z_abs}")
+        if Phi == 0.0:
             raise ValueError("Phi = 0 is the identity map; use a finite Phi")
+        chi = -2.0 * Phi / z_abs - 1.0
+        return cls(Phi=Phi, varphi=varphi, Lambda=Phi * Phi - chi)
+
+    @classmethod
+    def from_chi(cls, chi: float, z_abs: float, varphi: float) -> "DysonState":
+        """The state at mixing ratio chi and modulus z_abs:
+        Phi = -|z|*(chi + 1)/2 and Lambda = Phi^2 - chi."""
+        Phi = -0.5 * z_abs * (chi + 1.0)
+        return cls(Phi=Phi, varphi=varphi, Lambda=Phi * Phi - chi)
 
     @property
     def chi(self) -> float:
-        return -2.0 * self.Phi / self.z_abs - 1.0
+        return self.Phi * self.Phi - self.Lambda
 
     @property
-    def Lambda(self) -> float:
-        return self.Phi * self.Phi - self.chi
+    def z_abs(self) -> float:
+        return z_abs_from(self.Phi, self.Lambda)
 
     @property
     def lam(self) -> complex:
@@ -201,12 +216,8 @@ class DysonState:
     def eps_map(self) -> float:
         return epsilon_from_phi(self.z_abs, self.Phi)
 
-    @property
-    def mu_abs(self) -> float:
-        return 0.5 * self.eps_map * self.z_abs
-
     def mu(self) -> complex:
-        return self.mu_abs * cmath.exp(1j * self.varphi)
+        return 0.5 * self.eps_map * self.z_abs * cmath.exp(1j * self.varphi)
 
 
 def bogoliubov_matrix(state: DysonState) -> np.ndarray:
@@ -218,8 +229,7 @@ def bogoliubov_matrix(state: DysonState) -> np.ndarray:
     big_lambda = state.Lambda
     if big_lambda <= 0.0:
         raise NonPositiveLambda(
-            f"Lambda = {big_lambda!r} <= 0 at (|z|, Phi) = "
-            f"({state.z_abs!r}, {state.Phi!r})"
+            f"Lambda = {big_lambda!r} <= 0 at Phi = {state.Phi!r}"
         )
     root = math.sqrt(big_lambda)
     lam = state.lam

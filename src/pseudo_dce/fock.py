@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -46,6 +47,8 @@ class FockSpace:
     """
 
     def __init__(self, dim: int = 128):
+        if isinstance(dim, bool) or not isinstance(dim, numbers.Integral):
+            raise ValueError(f"dim must be an integer, got {dim!r}")
         if dim < 4:
             raise ValueError(f"dim must be at least 4, got {dim}")
         self.dim = dim
@@ -182,8 +185,8 @@ def eta_matrix(eps_map: float, mu: complex, f: FockSpace,
             eta[p::2, p::2] = matrix_exponential(gen[p::2, p::2])
         return eta
     if form == "gauss":
-        g = gauss_coefficients(eps_map, mu)
-        return gauss_product_matrix(g.lam, g.Lambda, f)
+        s = gauss_coefficients(eps_map, mu)
+        return gauss_product_matrix(s.lam, s.Lambda, f)
     raise ValueError(f"form must be 'exponential' or 'gauss', got {form!r}")
 
 

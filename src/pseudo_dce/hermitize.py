@@ -7,15 +7,15 @@ coefficients (lam, Lambda) of the map, h is again quadratic,
     h = -W*(n + 1/2) - [T*a^2 + V*a^dag^2],
 
 and Hermiticity of h requires W real and V = conj(T).  Those two
-conditions close into a first-order flow for the map coordinates
-(Phi, varphi, Lambda); on the flow the surviving coefficients are the
-real frequency W and the complex pump
+conditions close into a first-order flow for the map's record
+dyson.DysonState (Phi, varphi, Lambda); on the flow the surviving
+coefficients are the real frequency W and the complex pump
 
     W = omega - 2*zeta*Phi*(at - bt)*sin(varphi)/(chi - 1),
     T = -i*zeta*(at - chi*bt)/(1 - chi),
 
 with zeta the signed parametric strength of the drive module.  The map
-modulus |z| = -2*Phi/(chi + 1) follows from (Phi, Lambda) and carries no
+modulus |z| follows from (Phi, Lambda) (dyson.z_abs_from) and carries no
 rate of its own.  tests/test_symbolic.py derives the flow (_flow_rates
 for the modulated drive, constraint_rhs_general for polar inputs) and
 these W and T (_counterpart) from coefficients_general with sympy.  The
@@ -25,9 +25,9 @@ counterpart generator is W*(n+1/2) + T*a^2 + conj(T)*a^dag^2 with the
 signs produced by the coefficient formulas directly.
 
 A MapSource supplies the map along the drive, closed-form or integrated.
-Its MapPoint (coordinates, rates, chi, W, T) is the one record of the map,
-built by one set of expressions for a scalar time inside a right-hand side
-and for the whole output grid afterwards.  The source integrates a route
+Its MapPoint (the DysonState coordinates, their rates, chi, W, T) is the
+map evaluated by one set of expressions, for a scalar time inside a
+right-hand side and for the whole output grid afterwards.  The source integrates a route
 (the (u, v) oracle, whose run's dense output also gives the map where
 evolve's Magnus steps read it; the empty route, whose rates are (),
 integrates the flow alone) together with the map, so a route sees only
@@ -45,6 +45,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .drive import DriveParams, PolarComplex, cos, omega_and_zeta, sin
+from .dyson import DysonState
 from .errors import ChiSingular, PhiZero, ZeroLambda
 from .integrate import IvpProblem, IntegrationStats, Step, integrate
 
@@ -52,31 +53,6 @@ from .integrate import IvpProblem, IntegrationStats, Step, integrate
 # refuses |chi - 1| below this width.
 CHI_GUARD = 1e-9
 _PHI_GUARD = 1e-12
-
-
-@dataclass(frozen=True)
-class ConstraintState:
-    """Map coordinates carried along the hermitization flow.
-
-    Unlike the static map description, Lambda is integrated as an
-    independent coordinate here, and |z| is none: z_abs_from gives it from
-    (Phi, Lambda).
-    """
-
-    Phi: float
-    varphi: float
-    Lambda: float
-
-    @classmethod
-    def from_chi(cls, chi: float, z_abs: float, varphi: float) -> "ConstraintState":
-        """The state at mixing ratio chi and modulus z_abs:
-        Phi = -|z|*(chi + 1)/2 and Lambda = Phi^2 - chi."""
-        Phi = -0.5 * z_abs * (chi + 1.0)
-        return cls(Phi=Phi, varphi=varphi, Lambda=Phi * Phi - chi)
-
-    @property
-    def chi(self) -> float:
-        return self.Phi * self.Phi - self.Lambda
 
 
 @dataclass(frozen=True)
@@ -92,15 +68,6 @@ class HermitizedCoeffs:
 
     def T(self) -> complex:
         return self.T_abs * cmath.exp(1j * self.phi_T)
-
-
-def z_abs_from(Phi, Lambda):
-    """|z| = -2*Phi/(chi + 1) with chi = Phi^2 - Lambda; scalars or arrays."""
-    chi = Phi * Phi - Lambda
-    denom = chi + 1.0
-    if np.count_nonzero(denom == 0.0):
-        raise ChiSingular("chi = -1 leaves |z| undetermined")
-    return -2.0 * Phi / denom
 
 
 def coefficients_general(lam: complex, Lambda: float, omega: complex,
@@ -185,7 +152,7 @@ def guard_flow_crossings(step: Step) -> None:
                 f"(Phi = {Phi!r}, varphi = {varphi!r}, Lambda = {Lambda!r})")
 
 
-def constraint_rhs_general(s: ConstraintState, omega: PolarComplex,
+def constraint_rhs_general(s: DysonState, omega: PolarComplex,
                            alpha: PolarComplex, beta: PolarComplex) -> np.ndarray:
     """Hermitization flow for arbitrary polar inputs.
 
@@ -239,7 +206,7 @@ def _flow_rates(p: DriveParams, w, zs, Phi, Lambda, cosphi, sinphi):
     return dPhi, dphi, dLambda
 
 
-def constraint_rhs_polar(s: ConstraintState, p: DriveParams,
+def constraint_rhs_polar(s: DysonState, p: DriveParams,
                          t: float) -> np.ndarray:
     """Hermitization flow specialized to the modulated drive.
 
@@ -263,7 +230,7 @@ def _counterpart(p: DriveParams, w, zs, Phi, Lambda, sinphi):
     return chi, W, T
 
 
-def hermitized_coefficients(s: ConstraintState, p: DriveParams,
+def hermitized_coefficients(s: DysonState, p: DriveParams,
                             t: float) -> HermitizedCoeffs:
     """On-flow coefficients (W, |T|, phi_T) for the modulated drive.
 
@@ -281,7 +248,7 @@ def hermitized_coefficients(s: ConstraintState, p: DriveParams,
     return HermitizedCoeffs(W, abs(T), cmath.phase(T))
 
 
-def hermitized_coefficients_general(s: ConstraintState, omega: PolarComplex,
+def hermitized_coefficients_general(s: DysonState, omega: PolarComplex,
                                     alpha: PolarComplex,
                                     beta: PolarComplex) -> HermitizedCoeffs:
     """On-flow coefficients for arbitrary polar inputs.
@@ -308,7 +275,7 @@ def hermitized_coefficients_general(s: ConstraintState, omega: PolarComplex,
 
 
 def approx_dyson_trajectory(t: float, p: DriveParams, varphi0: float,
-                            chi: float) -> ConstraintState:
+                            chi: float) -> DysonState:
     """Closed-form flow solution for the weakly modulated resonant drive.
 
     |z| = 1 and Phi = -(chi + 1)/2 are frozen; varphi advances at 2*omega0.
@@ -317,7 +284,7 @@ def approx_dyson_trajectory(t: float, p: DriveParams, varphi0: float,
     only for the benchmark's fock_oracle callback and the test suite's
     reference built without the map-source layer.
     """
-    return ConstraintState.from_chi(chi, 1.0, varphi0 + 2.0 * p.omega0 * t)
+    return DysonState.from_chi(chi, 1.0, varphi0 + 2.0 * p.omega0 * t)
 
 
 class MapPoint(NamedTuple):
@@ -333,11 +300,6 @@ class MapPoint(NamedTuple):
     W: np.ndarray
     T: np.ndarray
     rates: tuple
-
-    @property
-    def z_abs(self):
-        """|z| = -2*Phi/(chi + 1), clipped at 1 against rounding."""
-        return np.minimum(1.0, z_abs_from(self.Phi, self.Lambda))
 
 
 class MapRun(NamedTuple):
@@ -369,7 +331,7 @@ class MapSource:
 
     def __init__(self, p: DriveParams, dyson_source: str = "approximate",
                  chi: Optional[float] = None, varphi0: float = 0.5 * math.pi,
-                 constraint0: Optional[ConstraintState] = None):
+                 constraint0: Optional[DysonState] = None):
         self.p = p
         if dyson_source == "approximate":
             if chi is None:
@@ -377,7 +339,7 @@ class MapSource:
             # chi is frozen, so the pointwise chi = 1 guard is checked once.
             guard_chi(chi, " at every tau")
 
-            s0 = ConstraintState.from_chi(chi, 1.0, varphi0)
+            s0 = DysonState.from_chi(chi, 1.0, varphi0)
             self.chi0, self._map0 = chi, ()
             self.closed_form = True
             self.period = p.period() if p.on_resonance() else math.inf

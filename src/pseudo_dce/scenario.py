@@ -27,7 +27,8 @@ from .dynamics import (
     evolve,
 )
 from .errors import NonFiniteState, ParseError, PseudoDceError, ValidationError
-from .hermitize import CHI_GUARD, ConstraintState, MapSource
+from .dyson import DysonState
+from .hermitize import CHI_GUARD, MapSource
 from .integrate import IntegrationStats
 
 CANONICAL_COLUMNS = (
@@ -158,8 +159,8 @@ class ScenarioConfig:
     def time_grid(self) -> np.ndarray:
         return np.linspace(0.0, self.tau_max / self.omega0, self.grid_size())
 
-    def constraint0(self) -> ConstraintState:
-        return ConstraintState.from_chi(self.chi, self.z_abs, self.varphi0)
+    def constraint0(self) -> DysonState:
+        return DysonState.from_chi(self.chi, self.z_abs, self.varphi0)
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
@@ -414,6 +415,8 @@ def sweep(base: ScenarioConfig, axis: str, values, out_dir=None,
     if _FIELD_TYPES[axis] not in ("float", "int"):
         raise ValidationError(f"{axis} must be a numeric key to sweep, "
                               f"not {_FIELD_TYPES[axis]}")
+    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral):
+        raise ValidationError(f"workers must be an integer, got {workers!r}")
     if workers < 1:
         raise ValidationError(f"workers must be at least 1, got {workers}")
     if not values:

@@ -29,8 +29,8 @@ from .dynamics import (amplification_factor, analytic_squeeze,
 from .fock import (FockSpace, eta_matrix, metric, nonhermitian_expectation,
                    map_observable, propagate, drive_hamiltonian,
                    quasi_hermiticity_residual, squeeze_trust_bound)
-from .hermitize import (ConstraintState, MapSource, constraint_rhs_general,
-                        constraint_rhs_polar, hermitized_coefficients_general)
+from .hermitize import (MapSource, constraint_rhs_general, constraint_rhs_polar,
+                        hermitized_coefficients_general)
 from .integrate import IvpProblem, integrate
 from .scenario import PRESETS, ScenarioConfig, run, run_preset
 
@@ -49,8 +49,8 @@ _FIG1_SOURCE = MapSource(_FIG1, chi=_CHI_FIG, varphi0=_VARPHI0)
 _HERMITIAN_SOURCE = MapSource(_HERMITIAN, chi=_CHI_FIG, varphi0=_VARPHI0)
 
 
-def _moderate_state0() -> ConstraintState:
-    return ConstraintState.from_chi(-2.25, 0.8, _VARPHI0)
+def _moderate_state0() -> DysonState:
+    return DysonState.from_chi(-2.25, 0.8, _VARPHI0)
 
 
 def _moderate_source() -> MapSource:
@@ -158,7 +158,7 @@ def check_bogoliubov_det() -> tuple[bool, str]:
         # Phi = -1/z + sqrt(1/z^2 - 1); -0.05 clears it for every z here.
         for phi_map in (0.4, -0.05):
             for phi in (0.0, 0.7, 2.1):
-                d = DysonState(z_abs=z, Phi=phi_map, varphi=phi)
+                d = DysonState.from_z(z_abs=z, Phi=phi_map, varphi=phi)
                 m = bogoliubov_matrix(d)
                 worst = max(worst, abs(np.linalg.det(m) - 1.0))
     return _bound("max |det - 1|", worst, 1e-12)
@@ -171,9 +171,9 @@ def check_polar_general_rhs() -> tuple[bool, str]:
     for _ in range(200):
         t = float(rng.uniform(0.0, 10.0))
         rng.uniform(0.3, 0.95)  # an unused |z| draw keeps the sample sequence
-        s = ConstraintState(Phi=float(rng.uniform(0.2, 0.8)),
-                            varphi=float(rng.uniform(0.0, 2.0 * math.pi)),
-                            Lambda=float(rng.uniform(1.5, 3.0)))
+        s = DysonState(Phi=float(rng.uniform(0.2, 0.8)),
+                       varphi=float(rng.uniform(0.0, 2.0 * math.pi)),
+                       Lambda=float(rng.uniform(1.5, 3.0)))
         a_pol, b_pol = alpha_beta(t, p)
         om = PolarComplex(drive_omega(t, p), 0.0)
         d1 = constraint_rhs_polar(s, p, t)
@@ -205,7 +205,7 @@ def check_flow_residuals() -> tuple[bool, str]:
 
 def check_flow_fixed_point() -> tuple[bool, str]:
     """The z=1 locked state is stationary where the drive vanishes."""
-    s = ConstraintState.from_chi(_CHI_FIG, 1.0, 0.3)
+    s = DysonState.from_chi(_CHI_FIG, 1.0, 0.3)
     d = constraint_rhs_polar(s, _FIG1, 0.0)  # zeta(0) = 0
     worst = max(abs(float(d[0])), abs(float(d[2])))
     dphi_err = abs(float(d[1]) - 2.0 * drive_omega(0.0, _FIG1))
@@ -378,8 +378,7 @@ def _quasi_hermiticity_samples(times, dim: int = 64,
     def theta_at(tt: float) -> np.ndarray:
         m = src.integrate(lambda m, y: (), (), np.array([0.0, tt]),
                           rtol=1e-13, atol=1e-16).m
-        d = DysonState(z_abs=float(m.z_abs[-1]), Phi=float(m.Phi[-1]),
-                       varphi=float(m.varphi[-1]))
+        d = DysonState(float(m.Phi[-1]), float(m.varphi[-1]), float(m.Lambda[-1]))
         return eta_matrix(2.0 * d.eps_map, 2.0 * d.mu(), f, form="gauss")
 
     worst = 0.0
@@ -427,7 +426,7 @@ def check_fock_conjugation() -> tuple[bool, str]:
     worst = 0.0
     for z in (0.2, 0.4):
         for phi in (0.0, 1.1):
-            d = DysonState(z_abs=z, Phi=0.3, varphi=phi)
+            d = DysonState.from_z(z_abs=z, Phi=0.3, varphi=phi)
             eta = eta_matrix(d.eps_map, d.mu(), f, form="gauss")
             eta_inv = eta_matrix(-d.eps_map, -d.mu(), f, form="gauss")
             m = bogoliubov_matrix(d)
@@ -441,7 +440,7 @@ def check_fock_conjugation() -> tuple[bool, str]:
 
 def check_metric_properties() -> tuple[bool, str]:
     f = FockSpace(64)
-    d = DysonState(z_abs=0.3, Phi=0.15, varphi=0.7)
+    d = DysonState.from_z(z_abs=0.3, Phi=0.15, varphi=0.7)
     eta = eta_matrix(d.eps_map, d.mu(), f, form="gauss")
     th = metric(eta)
     herm = float(np.abs(th - th.conj().T).max())

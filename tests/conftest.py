@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pseudo_dce.drive import DriveParams
-from pseudo_dce.hermitize import ConstraintState
+from pseudo_dce.dyson import DysonState
 
 CHI_FIG = 1.0002
 VARPHI0 = 0.5 * math.pi
@@ -31,8 +31,8 @@ def moderate_params() -> DriveParams:
 
 
 @pytest.fixture
-def moderate_state0() -> ConstraintState:
-    return ConstraintState.from_chi(-2.25, 0.8, VARPHI0)
+def moderate_state0() -> DysonState:
+    return DysonState.from_chi(-2.25, 0.8, VARPHI0)
 
 
 @pytest.fixture

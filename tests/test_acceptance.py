@@ -244,7 +244,7 @@ def test_criterion_08_map_factorization():
             worst_map = max(worst_map, float(num / den))
 
             phi, _ = phi_from_z(z, eps0)
-            d = DysonState(z_abs=z, Phi=phi, varphi=0.7)
+            d = DysonState.from_z(z_abs=z, Phi=phi, varphi=0.7)
             eta = eta_matrix(d.eps_map, d.mu(), f, form="gauss")
             eta_inv = eta_matrix(-d.eps_map, -d.mu(), f, form="gauss")
             m = bogoliubov_matrix(d)

@@ -1,6 +1,9 @@
 import concurrent.futures
+import importlib
 import os
 import string
+import tomllib
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -358,3 +361,16 @@ def test_no_command_exits_one():
     with pytest.raises(SystemExit) as exc:
         cli.main([])
     assert exc.value.code == 1
+
+
+def test_console_script_and_package_discovery():
+    # What `pip install -e .` builds the pseudo-dce command from, checked
+    # without installing: the entry point names cli.main, and the src
+    # layout's discovery finds the one package.
+    import setuptools
+
+    root = Path(__file__).resolve().parents[1]
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    module, _, attr = project["scripts"]["pseudo-dce"].partition(":")
+    assert getattr(importlib.import_module(module), attr) is cli.main
+    assert setuptools.find_packages(where=str(root / "src")) == ["pseudo_dce"]

@@ -8,11 +8,11 @@ from pseudo_dce.drive import DriveParams, ZetaMode
 from pseudo_dce.dynamics import (_magnus_factors, _prefix_products,
                                  amplification_factor, analytic_squeeze,
                                  bogoliubov_ode_oracle, evolve)
+from pseudo_dce.dyson import DysonState
 from pseudo_dce.errors import (ChiSingular, NonFiniteState, NotOnResonance,
                                StepRejected)
 from pseudo_dce.fock import FockSpace, propagate
-from pseudo_dce.hermitize import (ConstraintState, MapSource,
-                                  approx_dyson_trajectory,
+from pseudo_dce.hermitize import (MapSource, approx_dyson_trajectory,
                                   hermitized_coefficients)
 from pseudo_dce.integrate import IvpProblem, integrate
 from pseudo_dce.scenario import PRESETS, ScenarioConfig
@@ -274,6 +274,16 @@ class TestMagnusProduct:
         with pytest.raises(NonFiniteState, match=r"finite domain at tau = 157\.8"):
             evolve(src, np.linspace(0.0, 200.0, 201))
 
+    @pytest.mark.parametrize("key", ["chi", "varphi0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_map_input_raises(self, fig1_params, key, value):
+        # A NaN step count once cast to zero steps and handed back the
+        # grid's uninitialized (u, v).
+        src = MapSource(fig1_params, **{"chi": CHI_FIG, "varphi0": VARPHI0,
+                                        key: value})
+        with pytest.raises(NonFiniteState, match=r"not finite .* tau = 0\.0"):
+            evolve(src, np.linspace(0.0, 5.0, 11))
+
     def test_unresolvable_steps_rejected(self):
         # W ~ 1e20 would need steps of 5e-22, far below the ulps of t ~ 1.
         p = DriveParams(omega0=1e20, eps_mod=0.01, kappa=2e20)
@@ -319,7 +329,7 @@ class TestVacuumStart:
         p = DriveParams(omega0=1.0, eps_mod=0.01, kappa=1.97,
                         alpha0_tilde=at, beta0_tilde=bt)
         src = MapSource(p, source, chi=chi, varphi0=VARPHI0,
-                        constraint0=ConstraintState.from_chi(chi, 0.8, VARPHI0))
+                        constraint0=DysonState.from_chi(chi, 0.8, VARPHI0))
         tg = np.linspace(0.0, 0.5, 51)
         traj = evolve(src, tg)
         assert traj.r[0] == 0.0 and traj.mean_photon()[0] == 0.0

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from pseudo_dce.dyson import (DysonState, bogoliubov_matrix, epsilon_from_phi,
-                              gauss_coefficients, phi_from_z)
+                              gauss_coefficients, phi_from_z, z_abs_from)
 from pseudo_dce.errors import (DegenerateDenominator, DivisionByZero,
                                ImaginaryXi, NonPositiveLambda, OutOfDomain)
+from pseudo_dce.fock import FockSpace, eta_matrix
+from pseudo_dce.hermitize import MapSource
 
 
 class TestGaussCoefficients:
@@ -24,7 +26,9 @@ class TestGaussCoefficients:
         g = gauss_coefficients(eps0, 0.0)
         assert g.lam == 0.0
         assert abs(g.Lambda - math.exp(2.0 * eps0)) / math.exp(2.0 * eps0) < 1e-12
-        assert g.xi == eps0
+        # Xi = eps0 exactly: Phi vanishes and Lambda is 1/D^2 at Xi = eps0.
+        assert (g.Phi, g.varphi) == (0.0, 0.0)
+        assert g.Lambda == 1.0 / (math.cosh(eps0) - math.sinh(eps0)) ** 2
 
     def test_series_branch_is_continuous(self):
         # The small-Xi series and the closed form must agree at the cutoff.
@@ -125,39 +129,71 @@ class TestDysonState:
     ])
     def test_rejects_bad_state(self, z_abs, phi):
         with pytest.raises(ValueError):
-            DysonState(z_abs=z_abs, Phi=phi, varphi=0.0)
+            DysonState.from_z(z_abs=z_abs, Phi=phi, varphi=0.0)
+
+    @pytest.mark.parametrize("chi, z", [(-2.25, 0.8), (1.0002, 1.0),
+                                        (1.02, 1.0), (0.5, 1.0)])
+    def test_from_chi_matches_the_written_out_formula(self, chi, z):
+        # Phi = -|z|*(chi + 1)/2 and Lambda = Phi^2 - chi, to the last bit.
+        s = DysonState.from_chi(chi, z, 0.3)
+        phi0 = -z * (chi + 1.0) / 2.0
+        assert (s.Phi, s.varphi, s.Lambda) == (phi0, 0.3, phi0 * phi0 - chi)
+        assert abs(s.chi - chi) < 1e-15
+        assert abs(z_abs_from(s.Phi, s.Lambda) - z) < 1e-15
 
     def test_chi_lambda_identity(self):
-        d = DysonState(z_abs=0.7, Phi=0.45, varphi=1.3)
+        d = DysonState.from_z(z_abs=0.7, Phi=0.45, varphi=1.3)
         assert abs((abs(d.lam) ** 2 - d.Lambda) - d.chi) < 1e-12
 
     def test_state_reproduces_gauss_coefficients(self):
         # eps_map and mu recovered from (|z|, Phi) must regenerate the same
-        # (lam, Lambda) through the forward decomposition.  |z| = 1 sits on
-        # the Xi = 0 boundary where roundoff flips the regime check, so the
-        # grid stays inside it.
+        # state through the forward decomposition.  |z| = 1 sits on the
+        # Xi = 0 boundary where roundoff flips the regime check, so the grid
+        # stays inside it; varphi stays in (-pi, pi], where arg mu lands.
         for z in (0.2, 0.5, 0.8, 0.95):
             for eps0 in (0.05, 0.3, 0.9):
-                phi, _ = phi_from_z(z, eps0)
-                d = DysonState(z_abs=z, Phi=phi, varphi=0.7)
-                g = gauss_coefficients(d.eps_map, d.mu())
-                assert abs(g.lam - d.lam) < 1e-12
-                assert abs(g.Lambda - d.Lambda) / abs(d.Lambda) < 1e-12
+                for varphi in (-2.0, 0.7, 3.0):
+                    phi, _ = phi_from_z(z, eps0)
+                    d = DysonState.from_z(z_abs=z, Phi=phi, varphi=varphi)
+                    g = gauss_coefficients(d.eps_map, d.mu())
+                    assert abs(g.lam - d.lam) < 1e-12
+                    for got, want in zip((g.Phi, g.varphi, g.Lambda),
+                                         (d.Phi, d.varphi, d.Lambda)):
+                        assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_flow_states_are_maps(self, moderate_params, moderate_state0):
+        # The integrated flow's (Phi, varphi, Lambda), taken as they are,
+        # give a unit-determinant mixing matrix and a Gauss map that reads
+        # lam and Lambda off the state and agrees with the exponential.
+        run = MapSource(moderate_params, "integrated",
+                        constraint0=moderate_state0).integrate(
+            lambda m, y: (), (), np.linspace(0.0, 25.0, 11), 1e-9, 1e-12)
+        f = FockSpace(128)
+        blk = slice(0, 41)
+        for s in map(DysonState, run.m.Phi.tolist(), run.m.varphi.tolist(),
+                     run.m.Lambda.tolist()):
+            assert abs(np.linalg.det(bogoliubov_matrix(s)) - 1.0) < 1e-12
+            eta = eta_matrix(s.eps_map, s.mu(), f, form="gauss")
+            root = s.Lambda ** 0.25  # <0|eta|0>; <2|eta|0> = root*lam/sqrt(2)
+            assert abs(eta[0, 0] - root) <= 1e-12 * root
+            assert abs(eta[2, 0] - root * s.lam / math.sqrt(2.0)) <= 1e-12 * root
+            want = eta_matrix(s.eps_map, s.mu(), f, form="exponential")[blk, blk]
+            assert np.linalg.norm(eta[blk, blk] - want) < 1e-8 * np.linalg.norm(want)
 
     def test_mu_modulus(self):
-        d = DysonState(z_abs=0.6, Phi=0.3, varphi=2.0)
+        d = DysonState.from_z(z_abs=0.6, Phi=0.3, varphi=2.0)
         assert abs(abs(d.mu()) - 0.5 * d.eps_map * 0.6) < 1e-15
 
 
 class TestBogoliubovMatrix:
 
     def test_weak_map_is_near_identity(self):
-        d = DysonState(z_abs=0.5, Phi=1e-12, varphi=0.0)
+        d = DysonState.from_z(z_abs=0.5, Phi=1e-12, varphi=0.0)
         assert np.abs(bogoliubov_matrix(d) - np.eye(2)).max() < 1e-11
 
     def test_negative_lambda_rejected(self):
         # Phi = -0.4 at |z| = 0.2 sits inside the Lambda < 0 band.
-        d = DysonState(z_abs=0.2, Phi=-0.4, varphi=0.0)
+        d = DysonState.from_z(z_abs=0.2, Phi=-0.4, varphi=0.0)
         with pytest.raises(NonPositiveLambda):
             bogoliubov_matrix(d)
 
@@ -167,6 +203,6 @@ class TestBogoliubovMatrix:
     @settings(max_examples=200, deadline=None)
     def test_unit_determinant(self, z_abs, phi, varphi):
         # Phi > 0 keeps Lambda = Phi^2 + 2 Phi/|z| + 1 positive for any |z|.
-        d = DysonState(z_abs=z_abs, Phi=phi, varphi=varphi)
+        d = DysonState.from_z(z_abs=z_abs, Phi=phi, varphi=varphi)
         m = bogoliubov_matrix(d)
         assert abs(np.linalg.det(m) - 1.0) < 1e-12

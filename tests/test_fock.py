@@ -22,7 +22,7 @@ TRUSTED = slice(0, 25)
 
 
 def weak_map(f):
-    d = DysonState(z_abs=0.3, Phi=0.15, varphi=0.7)
+    d = DysonState.from_z(z_abs=0.3, Phi=0.15, varphi=0.7)
     return d, eta_matrix(d.eps_map, d.mu(), f, form="gauss")
 
 
@@ -43,6 +43,12 @@ class TestFockSpace:
     def test_minimum_dimension(self):
         with pytest.raises(ValueError):
             FockSpace(3)
+        assert FockSpace(np.int64(4)).vacuum().shape == (4,)
+
+    @pytest.mark.parametrize("dim", [8.0, True, "8"], ids=["float", "bool", "str"])
+    def test_non_integer_dimension_rejected(self, dim):
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            FockSpace(dim)
 
     def test_propagation_builds_no_ladder_matrix(self):
         f = FockSpace(512)
@@ -143,7 +149,7 @@ class TestEtaMatrix:
         worst = 0.0
         for z in (0.2, 0.4):
             for phi in (0.0, 1.1):
-                d = DysonState(z_abs=z, Phi=0.3, varphi=phi)
+                d = DysonState.from_z(z_abs=z, Phi=0.3, varphi=phi)
                 eta = eta_matrix(d.eps_map, d.mu(), f, form="gauss")
                 eta_inv = eta_matrix(-d.eps_map, -d.mu(), f, form="gauss")
                 m = bogoliubov_matrix(d)
@@ -413,7 +419,7 @@ class TestInverseMap:
 
     def test_singular_map_rejected(self):
         f = FockSpace(64)
-        d = DysonState(z_abs=0.9, Phi=5.0, varphi=0.0)
+        d = DysonState.from_z(z_abs=0.9, Phi=5.0, varphi=0.0)
         eta = eta_matrix(d.eps_map, d.mu(), f, form="gauss")
         with pytest.raises(SingularEta):
             inverse_map_state(eta, f.vacuum())

@@ -5,18 +5,17 @@ import pytest
 
 from pseudo_dce.drive import (PolarComplex, alpha_beta,
                               omega as drive_omega, zeta_signed)
-from pseudo_dce.dyson import DysonState
+from pseudo_dce.dyson import DysonState, z_abs_from
 from pseudo_dce.errors import ChiSingular, PhiZero, ZeroLambda
 from pseudo_dce.fock import FockSpace, drive_hamiltonian, eta_matrix
-from pseudo_dce.hermitize import (ConstraintState, MapSource,
+from pseudo_dce.hermitize import (MapSource,
                                   approx_dyson_trajectory,
                                   coefficients_general,
                                   constraint_rhs_general,
                                   constraint_rhs_polar,
                                   guard_flow_crossings,
                                   hermitized_coefficients,
-                                  hermitized_coefficients_general,
-                                  z_abs_from)
+                                  hermitized_coefficients_general)
 from pseudo_dce.dynamics import bogoliubov_ode_oracle, evolve
 from pseudo_dce.integrate import Step
 from pseudo_dce.scenario import ScenarioConfig
@@ -26,7 +25,7 @@ VARPHI0 = 0.5 * math.pi
 
 
 def generic_state():
-    return ConstraintState(Phi=0.4, varphi=1.1, Lambda=2.0)
+    return DysonState(Phi=0.4, varphi=1.1, Lambda=2.0)
 
 
 class TestCoefficientsGeneral:
@@ -48,7 +47,7 @@ class TestCoefficientsGeneral:
         # Conjugating the number/pump Hamiltonian by the map in a truncated
         # number basis and reading (W, T, V) off the lowest matrix elements
         # must reproduce the closed-form coefficients.
-        d = DysonState(z_abs=0.5, Phi=0.3, varphi=0.9)
+        d = DysonState.from_z(z_abs=0.5, Phi=0.3, varphi=0.9)
         f = FockSpace(64)
         eta = eta_matrix(d.eps_map, d.mu(), f, form="gauss")
         h = eta @ drive_hamiltonian(0.7, fig1_params, f) @ np.linalg.inv(eta)
@@ -71,9 +70,9 @@ class TestConstraintFlow:
         worst = 0.0
         for _ in range(100):
             t = float(rng.uniform(0.0, 10.0))
-            s = ConstraintState(Phi=float(rng.uniform(0.2, 0.8)),
-                                varphi=float(rng.uniform(0.0, 2.0 * math.pi)),
-                                Lambda=float(rng.uniform(1.5, 3.0)))
+            s = DysonState(Phi=float(rng.uniform(0.2, 0.8)),
+                           varphi=float(rng.uniform(0.0, 2.0 * math.pi)),
+                           Lambda=float(rng.uniform(1.5, 3.0)))
             a_pol, b_pol = alpha_beta(t, moderate_params)
             om = PolarComplex(drive_omega(t, moderate_params), 0.0)
             d1 = constraint_rhs_polar(s, moderate_params, t)
@@ -87,7 +86,7 @@ class TestConstraintFlow:
     def test_quarter_phase_freezes_radial_motion(self, moderate_params):
         # dPhi and dLambda carry a cos(varphi) factor, so the quarter
         # phase only moves varphi (up to roundoff in cos(pi/2)).
-        s = ConstraintState(Phi=0.4, varphi=0.5 * math.pi, Lambda=2.0)
+        s = DysonState(Phi=0.4, varphi=0.5 * math.pi, Lambda=2.0)
         d = constraint_rhs_polar(s, moderate_params, 0.7)
         assert abs(float(d[0])) < 1e-15
         assert abs(float(d[2])) < 1e-15
@@ -100,18 +99,18 @@ class TestConstraintFlow:
         assert float(d[2]) == 0.0
 
     def test_locked_state_is_stationary(self, fig1_params):
-        s = ConstraintState(Phi=-(CHI_FIG + 1.0) / 2.0, varphi=0.3,
-                            Lambda=((CHI_FIG + 1.0) / 2.0) ** 2 - CHI_FIG)
+        s = DysonState(Phi=-(CHI_FIG + 1.0) / 2.0, varphi=0.3,
+                       Lambda=((CHI_FIG + 1.0) / 2.0) ** 2 - CHI_FIG)
         d = constraint_rhs_polar(s, fig1_params, 0.0)
         assert max(abs(float(d[0])), abs(float(d[2]))) < 1e-14
 
     def test_chi_guard(self, moderate_params):
-        s = ConstraintState(Phi=-1.0, varphi=0.0, Lambda=0.0)
+        s = DysonState(Phi=-1.0, varphi=0.0, Lambda=0.0)
         with pytest.raises(ChiSingular):
             constraint_rhs_polar(s, moderate_params, 0.7)
 
     def test_phi_guard(self, moderate_params):
-        s = ConstraintState(Phi=1e-14, varphi=0.0, Lambda=1.0)
+        s = DysonState(Phi=1e-14, varphi=0.0, Lambda=1.0)
         with pytest.raises(PhiZero):
             constraint_rhs_polar(s, moderate_params, 0.7)
 
@@ -134,19 +133,6 @@ class TestHermitizedCoefficients:
         W, T, V = src.raw_coefficients(0.7, src.at(0.7, (s.Phi, s.varphi, s.Lambda)))
         assert abs(W.imag) < 1e-12
         assert abs(V - np.conj(T)) < 1e-12
-
-
-class TestConstraintStateFromChi:
-
-    @pytest.mark.parametrize("chi, z", [(-2.25, 0.8), (1.0002, 1.0),
-                                        (1.02, 1.0), (0.5, 1.0)])
-    def test_matches_the_written_out_formula(self, chi, z):
-        # Phi = -|z|*(chi + 1)/2 and Lambda = Phi^2 - chi, to the last bit.
-        s = ConstraintState.from_chi(chi, z, 0.3)
-        phi0 = -z * (chi + 1.0) / 2.0
-        assert (s.Phi, s.varphi, s.Lambda) == (phi0, 0.3, phi0 * phi0 - chi)
-        assert abs(s.chi - chi) < 1e-15
-        assert abs(z_abs_from(s.Phi, s.Lambda) - z) < 1e-15
 
 
 class TestApproxTrajectory:
@@ -265,8 +251,8 @@ class TestMapSource:
         m = src.at(tg, np.array([flow.Phi, flow.varphi, flow.Lambda]))
         residual = src.residual(tg, m)
         for i in range(0, tg.size, 7):
-            s = ConstraintState(Phi=float(flow.Phi[i]), varphi=float(flow.varphi[i]),
-                                Lambda=float(flow.Lambda[i]))
+            s = DysonState(Phi=float(flow.Phi[i]), varphi=float(flow.varphi[i]),
+                           Lambda=float(flow.Lambda[i]))
             t = float(tg[i])
             c = hermitized_coefficients(s, moderate_params, t)
             assert m.W[i] == c.W

@@ -381,6 +381,23 @@ class TestSweep:
         assert ran == []
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("workers", [1.5, True, "2"],
+                             ids=["float", "bool", "str"])
+    def test_non_integer_workers_are_refused_before_any_cell_runs(
+            self, tmp_path, monkeypatch, workers):
+        ran = []
+        monkeypatch.setattr(scenario, "run", lambda *args, **kwargs: ran.append(args))
+        with pytest.raises(ValidationError, match="workers must be an integer"):
+            sweep(ScenarioConfig(tau_max=2), "kappa", [1.9, 2.0],
+                  out_dir=tmp_path, workers=workers)
+        assert ran == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_numpy_integer_workers_are_accepted(self):
+        records, _ = sweep(ScenarioConfig(tau_max=2), "kappa", [2.0],
+                           workers=np.int64(1))
+        assert isinstance(records[0], RunRecord)
+
     def test_numpy_integers_set_integer_fields(self):
         records, summary = sweep(fast_config(), "grid_per_period",
                                  np.array([200, 400]))

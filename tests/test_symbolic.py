@@ -23,8 +23,9 @@ import sympy as sp
 
 from pseudo_dce import hermitize
 from pseudo_dce.drive import PolarComplex
-from pseudo_dce.hermitize import (ConstraintState, _counterpart, _flow_rates,
-                                  coefficients_general, constraint_rhs_general)
+from pseudo_dce.dyson import DysonState
+from pseudo_dce.hermitize import (_counterpart, _flow_rates, coefficients_general,
+                                  constraint_rhs_general)
 
 Phi, varphi, Lam, w, at, bt, zeta = sp.symbols(
     "Phi varphi Lambda omega alpha0_tilde beta0_tilde zeta", real=True)
@@ -93,7 +94,7 @@ def general_code_rates(monkeypatch):
                         types.SimpleNamespace(sin=sp.sin, cos=sp.cos))
     monkeypatch.setattr(hermitize, "_check_guards", lambda *args: None)
     return constraint_rhs_general(
-        ConstraintState(Phi=Phi, varphi=varphi, Lambda=Lam), PolarComplex(w, p_w),
+        DysonState(Phi=Phi, varphi=varphi, Lambda=Lam), PolarComplex(w, p_w),
         PolarComplex(a, p_a), PolarComplex(b, p_b))
 
 
