@@ -12,7 +12,7 @@ Run:  python3 demos/01_drive_and_map.py
 
 import numpy as np
 
-from pseudo_dce.drive import DriveParams, alpha_beta, omega, zeta
+from pseudo_dce.drive import DriveParams, couplings, omega, zeta_signed
 from pseudo_dce.dynamics import amplification_factor
 from pseudo_dce.dyson import (DysonState, epsilon_from_phi,
                               gauss_coefficients, phi_from_z)
@@ -26,10 +26,10 @@ def main():
     print("drive over one modulation period")
     print(f"{'t':>8} {'omega':>10} {'|zeta|':>12} {'|alpha|':>12} {'|beta|':>12}")
     for t in np.linspace(0.0, p.period(), 9):
-        a_pol, b_pol = alpha_beta(float(t), p)
-        z_pol = zeta(float(t), p)
-        print(f"{t:8.3f} {omega(float(t), p):10.6f} {z_pol.modulus:12.3e} "
-              f"{a_pol.modulus:12.3e} {b_pol.modulus:12.3e}")
+        alpha, beta = couplings(float(t), p)
+        print(f"{t:8.3f} {omega(float(t), p):10.6f} "
+              f"{abs(zeta_signed(float(t), p)):12.3e} "
+              f"{abs(alpha):12.3e} {abs(beta):12.3e}")
     print()
 
     print("map strength for a requested mixing ratio (|z|, eps_map):")

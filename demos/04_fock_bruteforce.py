@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from pseudo_dce.drive import DriveParams, alpha_beta
+from pseudo_dce.drive import DriveParams, couplings
 from pseudo_dce.drive import omega as drive_omega
 from pseudo_dce.dynamics import evolve
 from pseudo_dce.dyson import DysonState
@@ -72,11 +72,10 @@ def main():
     W_m = h[1, 1] - h[0, 0]
     T_m = h[0, 2] / math.sqrt(2.0)
     V_m = h[2, 0] / math.sqrt(2.0)
-    a_pol, b_pol = alpha_beta(t, FIG)
+    alpha, beta = couplings(t, FIG)
     W, T, V = coefficients_general(
         lam=d.lam, Lambda=d.Lambda, omega=complex(drive_omega(t, FIG)),
-        alpha=a_pol.to_complex(), beta=b_pol.to_complex(),
-        dlam_dt=0j, dLambda_dt=0.0)
+        alpha=alpha, beta=beta, dlam_dt=0j, dLambda_dt=0.0)
     print("static map conjugation vs closed-form mapped coefficients:")
     print(f"  |W_matrix - W| = {abs(W_m - W):.2e}   "
           f"|T_matrix - T| = {abs(T_m - T):.2e}   "

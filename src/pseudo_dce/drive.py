@@ -1,17 +1,15 @@
 """Modulated-frequency drive: omega(t), zeta(t), and the couplings alpha, beta.
 
 The drive is a cosine modulation omega(t) = omega0*(1 + eps_mod*cos(kappa*t)).
-The parametric strength zeta and the non-Hermitian couplings
-alpha = -i*alpha0_tilde*zeta, beta = +i*beta0_tilde*zeta derive from it.
-Complex quantities are carried in polar form; phase branches are
-bookkept with the step function h(x) = 0 for x >= 0, 1 for x < 0
-(an indicator of negativity, not the usual unit step) so that e.g.
-zeta = |zeta|*exp(i*[h[sin(kappa t)]*pi + pi]).
-
-Phases are stored in radians and never reduced modulo 2*pi here;
-reduction happens only at comparison time.  omega, omega_dot, zeta_signed
-and omega_and_zeta take a scalar t or a whole grid; sin and cos below let
-one expression serve both.
+The parametric strength zeta is a signed real number, and the non-Hermitian
+couplings alpha = -i*alpha0_tilde*zeta, beta = +i*beta0_tilde*zeta are plain
+complex numbers.  The paper writes them in polar form, with the phase branch
+of zeta = |zeta|*exp(i*[h[sin(kappa t)]*pi + pi]) picked by the step function
+h below; perfbench/test_reference.py::
+test_complex_pump_equals_the_heaviside_polar_form pins that form against
+the complex one.  omega, omega_dot, zeta_signed, omega_and_zeta and
+couplings take a scalar t or a whole grid; sin and cos below let one
+expression serve both.
 """
 
 from __future__ import annotations
@@ -36,17 +34,6 @@ class ZetaMode(enum.Enum):
     APPROXIMATE = "approximate"
 
 
-@dataclass(frozen=True)
-class PolarComplex:
-    """A complex number as (modulus, phase), modulus >= 0."""
-
-    modulus: float
-    phase: float
-
-    def to_complex(self) -> complex:
-        return self.modulus * complex(math.cos(self.phase), math.sin(self.phase))
-
-
 def _math_or_numpy(f, g):
     """f from math on a float, g from numpy on an array.
 
@@ -62,16 +49,12 @@ cos = _math_or_numpy(math.cos, np.cos)
 
 
 def heaviside(x: float) -> float:
-    """h(x) = (1 - sgn(x))/2: 0 for x >= 0, 1 for x < 0.
+    """h(x) = 0 for x >= 0, 1 for x < 0.
 
-    Note this is an indicator of negativity; sgn(0) = +1 so h(0) = 0.
+    Note this is an indicator of negativity, not the usual unit step:
+    h(0) = 0.
     """
     return 0.0 if x >= 0.0 else 1.0
-
-
-def sgn(x: float) -> float:
-    """Sign with sgn(0) = +1."""
-    return 1.0 if x >= 0.0 else -1.0
 
 
 @dataclass(frozen=True)
@@ -147,26 +130,7 @@ def omega_and_zeta(t: float, p: DriveParams) -> tuple[float, float]:
     return w, -0.5 * p.eps_mod * p.kappa * sin(kt)
 
 
-def zeta(t: float, p: DriveParams) -> PolarComplex:
-    """Parametric strength in polar form: modulus |zeta|, phase h[sin kappa t]*pi + pi.
-
-    The phase convention makes the reconstruction equal the signed value:
-    exp(i*(h*pi + pi)) = -sgn(sin kappa t).  Nodes of sin(kappa t) carry
-    phase pi (h(0) = 0); the modulus vanishes there so the choice only
-    affects bookkeeping, kept fixed for reproducible output.
-    """
-    s = math.sin(p.kappa * t)
-    return PolarComplex(abs(zeta_signed(t, p)), heaviside(s) * math.pi + math.pi)
-
-
-def alpha_beta(t: float, p: DriveParams) -> tuple[PolarComplex, PolarComplex]:
-    """Couplings alpha = -i*alpha0_tilde*zeta and beta = +i*beta0_tilde*zeta.
-
-    Polar forms: |alpha| = alpha0_tilde*|zeta| with phase h[sin kappa t]*pi + pi/2,
-    |beta| = beta0_tilde*|zeta| with phase h[sin kappa t]*pi - pi/2.
-    """
-    z = zeta(t, p)
-    h = heaviside(math.sin(p.kappa * t))
-    alpha = PolarComplex(p.alpha0_tilde * z.modulus, h * math.pi + 0.5 * math.pi)
-    beta = PolarComplex(p.beta0_tilde * z.modulus, h * math.pi - 0.5 * math.pi)
-    return alpha, beta
+def couplings(t: float, p: DriveParams) -> tuple[complex, complex]:
+    """(alpha, beta) = (-i*alpha0_tilde*zeta, +i*beta0_tilde*zeta)."""
+    zs = zeta_signed(t, p)
+    return -1j * p.alpha0_tilde * zs, 1j * p.beta0_tilde * zs

@@ -1,9 +1,8 @@
 """Photon creation from the vacuum under the Hermitian counterpart.
 
 Under the counterpart generator W*(n + 1/2) + T*a^2 + conj(T)*a^dag^2, with
-the complex pump T = |T|*exp(i*phi_T) from the hermitize module's map
-source, the vacuum's Bogoliubov pair (a(t) = u*a + v*a^dag) obeys the
-linear flow
+the complex pump T from the hermitize module's map source, the vacuum's
+Bogoliubov pair (a(t) = u*a + v*a^dag) obeys the linear flow
 
     du/dt = -i*(W*u + 2*conj(T)*conj(v)),
     dv/dt = -i*(W*v + 2*conj(T)*conj(u)),

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .drive import DriveParams, alpha_beta, omega as drive_omega
+from .drive import DriveParams, couplings, omega as drive_omega
 from .dyson import gauss_coefficients
 from .errors import NormTooLarge, SingularEta, ValidationError
 from .integrate import IntegrationStats, IvpProblem, integrate
@@ -214,9 +214,8 @@ def quasi_hermiticity_residual(H: np.ndarray, theta_center: np.ndarray,
 
 def drive_hamiltonian(t: float, p: DriveParams, f: FockSpace) -> np.ndarray:
     """H(t) = omega*(n + 1/2) + alpha*a^2 + beta*a^dag^2 as a matrix."""
-    a_pol, b_pol = alpha_beta(t, p)
-    return (drive_omega(t, p) * f.number_plus_half()
-            + a_pol.to_complex() * f.a_sq + b_pol.to_complex() * f.adag_sq)
+    alpha, beta = couplings(t, p)
+    return drive_omega(t, p) * f.number_plus_half() + alpha * f.a_sq + beta * f.adag_sq
 
 
 @dataclass(frozen=True)

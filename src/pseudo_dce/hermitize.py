@@ -17,12 +17,13 @@ coefficients are the real frequency W and the complex pump
 with zeta the signed parametric strength of the drive module.  The map
 modulus |z| follows from (Phi, Lambda) (dyson.z_abs_from) and carries no
 rate of its own.  tests/test_symbolic.py derives the flow (_flow_rates
-for the modulated drive, constraint_rhs_general for polar inputs) and
-these W and T (_counterpart) from coefficients_general with sympy.  The
-overall sign of h above is a convention choice that cancels in every
-observable; the functions here return W, T, V such that the Hermitian
-counterpart generator is W*(n+1/2) + T*a^2 + conj(T)*a^dag^2 with the
-signs produced by the coefficient formulas directly.
+for the modulated drive, constraint_rhs_general for arbitrary complex
+omega, alpha and beta) and these W and T (_counterpart) from
+coefficients_general with sympy.  The overall sign of h above is a
+convention choice that cancels in every observable; the functions here
+return W, T, V such that the Hermitian counterpart generator is
+W*(n+1/2) + T*a^2 + conj(T)*a^dag^2 with the signs produced by the
+coefficient formulas directly.
 
 A MapSource supplies the map along the drive, closed-form or integrated.
 Its MapPoint (the DysonState coordinates, their rates, chi, W, T) is the
@@ -31,8 +32,12 @@ right-hand side and for the whole output grid afterwards.  The source integrates
 (the (u, v) oracle, whose run's dense output also gives the map where
 evolve's Magnus steps read it; the empty route, whose rates are (),
 integrates the flow alone) together with the map, so a route sees only
-the map point and its own components.  The general-input functions are
-the independent references that the verify suite compares against.
+the map point and its own components.  The general-input functions
+(constraint_rhs_general, hermitized_coefficients_general) take complex
+omega, alpha and beta, as coefficients_general does; they are the
+independent references that the verify suite compares against.  Complex
+quantities are plain complex numbers throughout: HermitizedCoeffs holds
+the real W and the complex T.
 """
 
 from __future__ import annotations
@@ -44,9 +49,10 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .drive import DriveParams, PolarComplex, cos, omega_and_zeta, sin
+from .drive import (DriveParams, cos, couplings, omega as drive_omega,
+                    omega_and_zeta, sin)
 from .dyson import DysonState
-from .errors import ChiSingular, PhiZero, ZeroLambda
+from .errors import ChiSingular, NonFiniteState, PhiZero, ZeroLambda
 from .integrate import IvpProblem, IntegrationStats, Step, integrate
 
 # Every chi = 1 guard (flow, map source, amplification factor, config)
@@ -57,17 +63,14 @@ _PHI_GUARD = 1e-12
 
 @dataclass(frozen=True)
 class HermitizedCoeffs:
-    """Hermitian-counterpart coefficients: frequency W and pump T in polar form.
-
-    phi_T = arg T lies in (-pi, pi].
-    """
+    """Hermitian-counterpart coefficients: the real frequency W and the
+    complex pump, which T() returns."""
 
     W: float
-    T_abs: float
-    phi_T: float
+    pump: complex
 
     def T(self) -> complex:
-        return self.T_abs * cmath.exp(1j * self.phi_T)
+        return self.pump
 
 
 def coefficients_general(lam: complex, Lambda: float, omega: complex,
@@ -152,38 +155,30 @@ def guard_flow_crossings(step: Step) -> None:
                 f"(Phi = {Phi!r}, varphi = {varphi!r}, Lambda = {Lambda!r})")
 
 
-def constraint_rhs_general(s: DysonState, omega: PolarComplex,
-                           alpha: PolarComplex, beta: PolarComplex) -> np.ndarray:
-    """Hermitization flow for arbitrary polar inputs.
+def constraint_rhs_general(s: DysonState, omega: complex, alpha: complex,
+                           beta: complex) -> np.ndarray:
+    """Hermitization flow for arbitrary complex omega, alpha and beta.
 
     Returns [dPhi/dt, dvarphi/dt, dLambda/dt], the unique rates that keep
     Im W = 0 and V = conj(T) in coefficients_general
-    (tests/test_symbolic.py proves it).
+    (tests/test_symbolic.py proves it), written with the rotated couplings
+    A = alpha*exp(-i*varphi) and B = beta*exp(i*varphi).
     """
     _check_guards(None, s.Phi, s.varphi, s.Lambda)
+    rot = cmath.exp(1j * s.varphi)
+    A, B = alpha * rot.conjugate(), beta * rot
     chi = s.chi
     Phi = s.Phi
-    phi = s.varphi
-    w, pw = omega.modulus, omega.phase
-    a, pa = alpha.modulus, alpha.phase
-    b, pb = beta.modulus, beta.phase
-
-    sin_w = math.sin(pw)
-    sa = math.sin(phi - pa)
-    sb = math.sin(phi + pb)
-    ca = math.cos(phi - pa)
-    cb = math.cos(phi + pb)
-
     dPhi = (2.0 / (chi - 1.0)) * (
-        (1.0 - Phi * Phi) * (Phi * w * sin_w - a * sa)
-        - b * ((2.0 * chi - 1.0) * Phi * Phi - chi * chi) * sb
+        (1.0 - Phi * Phi) * (Phi * omega.imag + A.imag)
+        - ((2.0 * chi - 1.0) * Phi * Phi - chi * chi) * B.imag
     )
-    dphi = 2.0 * w * math.cos(pw) + (2.0 / ((1.0 - chi) * Phi)) * (
-        a * (1.0 - Phi * Phi) * ca + b * (Phi * Phi - chi * chi) * cb
+    dphi = 2.0 * omega.real + (2.0 / ((1.0 - chi) * Phi)) * (
+        (1.0 - Phi * Phi) * A.real + (Phi * Phi - chi * chi) * B.real
     )
     dLambda = -2.0 * s.Lambda * (
-        (1.0 + 2.0 * Phi * Phi / (chi - 1.0)) * w * sin_w
-        - (2.0 * Phi / (chi - 1.0)) * (a * sa - b * (2.0 * chi - 1.0) * sb)
+        (1.0 + 2.0 * Phi * Phi / (chi - 1.0)) * omega.imag
+        + (2.0 * Phi / (chi - 1.0)) * (A.imag + (2.0 * chi - 1.0) * B.imag)
     )
     return np.array([dPhi, dphi, dLambda])
 
@@ -232,10 +227,10 @@ def _counterpart(p: DriveParams, w, zs, Phi, Lambda, sinphi):
 
 def hermitized_coefficients(s: DysonState, p: DriveParams,
                             t: float) -> HermitizedCoeffs:
-    """On-flow coefficients (W, |T|, phi_T) for the modulated drive.
+    """On-flow coefficients (W, T) for the modulated drive.
 
     W = omega - 2*zeta*Phi*(at - bt)*sin(varphi)/(chi - 1)
-    T = -i*zeta*(at - bt*chi)/(1 - chi), phi_T = arg T in (-pi, pi]
+    T = -i*zeta*(at - bt*chi)/(1 - chi)
 
     MapSource.at gives the same W and T.  This scalar route stays only for
     the benchmark's fock_oracle callback and the test suite's reference
@@ -245,33 +240,27 @@ def hermitized_coefficients(s: DysonState, p: DriveParams,
     _check_guards(t, s.Phi, s.varphi, s.Lambda, phi_guard=0.0)
     _, W, T = _counterpart(p, *omega_and_zeta(t, p), s.Phi, s.Lambda,
                            sin(s.varphi))
-    return HermitizedCoeffs(W, abs(T), cmath.phase(T))
+    return HermitizedCoeffs(W, T)
 
 
-def hermitized_coefficients_general(s: DysonState, omega: PolarComplex,
-                                    alpha: PolarComplex,
-                                    beta: PolarComplex) -> HermitizedCoeffs:
-    """On-flow coefficients for arbitrary polar inputs.
+def hermitized_coefficients_general(s: DysonState, omega: complex,
+                                    alpha: complex,
+                                    beta: complex) -> HermitizedCoeffs:
+    """On-flow coefficients for arbitrary complex omega, alpha and beta.
 
-    W comes from the general frequency formula; T is assembled as a full
-    complex number, T = (alpha - chi*conj(beta) + i*Phi*|omega|*
-    sin(phase(omega))*exp(i*varphi)) / (1 - chi), so phi_T carries the
-    correct quadrant without case analysis.  Reduces to the polar route
-    on the modulated drive to machine precision.
+    W = Re omega + 2*Phi*(Re A - Re B)/(chi - 1), with A and B as in
+    constraint_rhs_general, and T = (alpha - chi*conj(beta) +
+    i*Phi*Im(omega)*exp(i*varphi))/(1 - chi).  Reduces to the modulated
+    drive's W and T to machine precision.
     """
     _check_guards(None, s.Phi, s.varphi, s.Lambda)
+    rot = cmath.exp(1j * s.varphi)
+    A, B = alpha * rot.conjugate(), beta * rot
     chi = s.chi
     Phi = s.Phi
-    phi = s.varphi
-    w, pw = omega.modulus, omega.phase
-
-    W = w * math.cos(pw) + (2.0 * Phi / (chi - 1.0)) * (
-        alpha.modulus * math.cos(phi - alpha.phase)
-        - beta.modulus * math.cos(phi + beta.phase)
-    )
-    T_c = (alpha.to_complex() - chi * beta.to_complex().conjugate()
-           + 1j * Phi * w * math.sin(pw) * cmath.exp(1j * phi)) / (1.0 - chi)
-    return HermitizedCoeffs(W=W, T_abs=abs(T_c), phi_T=cmath.phase(T_c))
+    W = omega.real + 2.0 * Phi * (A.real - B.real) / (chi - 1.0)
+    T = (alpha - chi * beta.conjugate() + 1j * Phi * omega.imag * rot) / (1.0 - chi)
+    return HermitizedCoeffs(W, T)
 
 
 def approx_dyson_trajectory(t: float, p: DriveParams, varphi0: float,
@@ -315,6 +304,14 @@ class MapRun(NamedTuple):
     steps: list
 
 
+def _finite_start(s: DysonState) -> DysonState:
+    """s, or NonFiniteState naming it when a coordinate is NaN or inf."""
+    if not all(math.isfinite(x) for x in (s.Phi, s.varphi, s.Lambda)):
+        raise NonFiniteState(f"the map's start is not finite (Phi = {s.Phi!r}, "
+                             f"varphi = {s.varphi!r}, Lambda = {s.Lambda!r})")
+    return s
+
+
 class MapSource:
     """Where the counterpart coefficients come from: a Dyson map along the drive.
 
@@ -336,10 +333,9 @@ class MapSource:
         if dyson_source == "approximate":
             if chi is None:
                 raise ValueError("approximate dyson_source requires chi")
+            s0 = _finite_start(DysonState.from_chi(chi, 1.0, varphi0))
             # chi is frozen, so the pointwise chi = 1 guard is checked once.
             guard_chi(chi, " at every tau")
-
-            s0 = DysonState.from_chi(chi, 1.0, varphi0)
             self.chi0, self._map0 = chi, ()
             self.closed_form = True
             self.period = p.period() if p.on_resonance() else math.inf
@@ -356,7 +352,7 @@ class MapSource:
                 _check_guards(t, Phi, varphi, Lambda)
                 return _flow_rates(p, w, zs, Phi, Lambda, cos(varphi), sinphi)
 
-            s0 = constraint0
+            s0 = _finite_start(constraint0)
             self.chi0, self._map0 = s0.chi, (s0.Phi, s0.varphi, s0.Lambda)
             self.period = math.inf
             self.closed_form = False
@@ -384,10 +380,10 @@ class MapSource:
         """
         dPhi, dvarphi, dLambda = m.rates
         rot = np.exp(-1j * m.varphi)
-        w, zs = omega_and_zeta(t, self.p)
+        alpha, beta = couplings(t, self.p)
         return coefficients_general(
-            lam=m.Phi * rot, Lambda=m.Lambda, omega=w,
-            alpha=-1j * self.p.alpha0_tilde * zs, beta=1j * self.p.beta0_tilde * zs,
+            lam=m.Phi * rot, Lambda=m.Lambda, omega=drive_omega(t, self.p),
+            alpha=alpha, beta=beta,
             dlam_dt=(dPhi - 1j * m.Phi * dvarphi) * rot, dLambda_dt=dLambda,
         )
 

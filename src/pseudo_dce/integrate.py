@@ -337,7 +337,10 @@ def integrate(p: IvpProblem, rtol: float = 1e-9, atol: float = 1e-12,
     # loop would then retry it without end instead of failing.
     if not np.all(np.isfinite(f)):
         raise NonFiniteState(f"rhs is not finite at t = {t0!r}")
-    h_abs = _first_step(p.rhs, t0, y, f, t1 - t0, max_step, rtol, atol)
+    # As in the step loop: a probe that overflows ends below in StepRejected
+    # or NonFiniteState, not in a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        h_abs = _first_step(p.rhs, t0, y, f, t1 - t0, max_step, rtol, atol)
 
     K = np.zeros((16, y.size))
     # The stage views the step sums read, KT[s] = K[:s].T, made once.

@@ -1,8 +1,8 @@
 """Self-verification suite: every check re-derives a fact independently.
 
 Each check compares two routes to the same quantity (closed form vs ODE,
-polar vs general algebra, operator matrices vs coefficient formulas) and
-passes only inside a frozen numerical bound.  The fast level covers the
+modulated vs general algebra, operator matrices vs coefficient formulas)
+and passes only inside a frozen numerical bound.  The fast level covers the
 algebra and the trajectory invariants; the full level adds the dim>=128
 Fock-space oracle runs.  Bounds are measured margins, not wishes: each
 carries headroom of at least one decade over the observed residual unless
@@ -21,8 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from .drive import (DriveParams, PolarComplex, ZetaMode, alpha_beta,
-                    heaviside, omega as drive_omega, sgn, zeta, zeta_signed)
+from .drive import (DriveParams, ZetaMode, couplings, heaviside,
+                    omega as drive_omega, zeta_signed)
 from .dyson import DysonState, bogoliubov_matrix, epsilon_from_phi, phi_from_z
 from .dynamics import (amplification_factor, analytic_squeeze,
                        bogoliubov_ode_oracle, evolve)
@@ -93,24 +93,16 @@ def _bound(label: str, value: float, limit: float) -> tuple[bool, str]:
 # --- fast checks -----------------------------------------------------------
 
 def check_drive_conventions() -> tuple[bool, str]:
-    """Sign bookkeeping: polar values must equal the Cartesian definitions."""
+    """PT symmetry of the drive, the step function's zero convention, and
+    the factor 2 between the two zeta modes."""
     p = _FIG1
     worst = 0.0
     for t in np.linspace(0.0, p.period(), 97):
-        z = zeta(t, p)
-        worst = max(worst, abs(z.to_complex() - zeta_signed(t, p)))
-        a_pol, b_pol = alpha_beta(t, p)
-        worst = max(worst, abs(a_pol.to_complex()
-                               - (-1j) * p.alpha0_tilde * zeta_signed(t, p)))
-        worst = max(worst, abs(b_pol.to_complex()
-                               - 1j * p.beta0_tilde * zeta_signed(t, p)))
         # PT symmetry: omega even, alpha(t) = conj(alpha(-t)).
         worst = max(worst, abs(drive_omega(t, p) - drive_omega(-t, p)))
-        am, _ = alpha_beta(-t, p)
-        worst = max(worst, abs(a_pol.to_complex() - np.conj(am.to_complex())))
-    if not (heaviside(0.0) == 0.0 and sgn(0.0) == 1.0
-            and heaviside(-3.0) == 1.0 and sgn(-3.0) == -1.0):
-        return False, "heaviside/sgn zero conventions broken"
+        worst = max(worst, abs(couplings(t, p)[0] - np.conj(couplings(-t, p)[0])))
+    if not (heaviside(0.0) == 0.0 and heaviside(-3.0) == 1.0):
+        return False, "heaviside zero convention broken"
     # The stated small-angle replacement carries a factor 2 relative to the
     # exact omega_dot/(4 omega); the honest relation is 2|exact| ~ |approx|.
     pa = DriveParams(omega0=1.0, eps_mod=0.01, kappa=2.0, alpha0_tilde=0.01,
@@ -118,12 +110,12 @@ def check_drive_conventions() -> tuple[bool, str]:
     rel = 0.0
     for t in np.linspace(0.0, p.period(), 97):
         exact = abs(zeta_signed(t, p))
-        approx = zeta(t, pa).modulus
+        approx = abs(zeta_signed(t, pa))
         if approx > 1e-12:
             rel = max(rel, abs(2.0 * exact - approx) / approx)
     ok2, d2 = _bound("2|zeta_exact| vs approx rel", rel,
                      p.eps_mod / (1.0 - p.eps_mod) + 1e-12)
-    ok1, d1 = _bound("cartesian-polar drift", worst, 1e-12)
+    ok1, d1 = _bound("PT drift", worst, 1e-12)
     return ok1 and ok2, f"{d1}; {d2}"
 
 
@@ -174,13 +166,13 @@ def check_polar_general_rhs() -> tuple[bool, str]:
         s = DysonState(Phi=float(rng.uniform(0.2, 0.8)),
                        varphi=float(rng.uniform(0.0, 2.0 * math.pi)),
                        Lambda=float(rng.uniform(1.5, 3.0)))
-        a_pol, b_pol = alpha_beta(t, p)
-        om = PolarComplex(drive_omega(t, p), 0.0)
+        alpha, beta = couplings(t, p)
+        om = complex(drive_omega(t, p))
         d1 = constraint_rhs_polar(s, p, t)
-        d2 = constraint_rhs_general(s, om, a_pol, b_pol)
+        d2 = constraint_rhs_general(s, om, alpha, beta)
         worst = max(worst, float(np.abs(d1 - d2).max()))
         m = MapSource(p, "integrated", constraint0=s).at(t, (s.Phi, s.varphi, s.Lambda))
-        c2 = hermitized_coefficients_general(s, om, a_pol, b_pol)
+        c2 = hermitized_coefficients_general(s, om, alpha, beta)
         worst = max(worst, abs(m.W - c2.W), abs(m.T - c2.T()))
     return _bound("polar vs general", worst, 1e-12)
 
@@ -343,7 +335,7 @@ def check_fault_injection() -> tuple[bool, str]:
     the grid [0, 10], which its Magnus product cuts into 203 and 202
     steps.  r grows in proportion to |T|: r(10) is 0.0491 healthy and
     0.0098 faulty, 2.5x inside the 0.5 ratio bound, and a 2*pi shift of
-    phi_T moves either by less than 2e-16 relative.  A flipped sign is no
+    arg T moves either by less than 2e-16 relative.  A flipped sign is no
     fault to test against: the vacuum's r does not see a constant phase of
     the pump, and -T gives the healthy r(10) bit for bit.
     """

@@ -15,6 +15,9 @@ from pseudo_dce.verify import VerifyReport
 FAST_CFG = "tau_max = 10\n"
 FAILING_CFG = "tau_max = 10\ndyson_source = integrated\n"
 SHORT_CFG = "tau_max = 1\n"
+# The integrated moderate map of the benchmark's kappa sweep.
+MODERATE_CFG = ("alpha0_tilde = 0.6\nbeta0_tilde = 0.2\nchi = -2.25\nz_abs = 0.8\n"
+                "dyson_source = integrated\ntau_max = 25\n")
 
 
 def write_cfg(tmp_path, text, name="case.cfg"):
@@ -136,6 +139,24 @@ class TestRunCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "NonFiniteState: N_numeric overflows at tau = 79.0" in err
+
+    @pytest.mark.parametrize("text", [
+        pytest.param("omega0 = 1e300\n", id="omega0-approximate"),
+        pytest.param("atol = 1e-300\n", id="atol-approximate"),
+        pytest.param(MODERATE_CFG + "omega0 = 1e300\n", id="omega0-integrated"),
+        pytest.param(MODERATE_CFG + "atol = 1e-300\n", id="atol-integrated"),
+        pytest.param("chi = 1e300\n", id="chi-overflows-Lambda"),
+        pytest.param("chi = -1e300\n", id="negative-chi-overflows-Lambda"),
+    ])
+    def test_overflow_at_the_start_exits_two_with_one_line(self, tmp_path, capsys,
+                                                           text):
+        # The integrator's first-step probe and the map's start state once
+        # overflowed into numpy warnings before the error.
+        cfg = write_cfg(tmp_path, text)
+        code = cli.main(["run", "--config", cfg, "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("pseudo-dce: "), err
 
     def test_config_and_preset_conflict(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, FAST_CFG)

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from pseudo_dce.drive import (DriveParams, ZetaMode, alpha_beta, heaviside,
-                              omega, omega_and_zeta, omega_dot, sgn, zeta,
-                              zeta_signed)
+from pseudo_dce.drive import (DriveParams, ZetaMode, couplings, heaviside,
+                              omega, omega_and_zeta, omega_dot, zeta_signed)
 
 
 def make_params(**overrides) -> DriveParams:
@@ -55,38 +54,55 @@ def test_omega_and_zeta_repeat_the_separate_formulas(mode):
         assert omega_and_zeta(float(tg[i]), p) == (w[i], zs[i])
 
 
+@pytest.mark.parametrize("mode", list(ZetaMode))
+def test_couplings_on_a_grid_repeat_each_point(mode):
+    """alpha = -i*alpha0_tilde*zeta and beta = i*beta0_tilde*zeta exactly,
+    on a grid and at each of its points bit for bit."""
+    p = make_params(zeta_mode=mode, kappa=1.9123)
+    tg = np.linspace(-25.0, 25.0, 1001)
+    alpha, beta = couplings(tg, p)
+    zs = zeta_signed(tg, p)
+    assert np.all(alpha.real == 0.0) and np.all(beta.real == 0.0)
+    assert np.array_equal(alpha.imag, -p.alpha0_tilde * zs)
+    assert np.array_equal(beta.imag, p.beta0_tilde * zs)
+    for i in range(tg.size):
+        a, b = couplings(float(tg[i]), p)
+        assert np.complex128(a).tobytes() == alpha[i].tobytes()
+        assert np.complex128(b).tobytes() == beta[i].tobytes()
+
+
 @pytest.mark.parametrize("x,h_val,s_val", [
     (0.0, 0.0, 1.0),
     (-3.0, 1.0, -1.0),
     (2.0, 0.0, 1.0),
 ])
 def test_heaviside_sgn_conventions(x, h_val, s_val):
+    # The paper's h(x) = (1 - sgn(x))/2, with sgn(0) = +1.
     assert heaviside(x) == h_val
-    assert sgn(x) == s_val
+    assert 1.0 - 2.0 * heaviside(x) == s_val
 
 
 def test_zeta_zero_at_origin():
     p = make_params()
-    assert zeta(0.0, p).modulus == 0.0
     assert zeta_signed(0.0, p) == 0.0
+    assert couplings(0.0, p) == (0j, 0j)
 
 
 def test_zeta_approximate_quarter_period():
-    """At kappa*t = pi/2 the approximate strength is eps*kappa/2 with the
-    negative sign carried as phase pi."""
+    """At kappa*t = pi/2 the approximate strength is -eps*kappa/2."""
     p = make_params(zeta_mode=ZetaMode.APPROXIMATE)
     t = math.pi / 4.0  # kappa = 2
-    z = zeta(t, p)
-    assert math.isclose(z.modulus, 0.01, rel_tol=1e-14)
-    assert z.phase == math.pi
+    zs = zeta_signed(t, p)
+    assert math.isclose(abs(zs), 0.01, rel_tol=1e-14)
+    assert zs < 0.0
 
 
 def test_zeta_exact_vs_approximate_quarter_period():
     p_exact = make_params(eps_mod=1e-3)
     p_approx = make_params(eps_mod=1e-3, zeta_mode=ZetaMode.APPROXIMATE)
     t = math.pi / 4.0
-    m_exact = zeta(t, p_exact).modulus
-    m_approx = zeta(t, p_approx).modulus
+    m_exact = abs(zeta_signed(t, p_exact))
+    m_approx = abs(zeta_signed(t, p_approx))
     # The stated small-angle strength is twice the exact omega_dot/(4 omega);
     # compare against that convention, which still agrees to O(eps_mod).
     assert abs(2.0 * m_exact - m_approx) / m_approx < 2e-3
@@ -97,67 +113,47 @@ def test_zeta_modes_agree_over_period():
     p_approx = make_params(zeta_mode=ZetaMode.APPROXIMATE)
     worst = 0.0
     for t in np.linspace(0.0, p_exact.period(), 257):
-        m_exact = 2.0 * zeta(float(t), p_exact).modulus
-        m_approx = zeta(float(t), p_approx).modulus
+        m_exact = 2.0 * abs(zeta_signed(float(t), p_exact))
+        m_approx = abs(zeta_signed(float(t), p_approx))
         if m_approx > 1e-12:
             worst = max(worst, abs(m_exact - m_approx) / m_approx)
     assert worst <= 2.0 * p_exact.eps_mod, f"mode disagreement {worst}"
 
 
-@pytest.mark.parametrize("t,phi_a,phi_b", [
-    (math.pi / 4.0, math.pi / 2.0, -math.pi / 2.0),       # sin(kt) > 0
-    (3.0 * math.pi / 4.0, 3.0 * math.pi / 2.0, math.pi / 2.0),  # sin < 0
-])
-def test_alpha_beta_phases(t, phi_a, phi_b):
-    a, b = alpha_beta(t, make_params())
-    assert a.phase == pytest.approx(phi_a, abs=1e-14)
-    assert b.phase == pytest.approx(phi_b, abs=1e-14)
-
-
 def test_hermitian_balance():
     p = make_params(alpha0_tilde=1.0, beta0_tilde=1.0)
     for t in np.linspace(0.05, p.period(), 41):
-        a, b = alpha_beta(float(t), p)
-        z = zeta(float(t), p)
-        assert math.isclose(a.modulus, z.modulus, rel_tol=1e-14)
-        assert math.isclose(b.modulus, z.modulus, rel_tol=1e-14)
+        a, b = couplings(float(t), p)
+        zs = abs(zeta_signed(float(t), p))
+        assert math.isclose(abs(a), zs, rel_tol=1e-14)
+        assert math.isclose(abs(b), zs, rel_tol=1e-14)
 
 
 def test_cartesian_consistency():
-    """Polar alpha, beta never drift from -i*a0*zeta and +i*b0*zeta."""
+    """alpha, beta never drift from -i*a0*zeta and +i*b0*zeta."""
     p = make_params()
     for t in np.linspace(0.0, 2.0 * p.period(), 101):
         zs = zeta_signed(float(t), p)
-        a, b = alpha_beta(float(t), p)
-        assert abs(a.to_complex() - (-1j) * p.alpha0_tilde * zs) < 1e-12
-        assert abs(b.to_complex() - 1j * p.beta0_tilde * zs) < 1e-12
+        a, b = couplings(float(t), p)
+        assert abs(a - (-1j) * p.alpha0_tilde * zs) < 1e-12
+        assert abs(b - 1j * p.beta0_tilde * zs) < 1e-12
 
 
 def test_pt_symmetry():
     p = make_params()
     for t in np.linspace(0.0, p.period(), 53):
         assert abs(omega(float(t), p) - omega(float(-t), p)) < 1e-12
-        a_p, b_p = alpha_beta(float(t), p)
-        a_m, b_m = alpha_beta(float(-t), p)
-        assert abs(a_p.to_complex() - a_m.to_complex().conjugate()) < 1e-12
-        assert abs(b_p.to_complex() - b_m.to_complex().conjugate()) < 1e-12
-
-
-@given(t=st.floats(min_value=-50.0, max_value=50.0,
-                   allow_nan=False, allow_infinity=False))
-@settings(max_examples=200, deadline=None)
-def test_polar_reconstruction_property(t):
-    p = make_params()
-    for pol, cart in [(zeta(t, p), zeta_signed(t, p))]:
-        assert abs(pol.to_complex() - cart) <= 1e-12 * max(1.0, abs(cart))
+        a_p, b_p = couplings(float(t), p)
+        a_m, b_m = couplings(float(-t), p)
+        assert abs(a_p - a_m.conjugate()) < 1e-12
+        assert abs(b_p - b_m.conjugate()) < 1e-12
 
 
 @given(x=st.floats(allow_nan=False, allow_infinity=False))
 @settings(max_examples=200, deadline=None)
 def test_heaviside_sgn_partition(x):
     assert heaviside(x) in (0.0, 1.0)
-    assert sgn(x) in (-1.0, 1.0)
-    assert sgn(x) == 1.0 - 2.0 * heaviside(x)
+    assert heaviside(x) == (1.0 if x < 0.0 else 0.0)
 
 
 @pytest.mark.parametrize("bad", [

@@ -278,10 +278,10 @@ class TestMagnusProduct:
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_map_input_raises(self, fig1_params, key, value):
         # A NaN step count once cast to zero steps and handed back the
-        # grid's uninitialized (u, v).
-        src = MapSource(fig1_params, **{"chi": CHI_FIG, "varphi0": VARPHI0,
-                                        key: value})
-        with pytest.raises(NonFiniteState, match=r"not finite .* tau = 0\.0"):
+        # grid's uninitialized (u, v); the source refuses such a start.
+        with pytest.raises(NonFiniteState, match=r"map's start is not finite \(Phi = "):
+            src = MapSource(fig1_params, **{"chi": CHI_FIG, "varphi0": VARPHI0,
+                                            key: value})
             evolve(src, np.linspace(0.0, 5.0, 11))
 
     def test_unresolvable_steps_rejected(self):

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pseudo_dce.drive import (PolarComplex, alpha_beta,
-                              omega as drive_omega, zeta_signed)
+from pseudo_dce.drive import couplings, omega as drive_omega, zeta_signed
 from pseudo_dce.dyson import DysonState, z_abs_from
 from pseudo_dce.errors import ChiSingular, PhiZero, ZeroLambda
 from pseudo_dce.fock import FockSpace, drive_hamiltonian, eta_matrix
@@ -54,10 +53,10 @@ class TestCoefficientsGeneral:
         w_x = h[1, 1] - h[0, 0]
         t_x = h[0, 2] / math.sqrt(2.0)
         v_x = h[2, 0] / math.sqrt(2.0)
-        a_pol, b_pol = alpha_beta(0.7, fig1_params)
+        alpha, beta = couplings(0.7, fig1_params)
         w_g, t_g, v_g = coefficients_general(
             d.lam, d.Lambda, complex(drive_omega(0.7, fig1_params)),
-            a_pol.to_complex(), b_pol.to_complex(), 0j, 0.0)
+            alpha, beta, 0j, 0.0)
         assert abs(w_x - w_g) < 1e-12
         assert abs(t_x - t_g) < 1e-12
         assert abs(v_x - v_g) < 1e-12
@@ -73,13 +72,13 @@ class TestConstraintFlow:
             s = DysonState(Phi=float(rng.uniform(0.2, 0.8)),
                            varphi=float(rng.uniform(0.0, 2.0 * math.pi)),
                            Lambda=float(rng.uniform(1.5, 3.0)))
-            a_pol, b_pol = alpha_beta(t, moderate_params)
-            om = PolarComplex(drive_omega(t, moderate_params), 0.0)
+            alpha, beta = couplings(t, moderate_params)
+            om = complex(drive_omega(t, moderate_params))
             d1 = constraint_rhs_polar(s, moderate_params, t)
-            d2 = constraint_rhs_general(s, om, a_pol, b_pol)
+            d2 = constraint_rhs_general(s, om, alpha, beta)
             worst = max(worst, float(np.abs(d1 - d2).max()))
             c1 = hermitized_coefficients(s, moderate_params, t)
-            c2 = hermitized_coefficients_general(s, om, a_pol, b_pol)
+            c2 = hermitized_coefficients_general(s, om, alpha, beta)
             worst = max(worst, abs(c1.W - c2.W), abs(c1.T() - c2.T()))
         assert worst < 1e-12, f"polar vs general spread {worst}"
 
@@ -119,12 +118,12 @@ class TestHermitizedCoefficients:
 
     def test_balanced_drive_pump_equals_zeta(self, hermitian_params):
         c = hermitized_coefficients(generic_state(), hermitian_params, 0.7)
-        assert c.T_abs == abs(zeta_signed(0.7, hermitian_params))
+        assert abs(c.T()) == abs(zeta_signed(0.7, hermitian_params))
 
     def test_unbalanced_drive_amplifies_pump(self, fig1_params):
         s = approx_dyson_trajectory(0.7, fig1_params, VARPHI0, CHI_FIG)
         c = hermitized_coefficients(s, fig1_params, 0.7)
-        ratio = c.T_abs / abs(zeta_signed(0.7, fig1_params))
+        ratio = abs(c.T()) / abs(zeta_signed(0.7, fig1_params))
         assert abs(ratio - 44.999) < 1e-9, f"pump ratio {ratio}"
 
     def test_on_flow_counterpart_is_hermitian(self, moderate_params):

@@ -10,7 +10,7 @@ unique, and sympy solves for them.  Each test shows that simplify of the
 difference from a formula the package writes out by hand is 0:
 
 - the flow of the modulated drive, _flow_rates;
-- the flow for arbitrary polar omega, alpha and beta, constraint_rhs_general;
+- the flow for arbitrary complex omega, alpha and beta, constraint_rhs_general;
 - W and T on the flow, _counterpart;
 - the |z| rate the flow once carried: it is the time derivative of
   |z| = -2*Phi/(chi + 1) at every state, so |z| needs no rate of its own.
@@ -22,20 +22,21 @@ import pytest
 import sympy as sp
 
 from pseudo_dce import hermitize
-from pseudo_dce.drive import PolarComplex
 from pseudo_dce.dyson import DysonState
 from pseudo_dce.hermitize import (_counterpart, _flow_rates, coefficients_general,
                                   constraint_rhs_general)
 
 Phi, varphi, Lam, w, at, bt, zeta = sp.symbols(
     "Phi varphi Lambda omega alpha0_tilde beta0_tilde zeta", real=True)
-a, b, p_w, p_a, p_b = sp.symbols("a b p_omega p_alpha p_beta", real=True)
+w_r, w_i, a_r, a_i, b_r, b_i = sp.symbols("w_r w_i a_r a_i b_r b_i", real=True)
+# Arbitrary complex omega, alpha and beta.
+GENERAL = (w_r + sp.I * w_i, a_r + sp.I * a_i, b_r + sp.I * b_i)
 RATES = sp.symbols("dPhi dvarphi dLambda", real=True)
 chi = Phi**2 - Lam
 # The modulated drive: the two tilde amplitudes are all of DriveParams
 # that _flow_rates and _counterpart read.
 DRIVE = types.SimpleNamespace(alpha0_tilde=at, beta0_tilde=bt)
-UNITS = {theta: sp.Symbol(f"u_{theta}") for theta in (varphi, p_w, p_a, p_b)}
+U = sp.Symbol("u")  # exp(i*varphi)
 
 
 def exact(e):
@@ -45,14 +46,21 @@ def exact(e):
 
 
 def rational(e):
-    """e as a rational function of the unit u_theta = exp(i*theta) of each
-    angle theta, in which a trigonometric identity is a polynomial one."""
-    e = exact(e).rewrite(sp.exp).subs({t: -sp.I * sp.log(u) for t, u in UNITS.items()})
+    """e as a rational function of the unit u = exp(i*varphi), in which a
+    trigonometric identity is a polynomial one."""
+    e = exact(e).rewrite(sp.exp).subs(varphi, -sp.I * sp.log(U))
     return e.replace(sp.exp, lambda arg: sp.exp(sp.expand(arg)))
 
 
 def assert_zero(e):
     assert sp.simplify(rational(e)) == 0
+
+
+def complex_parts(mp):
+    """Give sympy expressions the .real and .imag that the package's complex
+    arithmetic reads, as re() and im()."""
+    mp.setattr(sp.Expr, "real", property(sp.re), raising=False)
+    mp.setattr(sp.Expr, "imag", property(sp.im), raising=False)
 
 
 def hermitizing_rates(omega, alpha, beta):
@@ -61,9 +69,8 @@ def hermitizing_rates(omega, alpha, beta):
     dPhi, dvarphi, dLambda = RATES
     rot = sp.exp(-sp.I * varphi)
     with pytest.MonkeyPatch.context() as mp:
-        # coefficients_general takes |lam|^2 as (lam*conj(lam)).real, which
-        # sympy spells re().
-        mp.setattr(sp.Expr, "real", property(sp.re), raising=False)
+        # coefficients_general takes |lam|^2 as (lam*conj(lam)).real.
+        complex_parts(mp)
         W, T, V = coefficients_general(Phi * rot, Lam, omega, alpha, beta,
                                        (dPhi - sp.I * Phi * dvarphi) * rot, dLambda)
     D = V - sp.conjugate(T)
@@ -88,14 +95,13 @@ def modulated_code_rates():
 
 
 def general_code_rates(monkeypatch):
-    """constraint_rhs_general on symbols: sympy's sin and cos stand in for
-    math's, and the numeric guards are off."""
-    monkeypatch.setattr(hermitize, "math",
-                        types.SimpleNamespace(sin=sp.sin, cos=sp.cos))
+    """constraint_rhs_general on symbols: sympy's exp stands in for cmath's,
+    re and im for .real and .imag, and the numeric guards are off."""
+    monkeypatch.setattr(hermitize, "cmath", types.SimpleNamespace(exp=sp.exp))
+    complex_parts(monkeypatch)
     monkeypatch.setattr(hermitize, "_check_guards", lambda *args: None)
     return constraint_rhs_general(
-        DysonState(Phi=Phi, varphi=varphi, Lambda=Lam), PolarComplex(w, p_w),
-        PolarComplex(a, p_a), PolarComplex(b, p_b))
+        DysonState(Phi=Phi, varphi=varphi, Lambda=Lam), *GENERAL)
 
 
 def test_flow_rates_hermitize_the_modulated_drive(modulated):
@@ -104,9 +110,8 @@ def test_flow_rates_hermitize_the_modulated_drive(modulated):
         assert_zero(derived - written)
 
 
-def test_general_flow_hermitizes_polar_inputs(monkeypatch):
-    rates, _, _ = hermitizing_rates(w * sp.exp(sp.I * p_w), a * sp.exp(sp.I * p_a),
-                                    b * sp.exp(sp.I * p_b))
+def test_general_flow_hermitizes_complex_inputs(monkeypatch):
+    rates, _, _ = hermitizing_rates(*GENERAL)
     written = general_code_rates(monkeypatch)
     assert len(written) == 3
     for derived, written_rate in zip(rates, written):
@@ -129,7 +134,9 @@ def test_z_rate_is_the_derivative_of_the_reconstruction(inputs, monkeypatch):
         z_rate = 2 * zeta * z**2 * (at - bt * chi) * sp.cos(varphi)
     else:
         dPhi, _, dLambda = general_code_rates(monkeypatch)
-        z_rate = -z**2 * ((Phi**2 + chi) / Phi * w * sp.sin(p_w)
-                          - 2 * (a * sp.sin(varphi - p_a) - chi * b * sp.sin(varphi + p_b)))
+        omega, alpha, beta = GENERAL
+        A, B = alpha * sp.exp(-sp.I * varphi), beta * sp.exp(sp.I * varphi)
+        z_rate = -z**2 * ((Phi**2 + chi) / Phi * sp.im(omega)
+                          + 2 * (sp.im(A) + chi * sp.im(B)))
     z_rate += (z / Phi) * dPhi
     assert_zero(sp.diff(z, Phi) * dPhi + sp.diff(z, Lam) * dLambda - z_rate)

@@ -40,7 +40,7 @@ def test_fast_level_passes_within_budget():
 
 
 def test_fault_injection_blind_to_a_2pi_pump_phase(monkeypatch):
-    """The verdict and its figures stay put when the pump phase phi_T is
+    """The verdict and its figures stay put when the pump phase arg T is
     shifted by 2*pi in the T that evolve's Magnus steps read."""
     before = verify.check_fault_injection()
     calls = []
