@@ -9,36 +9,45 @@ Bogoliubov pair (a(t) = u*a + v*a^dag) obeys the linear flow
 
 from (u, v) = (1, 0), and its mean photon number is N = |v|^2; r = asinh|v|
 and phi_sq = arg(u*v) are the squeeze state it defines.  On either map
-source evolve multiplies out sixth-order Magnus steps of this flow
-(Iserles & Norsett, Phil. Trans. R. Soc. A 357, 983 (1999); Blanes, Casas
-& Ros, BIT 40, 434 (2000)), reading W and T at the steps' Gauss nodes.
-Where W and T are closed-form (the approximate map source, which every
-preset uses) no ODE is integrated.  The integrated map gives W and T at
-those nodes from the dense output of its one integration, which carries
-the same flow under DOP853 as the (u, v) oracle.
+source evolve multiplies out sixth-order Magnus steps (Iserles & Norsett,
+Phil. Trans. R. Soc. A 357, 983 (1999); Blanes, Casas & Ros, BIT 40, 434
+(2000)) of the source's traceless 2x2 generator, read at the steps' Gauss
+nodes, and no ODE is integrated.  On the approximate map source, which
+every preset uses, the generator is the flow above.  On the integrated
+source it is the drive's own H, whose product G gives (u, v) and the
+exact map through the linear metric equation (hermitize's
+MapSource.read_product).  bogoliubov_ode_oracle integrates the same
+generators with DOP853 over one period where they repeat, as a second
+discretization of each.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .drive import DriveParams, heaviside
-from .errors import NonFiniteState, NotOnResonance, StepRejected
+from .errors import ChiSingular, NonFiniteState, NotOnResonance, StepRejected
 from .hermitize import MapPoint, MapSource, guard_chi
-from .integrate import IntegrationStats, as_time_grid, dense_at
+from .integrate import (IntegrationStats, IvpProblem, as_time_grid,
+                        integrate)
 
 # Gauss-Legendre nodes of the sixth-order Magnus step, in units of the step.
 _GAUSS_NODES = 0.5 + math.sqrt(0.15) * np.array([-1.0, 0.0, 1.0])
-# A Magnus step's width times max(|W| + 2|T|) over its nodes, which bounds
-# the norm of Omega, stays under this (see _magnus_uv).
+# A Magnus step's width times max(|a| + max(|b|, |c|)) over its nodes, which
+# bounds the norm of Omega, stays under this (see _magnus_plan).
 _MAGNUS_SPAN = 0.05
 # Magnus steps multiplied out at a time, which bounds the memory a run's
 # arrays of steps take, however many steps it needs.
 _MAGNUS_BLOCK = 4096
+# On the integrated source the product is rebased once its squared norm
+# passes this (see _magnus_uv): the polar reading's det S cancels from
+# entries of that size, and so loses about eps*_REBASE to rounding.
+_REBASE = 100.0
+# The product's entries (y00, y01, y10, y11) at the start.
+_IDENTITY = tuple(np.array([x], dtype=complex) for x in (1.0, 0.0, 0.0, 1.0))
 
 
 def amplification_factor(alpha0_tilde: float, beta0_tilde: float,
@@ -84,12 +93,11 @@ def analytic_squeeze(t: float, p: DriveParams, chi: float) -> tuple[float, float
 @dataclass(frozen=True)
 class Trajectory:
     """Columnar evolution history on the requested grid, starting from the
-    vacuum.  (u, v) is the vacuum's Bogoliubov pair from t[0], a Magnus
-    product, so u(t[0]) = 1 and v(t[0]) = 0; r = asinh|v| and
+    vacuum.  (u, v) is the vacuum's Bogoliubov pair from t[0], read off a
+    Magnus product, so u(t[0]) = 1 and v(t[0]) = 0; r = asinh|v| and
     phi_sq = arg(u*v) are the squeeze state it defines.  m is the map
-    source's record of the map and its coefficients W and T there.  oracle
-    is the DOP853 (u, v) oracle's pair where it rode in the map's
-    integration (the integrated map, see evolve), else None."""
+    source's record of the map and its coefficients W and T there, and
+    stats the Magnus product's work."""
 
     t: np.ndarray
     u: np.ndarray
@@ -98,7 +106,6 @@ class Trajectory:
     phi_sq: np.ndarray
     m: MapPoint
     stats: IntegrationStats
-    oracle: Optional[tuple]
 
     def mean_photon(self) -> np.ndarray:
         """Photon number N = |v|^2 created from the vacuum, on the grid.
@@ -128,164 +135,261 @@ def _uv_rates(m: MapPoint, y) -> tuple[float, float, float, float]:
     return du.real, du.imag, dv.real, dv.imag
 
 
-def _bracket(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """[X, Y] of su(1,1) elements stacked as (theta, beta) along axis 0.
+def _bracket(x, y) -> tuple:
+    """[X, Y] of traceless 2x2 matrices given as (a, b, c), each standing
+    for [[a, b], [c, -a]].
 
-    (theta, beta), theta real, stands for [[-i*theta, conj(beta)],
-    [beta, i*theta]]; the counterpart's generator is (W, 2i*T).
+    On su(1,1) elements (a imaginary, c = conj(b)) the result is again one,
+    exactly: each component is a conjugate pair's difference.
     """
-    return np.stack([2.0 * (x[1] * y[1].conj()).imag,
-                     2j * (x[0] * y[1] - y[0] * x[1])])
+    return (x[1] * y[2] - y[1] * x[2],
+            2.0 * (x[0] * y[1] - y[0] * x[1]),
+            2.0 * (x[2] * y[0] - y[2] * x[0]))
 
 
-def _magnus_factors(W: np.ndarray, T: np.ndarray, h: np.ndarray):
-    """The first columns (p, q) of exp(Omega) = [[p, conj(q)], [q, conj(p)]],
-    one for each step of width h, from W and T at its three Gauss nodes.
+def _magnus_factors(g, h: np.ndarray) -> tuple:
+    """The entries (y00, y01, y10, y11) of exp(Omega) for each step of
+    width h, from the generator's (a, b, c) at its three Gauss nodes, each
+    of shape (3, m).
 
     Omega is the three-node sixth-order Magnus expansion of Blanes, Casas &
     Ros (BIT 40, 434 (2000)); Omega is traceless, so exp(Omega) =
-    cosh(k)*I + (sinh(k)/k)*Omega with k^2 = -det(Omega).
+    cosh(k)*I + (sinh(k)/k)*Omega with k^2 = -det(Omega).  Components are
+    kept as separate arrays: stacked ones are large enough that allocating
+    them costs more than the arithmetic.
     """
-    g1, g2, g3 = np.moveaxis(np.stack([W, 2j * T]), -1, 0)  # A at each node
-    a1 = h * g2
-    a2 = (math.sqrt(15.0) / 3.0) * h * (g3 - g1)
-    a3 = (10.0 / 3.0) * h * (g3 - 2.0 * g2 + g1)
+    a1 = [h * x[1] for x in g]
+    a2 = [(math.sqrt(15.0) / 3.0) * h * (x[2] - x[0]) for x in g]
+    a3 = [(10.0 / 3.0) * h * (x[2] - 2.0 * x[1] + x[0]) for x in g]
     c1 = _bracket(a1, a2)
-    c2 = _bracket(a1, 2.0 * a3 + c1) / -60.0
-    omega = a1 + a3 / 12.0 + _bracket(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
-    theta, beta = omega[0].real, omega[1]
-    k2 = beta.real ** 2 + beta.imag ** 2 - theta ** 2
-    k = np.sqrt(np.abs(k2))
-    hyper = k2 > 0.0
-    c = np.where(hyper, np.cosh(k), np.cos(k))
-    s = np.divide(np.where(hyper, np.sinh(k), np.sin(k)), k,
-                  out=np.ones_like(k), where=k > 0.0)
-    return c - 1j * s * theta, s * beta
+    c2 = [x / -60.0 for x in _bracket(a1, [2.0 * x + y for x, y in zip(a3, c1)])]
+    c3 = _bracket([-20.0 * x - y + z for x, y, z in zip(a1, a3, c1)],
+                  [x + y for x, y in zip(a2, c2)])
+    a, b, c = (x + y / 12.0 + z / 240.0 for x, y, z in zip(a1, a3, c3))
+    k = np.sqrt(a * a + b * c)
+    ch = np.cosh(k)
+    sh = np.divide(np.sinh(k), k, out=np.ones_like(k), where=k != 0.0)
+    return ch + sh * a, sh * b, sh * c, ch - sh * a
 
 
-def _prefix_products(p: np.ndarray, q: np.ndarray) -> None:
-    """Replace the factors (p, q) by their running products M_k ... M_1, in
-    place, by recursive doubling: log2(n) array passes, and each product
-    rounds through at most that many multiplications."""
+def _times(x, y) -> tuple:
+    """The product X*Y of matrices given by their entries (m00, m01, m10,
+    m11), arrays that broadcast together."""
+    x00, x01, x10, x11 = x
+    y00, y01, y10, y11 = y
+    return (x00 * y00 + x01 * y10, x00 * y01 + x01 * y11,
+            x10 * y00 + x11 * y10, x10 * y01 + x11 * y11)
+
+
+def _prefix_products(y) -> None:
+    """Replace the factors y, entries (m00, m01, m10, m11) of shape (n,), by
+    their running products M_k ... M_1, in place, by recursive doubling:
+    log2(n) array passes, and each product rounds through at most that
+    many multiplications."""
     d = 1
-    while d < p.size:
-        a, b, c, e = p[d:], q[d:], p[:-d], q[:-d]
-        p[d:], q[d:] = a * c + b.conj() * e, b * c + a.conj() * e
+    while d < y[0].size:
+        for x, p in zip(y, _times([x[d:] for x in y], [x[:-d] for x in y])):
+            x[d:] = p
         d *= 2
 
 
-def _magnus_uv(t: np.ndarray, coeffs, phase0: float):
-    """The vacuum's (u, v), arg(u*v) and the work done, on the grid t.
+def _magnus_plan(t: np.ndarray, generator):
+    """Grid intervals H, the steps n each is cut into, and the generator at
+    the nodes of each interval, shape (3, t.size - 1), for a Magnus product
+    on the grid t.
 
-    x = (u, conj(v)) obeys x' = A(t)*x with A = [[-i*W, -2i*conj(T)],
-    [2i*T, i*W]] (bogoliubov_ode_oracle's equations) from x = (1, 0) at
-    t[0], and is carried by a product of sixth-order Magnus steps that read
-    W and T from coeffs(x) at their Gauss nodes x, shape (m, 3); a W or T
-    that is not finite on an interval's nodes raises NonFiniteState.  A grid
-    interval of width H takes the least count n of equal steps that keeps
-    (H/n)*max(|W| + 2|T|) over its own nodes under _MAGNUS_SPAN; a cut
-    below 10 ulps of t raises StepRejected, as integrate does.  The steps
-    are multiplied out _MAGNUS_BLOCK at a time, and arg(u*v) = arg u +
-    arg v, which does not overflow, is unwrapped step by step from phase0
-    at t[0], where v = 0.
+    An interval takes the least count n of equal steps that keeps
+    (H/n)*max(|a| + max(|b|, |c|)) over its own nodes under _MAGNUS_SPAN:
+    |W| + 2|T| on the counterpart's generator.  A generator that is not
+    finite on an interval's nodes raises NonFiniteState, and a cut below 10
+    ulps of t raises StepRejected, as integrate does.
     """
     H = np.diff(t)
     with np.errstate(invalid="ignore"):
-        W0, T0 = coeffs(t[:-1, None] + H[:, None] * _GAUSS_NODES)
-    bad = ~(np.isfinite(W0) & np.isfinite(T0)).all(axis=1)
+        g = generator(t[:-1] + H * _GAUSS_NODES[:, None])
+    bad = ~np.logical_and.reduce([np.isfinite(x) for x in g]).all(axis=0)
     if bad.any():
-        raise NonFiniteState(f"W or T is not finite in the interval from "
-                             f"tau = {float(t[np.argmax(bad)])!r}")
-    rate = (np.abs(W0) + 2.0 * np.abs(T0)).max(axis=1)
+        raise NonFiniteState(f"the generator is not finite in the interval "
+                             f"from tau = {float(t[np.argmax(bad)])!r}")
+    a, b, c = (np.abs(x) for x in g)
+    rate = (a + np.maximum(b, c)).max(axis=0)
     n = np.floor(H * rate / _MAGNUS_SPAN) + 1.0
     ulp = np.spacing(np.abs(t[1:]) + np.abs(t[:-1]))
     small = (n > 1.0) & (H / n < 10.0 * ulp)
     if small.any():
         raise StepRejected(f"a Magnus step falls below 10 ulps at tau = "
                            f"{float(t[np.argmax(small)])!r}")
-    n = n.astype(np.int64)
+    return H, n.astype(np.int64), g
+
+
+def _crossing(src: MapSource, t0: float, h: float, y0: tuple, base,
+              varphi0: float):
+    """Raise ChiSingular at the chi = 1 branch point inside the Magnus step
+    of width h from t0, where the product since base is y0 (entries of
+    shape (1,)) and the map's unwrapped varphi is varphi0.
+
+    det S is positive at t0 and not at t0 + h.  One partial Magnus step
+    from t0 gives the product anywhere in the step; bisection finds the two
+    adjacent floats around the sign change, and the later one is printed to
+    12 significant digits, as guard_flow_crossings does.  The map is
+    reported at the earlier one, as near the branch point as it is defined.
+    """
+    def reading(tau: float):
+        if tau == t0:
+            return src.read_product(y0, base)
+        g = src.generator(t0 + (tau - t0) * _GAUSS_NODES[:, None])
+        return src.read_product(_times(_magnus_factors(g, tau - t0), y0), base)
+
+    a, b = t0, t0 + h
+    while a < (mid := 0.5 * (a + b)) < b:
+        a, b = (mid, b) if reading(mid)[3][0] > 0.0 else (a, mid)
+    Phi, varphi, Lambda = (float(x[0]) for x in reading(a)[2])
+    varphi += 2.0 * math.pi * round((varphi0 - varphi) / (2.0 * math.pi))
+    raise ChiSingular(f"the map crosses chi = 1 at tau = {b:.12g} "
+                      f"(Phi = {Phi!r}, varphi = {varphi!r}, Lambda = {Lambda!r})")
+
+
+def _magnus_uv(src: MapSource, t: np.ndarray, phase0: float):
+    """The vacuum's (u, v), arg(u*v), the map's coordinates and the work
+    done, on the grid t.
+
+    The steps read src.generator at their Gauss nodes (_magnus_plan) and
+    are multiplied out _MAGNUS_BLOCK at a time; src.read_product turns each
+    step's running product into (u, v) and, on the integrated source, the
+    map's (Phi, varphi, Lambda), det S and matrix P.  On the integrated
+    source the product restarts from the identity after the first step
+    where its squared norm passes _REBASE, and the map and (u, v) there
+    become the base it is read against, so that det S never cancels from
+    entries larger than the map's own times sqrt(_REBASE).  A product that
+    is not finite raises NonFiniteState, and det S <= 0, the chi = 1
+    branch point, raises ChiSingular there (_crossing).  arg(u*v) = arg u
+    + arg v, which does not overflow, is unwrapped step by step from
+    phase0 at t[0], where v = 0, and so is the map's varphi from its start.
+    """
+    H, n, g0 = _magnus_plan(t, src.generator)
     ends = np.cumsum(n)
+    total = int(ends[-1])
     u = np.empty(t.size, dtype=complex)
     v = np.empty(t.size, dtype=complex)
-    phase = np.empty(t.size)
-    u[0], v[0], phase[0] = 1.0, 0.0, phase0
-    x = (1.0 + 0.0j, 0.0j, phase0)  # (u, conj(v), phase) before the block
-    for a in range(0, int(ends[-1]), _MAGNUS_BLOCK):
-        step = np.arange(a, min(a + _MAGNUS_BLOCK, int(ends[-1])))
+    u[0], v[0] = 1.0, 0.0
+    # The map's start, and the unwrapped angles: arg(u*v), then its varphi.
+    coords = [np.full(t.size, x) for x in src.map0]
+    angle = np.array([phase0, *src.map0[1:2]])
+    phases = np.empty((angle.size, t.size))
+    phases[:, 0] = angle
+    y, base = _IDENTITY, src.base0  # the product since the base, before the block
+    a, nfev = 0, g0[0].size
+    while a < total:
+        step = np.arange(a, min(a + _MAGNUS_BLOCK, total))
         k = np.searchsorted(ends, step, side="right")  # each step's interval
         j = step - (ends - n)[k]  # and its place there
         h = H[k] / n[k]
-        W, T = W0[k], T0[k]
+        g = [x[:, k] for x in g0]
         cut = n[k] > 1
+        nfev += 3 * int(cut.sum())
         if cut.any():
-            start = t[k[cut]] + j[cut] * h[cut]
-            W[cut], T[cut] = coeffs(start[:, None] + h[cut, None] * _GAUSS_NODES)
+            t_cut = t[k[cut]] + j[cut] * h[cut]
+            for x, xc in zip(g, src.generator(t_cut + h[cut] * _GAUSS_NODES[:, None])):
+                x[:, cut] = xc
         with np.errstate(over="ignore", invalid="ignore"):
-            p, q = _magnus_factors(W, T, h)
-            _prefix_products(p, q)
-            uk, wk = p * x[0] + q.conj() * x[1], q * x[0] + p.conj() * x[1]
-        bad = ~(np.isfinite(uk) & np.isfinite(wk))
+            f = _magnus_factors(g, h)
+            _prefix_products(f)
+            yk = _times(f, y)
+        bad = ~np.logical_and.reduce([np.isfinite(x) for x in yk])
         if bad.any():
             i = np.argmax(bad)
             raise NonFiniteState(f"(u, v) left the finite domain at tau = "
                                  f"{float(t[k[i]] + (j[i] + 1) * h[i])!r}")
-        vk = wk.conj()
-        ph = np.unwrap(np.concatenate(([x[2]], np.angle(uk) + np.angle(vk))))[1:]
+        uk, vk, ck, det, pk = src.read_product(yk, base)
+        rebase = None
+        if pk is not None:
+            grown = sum(x.real ** 2 + x.imag ** 2 for x in yk) > _REBASE
+            if grown.any():
+                # Keep the steps up to the first that grows past _REBASE.
+                rebase = int(np.argmax(grown))
+                keep = slice(0, rebase + 1)
+                step, k, j, h = step[keep], k[keep], j[keep], h[keep]
+                yk, uk, vk, det = (tuple(x[keep] for x in yk), uk[keep],
+                                   vk[keep], det[keep])
+                ck, pk = (tuple(x[keep] for x in c) for c in (ck, pk))
+        ph = np.unwrap(np.concatenate(
+            (angle[:, None], [np.angle(uk) + np.angle(vk), *ck[1:2]]), axis=1), axis=1)
+        if det is not None and not (det > 0.0).all():
+            i = int(np.argmax(~(det > 0.0)))
+            _crossing(src, float(t[k[i]] + j[i] * h[i]), float(h[i]),
+                      tuple(x[i - 1:i] for x in yk) if i else y, base,
+                      float(ph[1, i]))
+        ph = ph[:, 1:]
         end = j == n[k] - 1  # the steps that end an interval
         out = k[end] + 1
-        u[out], v[out], phase[out] = uk[end], vk[end], ph[end]
-        x = (uk[-1], wk[-1], ph[-1])
+        u[out], v[out], phases[:, out] = uk[end], vk[end], ph[:, end]
+        for x, xk in zip(coords, ck):
+            x[out] = xk[end]
+        y, angle = tuple(x[-1:] for x in yk), ph[:, -1]
+        if rebase is not None:
+            y = _IDENTITY
+            base = (tuple(complex(x[-1]) for x in pk), (complex(uk[-1]), complex(vk[-1])))
+        a = int(step[-1]) + 1
+    if coords:
+        coords[1] = phases[1]
     h = H / n
-    nfev = W0.size + 3 * int(n[n > 1].sum())
-    stats = IntegrationStats(int(ends[-1]), 0, nfev, float(h.min()), float(h.max()))
-    return u, v, phase, stats
+    stats = IntegrationStats(total, 0, nfev, float(h.min()), float(h.max()))
+    return u, v, phases[0], tuple(coords), stats
 
 
-def evolve(src: MapSource, t_grid: np.ndarray, *, rtol: float = 1e-9,
-           atol: float = 1e-12) -> Trajectory:
+def evolve(src: MapSource, t_grid: np.ndarray) -> Trajectory:
     """Evolve the vacuum's Bogoliubov pair over t_grid on the map source src.
 
-    src supplies the counterpart coefficients and the drive, src.p.  (u, v)
-    from t_grid[0] is a product of sixth-order Magnus steps (_magnus_uv),
-    one per interval on every preset and sweep grid, more on coarse grids;
-    phi_sq starts in the direction the vacuum squeezes in at t = 0+
-    (_start_phase) and moves without jumps of 2*pi.  Against perfbench's
-    tight-tolerance reference (worst relative N error above N = 1e-3) it
-    reads 9.6e-13, 9.3e-13 and 2.7e-13 on the three fig3 series, and
-    3.5e-13, 2.3e-13 and 1.1e-13 on the moderate map's sweep cells at
-    kappa 1.93, 2.0 and 2.07.
+    src supplies the generator, the map and the drive, src.p.  (u, v) from
+    t_grid[0] is read off a product of sixth-order Magnus steps of the
+    source's generator (_magnus_uv), one per interval on every preset and
+    sweep grid, more on coarse grids; no ODE is integrated, so no tolerance
+    applies.  phi_sq starts in the direction the vacuum squeezes in at
+    t = 0+ (_start_phase) and moves without jumps of 2*pi.  The stats count
+    the Magnus steps, no rejections, and as nfev the points the generator
+    was evaluated at: three per interval, plus three per step of an
+    interval cut into several steps (again for each step that a rebase
+    multiplies out anew).
 
-    Where W and T are closed-form (src.closed_form: the approximate map)
-    the steps read them directly, and rtol and atol do not apply.  The
-    stats count the Magnus steps, no rejections, and as nfev the points W
-    and T were evaluated at: three per step, plus three per interval cut
-    into several steps.  Trajectory.oracle is None.
-
-    On the integrated map src.integrate carries the map and the (u, v)
-    oracle once, on t_grid, at rtol and atol, with its period/16 step cap
-    and its crossing guards, and the steps read W and T at their nodes from
-    that integration's dense output (MapRun.steps), however coarse the
-    grid.  The stats are the integration's, and Trajectory.oracle is the
-    oracle's pair: 3.1e-11 to 3.7e-11 from the reference on those cells.
+    On the approximate map the product is the counterpart's propagator
+    itself.  On the integrated map it is G, the drive's own propagator, and
+    the map's (Phi, varphi, Lambda) on the grid come with (u, v) from the
+    metric's polar decomposition (MapSource.read_product); W, T and the
+    rates follow from them (MapSource.at).  The product is rebased as G
+    grows (_REBASE), so the reading's rounding does not grow with N.  Past
+    the chi = 1 branch point the map does not exist, and ChiSingular names
+    the crossing.  Against
+    perfbench's tight-tolerance reference (worst relative N error above
+    N = 1e-3) it reads 9.6e-13, 9.3e-13 and 2.7e-13 on the three fig3
+    series.
     """
     t = as_time_grid(t_grid, "t_grid")
-    run = (None if src.closed_form else
-           src.integrate(_uv_rates, (1.0, 0.0, 0.0, 0.0), t, rtol, atol))
-
-    def coeffs(x):
-        y = () if run is None else np.moveaxis(dense_at(run.steps, x), -1, 0)
-        mx = src.at(x, y)
-        return mx.W, mx.T
-
-    u, v, phi_sq, stats = _magnus_uv(t, coeffs, _start_phase(src.p, src.chi0))
-    if run is None:
-        m, oracle = src.at(t, ()), None
-    else:
-        y = run.y
-        m, stats = run.m, run.stats
-        oracle = (y[:, 0] + 1j * y[:, 1], y[:, 2] + 1j * y[:, 3])
+    u, v, phi_sq, coords, stats = _magnus_uv(src, t, _start_phase(src.p, src.chi0))
     return Trajectory(t=t, u=u, v=v, r=np.arcsinh(np.abs(v)), phi_sq=phi_sq,
-                      m=m, stats=stats, oracle=oracle)
+                      m=src.at(t, coords), stats=stats)
+
+
+def _propagator(src: MapSource, t: np.ndarray, rtol: float,
+                atol: float) -> np.ndarray:
+    """The product of src's generator, entries (y00, y01, y10, y11) along
+    axis 0, on the grid t: its 8 real components integrated with DOP853
+    at rtol and atol, steps capped at a sixteenth of the drive period, as
+    MapSource.integrate caps them."""
+    def rhs(t, y):
+        # Python complex numbers: arithmetic on numpy scalars is slower.
+        a, b, c = src.generator(float(t))
+        r00, i00, r01, i01, r10, i10, r11, i11 = y.tolist()
+        y00, y01 = complex(r00, i00), complex(r01, i01)
+        y10, y11 = complex(r10, i10), complex(r11, i11)
+        d00, d01 = a * y00 + b * y10, a * y01 + b * y11
+        d10, d11 = c * y00 - a * y10, c * y01 - a * y11
+        return np.array([d00.real, d00.imag, d01.real, d01.imag,
+                         d10.real, d10.imag, d11.real, d11.imag])
+
+    y0 = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0])
+    sol = integrate(IvpProblem(rhs, t, y0), rtol=rtol, atol=atol,
+                    max_step=src.p.period() / 16.0)
+    return sol.y[:, 0::2].T + 1j * sol.y[:, 1::2].T
 
 
 def bogoliubov_ode_oracle(src: MapSource, t_grid: np.ndarray, *,
@@ -293,27 +397,28 @@ def bogoliubov_ode_oracle(src: MapSource, t_grid: np.ndarray, *,
                           ) -> tuple[np.ndarray, np.ndarray]:
     """Independent (u, v) evolution for cross-checking evolve's Magnus product.
 
-    The Heisenberg flow of a(t) = u*a + v*a^dag under the counterpart
-    generator closes over (u, conj(v)):
+    It integrates with DOP853 the generator whose Magnus product evolve
+    multiplies out: two discretizations of one linear flow.  When the
+    generator repeats with the source's period T, the propagator from
+    t_grid[0] obeys M(n*T + s) = M(s)*M(T)^n (Floquet), so only the grid's
+    phases s in (0, T] and T itself are integrated; otherwise T is the
+    grid's span, and the integration is direct.
+
+    On the approximate source the Heisenberg flow of a(t) = u*a + v*a^dag
+    under the counterpart generator closes over (u, conj(v)):
 
         du/dt = -i*(W*u + 2*conj(T)*conj(v)),
         dv/dt = -i*(W*v + 2*conj(T)*conj(u)),
 
-    integrated from (u, v) = (1, 0) as a real 4-vector.  Vacuum photon
-    number along this route is |v|^2.
-
-    The flow is linear in x = (u, conj(v)); its propagator from t_grid[0]
-    is M = [[u, v], [conj(v), conj(u)]], read off the integrated column.
-    When W and T repeat with the map source's period T (the approximate
-    source on resonance, as in every preset), M(n*T + s) = M(s)*M(T)^n
-    (Floquet), so only the grid's phases s in (0, T] and T itself are
-    integrated.  Otherwise T is the grid's span: direct integration, the
-    standalone form of the pair evolve carries along on the integrated map.
-
-    The route shares W and T with evolve, which multiplies out Magnus
-    steps of the same linear flow that this route integrates with DOP853:
-    two discretizations of one flow.  On the integrated map the route rides
-    in evolve's integration, whose map the Magnus steps read.
+    integrated from (u, v) = (1, 0) as a real 4-vector along the map
+    (MapSource.integrate); the propagator M = [[u, v], [conj(v), conj(u)]]
+    is read off the integrated column.  It repeats on resonance, as in
+    every preset.  On the integrated source the drive's own propagator G is
+    integrated as 8 real components (_propagator) over one drive period,
+    for every kappa, and (u, v) are read off it as evolve reads them
+    (MapSource.read_product), each point against the map and (u, v) at its
+    last whole period; past the chi = 1 branch point that raises
+    ChiSingular.  Vacuum photon number along this route is |v|^2.
     """
     t0 = t_grid[0]
     period = min(src.period, t_grid[-1] - t0)
@@ -322,11 +427,29 @@ def bogoliubov_ode_oracle(src: MapSource, t_grid: np.ndarray, *,
     end = t0 + period if whole[-1] > 0 else t_grid[-1]
     t_one, row = np.unique(np.append(np.clip(t_grid - whole * period, t0, end), end),
                            return_inverse=True)
+    powers = range(int(whole[-1]) + 1)
+    if not src.closed_form:
+        y = _propagator(src, t_one, rtol, atol)
+        # The map and (u, v) at each whole period, read off one period's G
+        # from the last: the base the points of the next period are read
+        # against, as evolve rebases its product.
+        bases = [src.base0]
+        for _ in powers[1:]:
+            u, v, _, _, p = src.read_product(y[:, -1], bases[-1])
+            bases.append((p, (u, v)))
+        k = whole.astype(int)
+        base = (tuple(np.array([b[0][i] for b in bases])[k] for i in range(4)),
+                tuple(np.array([b[1][i] for b in bases])[k] for i in range(2)))
+        u, v, _, det, _ = src.read_product(y[:, row[:-1]], base)
+        if not (det > 0.0).all():
+            tau = float(t_grid[np.argmax(~(det > 0.0))])
+            raise ChiSingular(f"the map crosses chi = 1 by tau = {tau!r}")
+        return u, v
     y = src.integrate(_uv_rates, (1.0, 0.0, 0.0, 0.0), t_one, rtol, atol).y
     u = y[:, 0] + 1j * y[:, 1]
     v = y[:, 2] + 1j * y[:, 3]
     m_T = np.array([[u[-1], v[-1]], [np.conj(v[-1]), np.conj(u[-1])]])
     a, b = np.array([np.linalg.matrix_power(m_T, k)[:, 0]  # M(T)^k (1, 0)
-                     for k in range(int(whole[-1]) + 1)]).T[:, whole.astype(int)]
+                     for k in powers]).T[:, whole.astype(int)]
     u, v = u[row[:-1]], v[row[:-1]]
     return u * a + v * b, v * np.conj(a) + u * np.conj(b)

@@ -28,16 +28,27 @@ coefficient formulas directly.
 A MapSource supplies the map along the drive, closed-form or integrated.
 Its MapPoint (the DysonState coordinates, their rates, chi, W, T) is the
 map evaluated by one set of expressions, for a scalar time inside a
-right-hand side and for the whole output grid afterwards.  The source integrates a route
-(the (u, v) oracle, whose run's dense output also gives the map where
-evolve's Magnus steps read it; the empty route, whose rates are (),
-integrates the flow alone) together with the map, so a route sees only
-the map point and its own components.  The general-input functions
-(constraint_rhs_general, hermitized_coefficients_general) take complex
-omega, alpha and beta, as coefficients_general does; they are the
-independent references that the verify suite compares against.  Complex
-quantities are plain complex numbers throughout: HermitizedCoeffs holds
-the real W and the complex T.
+right-hand side and for the whole output grid afterwards.  Each source
+also names the traceless 2x2 generator whose Magnus product
+dynamics.evolve multiplies out, and reads (u, v) and the map off that
+product (MapSource.generator, MapSource.read_product).  On the
+approximate source the generator is the counterpart's own.  On the
+integrated source it is that of the drive's non-Hermitian H itself, and
+the map comes from the metric: rho = eta^dag*eta obeys the linear
+equation d rho/dt = i*(rho*H - H^dag*rho) exactly when h is Hermitian
+(Fring & Moussa, Phys. Rev. A 93, 042114 (2016)), so rho(t) =
+G^-dag*rho0*G^-1 with i*dG/dt = H*G, and eta(t) follows from G by a 2x2
+polar decomposition (read_product).  No nonlinear flow is integrated on
+that route.  MapSource.integrate still integrates the flow of
+(Phi, varphi, Lambda) together with a route of the caller's (the empty
+route, whose rates are (), integrates the flow alone); it is the
+independent reference that verify compares the metric route with, and
+carries the approximate source's (u, v) oracle.  The general-input
+functions (constraint_rhs_general, hermitized_coefficients_general) take
+complex omega, alpha and beta, as coefficients_general does; they are
+the independent references that the verify suite compares against.
+Complex quantities are plain complex numbers throughout:
+HermitizedCoeffs holds the real W and the complex T.
 """
 
 from __future__ import annotations
@@ -51,8 +62,9 @@ import numpy as np
 
 from .drive import (DriveParams, cos, couplings, omega as drive_omega,
                     omega_and_zeta, sin)
-from .dyson import DysonState
-from .errors import ChiSingular, NonFiniteState, PhiZero, ZeroLambda
+from .dyson import DysonState, bogoliubov_matrix
+from .errors import (ChiSingular, NonFiniteState, NonPositiveLambda,
+                     OutOfDomain, PhiZero, ZeroLambda)
 from .integrate import IvpProblem, IntegrationStats, Step, integrate
 
 # Every chi = 1 guard (flow, map source, amplification factor, config)
@@ -292,16 +304,12 @@ class MapPoint(NamedTuple):
 
 
 class MapRun(NamedTuple):
-    """MapSource.integrate's result: map m and route components y on t, and
-    the integration's steps (IvpSolution.steps, which integrate.dense_at
-    reads anywhere in the span): every accepted step on the integrated
-    source, else the steps that hold grid points."""
+    """MapSource.integrate's result: map m and route components y on t."""
 
     t: np.ndarray
     m: MapPoint
     y: np.ndarray
     stats: IntegrationStats
-    steps: list
 
 
 def _finite_start(s: DysonState) -> DysonState:
@@ -312,18 +320,102 @@ def _finite_start(s: DysonState) -> DysonState:
     return s
 
 
+def _map_matrix(s: DysonState) -> np.ndarray:
+    """bogoliubov_matrix(s), or dyson's own error when s is no Dyson map:
+    NonPositiveLambda for Lambda <= 0, OutOfDomain when no positive map
+    strength eps_map realizes it.  The message names chi and |z|, and for
+    chi > 1 the least admissible |z|, 2*sqrt(chi)/(chi + 1); every
+    chi < -1 is admissible."""
+    try:
+        m = bogoliubov_matrix(s)
+        s.eps_map
+    except (NonPositiveLambda, OutOfDomain) as exc:
+        chi = s.chi
+        if chi > 1.0:
+            need = f"; chi > 1 needs |z| > {2.0 * math.sqrt(chi) / (chi + 1.0)!r}"
+        elif chi > -1.0:
+            need = "; no |z| gives a map for chi in (-1, 1)"
+        else:
+            need = ""
+        raise type(exc)(f"the integrated map's start is not a Dyson map ({exc}) "
+                        f"at chi = {chi!r}, |z| = {float(s.z_abs)!r}{need}") from None
+    return m
+
+
+def _metric_reading(y, base, signs):
+    """(u, v, (Phi, varphi, Lambda), det S, P) read off the product y =
+    (y00, y01, y10, y11) of the drive's generator since the base.
+
+    M_X is the matrix with X*(a, a^dag)^T*X^-1 = M_X*(a, a^dag)^T, so that
+    M_XY = M_Y*M_X, and y is M_G^T for the drive's propagator G since the
+    base's time.  base = (P_b, (u_b, v_b)) holds the map's matrix M_eta =
+    (p00, p01, p10, p11) and the counterpart's (u, v) there; at the start
+    P_b = bogoliubov_matrix(start) and (u_b, v_b) = (1, 0).  Then M_X =
+    M_G^-1*P_b, with M_G^-1 the adjugate of M_G, factors as P*W_rel: P =
+    M_eta(t) and W_rel the inverse counterpart propagator's [[u, v],
+    [conj(v), conj(u)]] since the base, and W = W_rel*W_b.  With sigma(M) =
+    J*conj(M)*J, J = [[0, 1], [1, 0]], sigma(P) = P^-1 and sigma(W) = W,
+    so S = M_X + sigma(M_X) = tr(P)*W_rel, and W_rel = S/sqrt(det S), the
+    root's sign (signs[0]) that of tr P, which keeps its sign up to the
+    crossing.  P = M_X*W_rel^-1 = [[1, -lam], [conj(lam), -chi]]/sqrt(Lambda)
+    gives lam = -P01/P00 and Lambda = 1/|P00|^2; Phi = |lam| is signed as
+    at the start (signs[1]), and varphi = arg(Phi*conj(lam)) is left
+    wrapped.  det S = tr(P)^2 is positive up to the chi = 1 branch point
+    and turns negative past it, where u, v and the map are NaN.  det S
+    cancels from entries of size |P_b|*|G|, so its rounding grows with G
+    since the base, which is why evolve rebases the product (_REBASE in
+    dynamics).  The entries broadcast: a base of arrays gives each point
+    its own.
+    """
+    y00, y01, y10, y11 = y
+    (e00, e01, e10, e11), (bu, bv) = base
+    x00, x01 = y11 * e00 - y10 * e10, y11 * e01 - y10 * e11
+    x10, x11 = y00 * e10 - y01 * e00, y00 * e11 - y01 * e01
+    s0, s1 = x00 + x11.conjugate(), x01 + x10.conjugate()
+    det = s0.real ** 2 + s0.imag ** 2 - (s1.real ** 2 + s1.imag ** 2)
+    trace_sign, phi_sign = signs
+    with np.errstate(invalid="ignore", divide="ignore"):
+        root = trace_sign * np.sqrt(det)
+        u, v = s0 / root, s1 / root
+        uc, vc = u.conjugate(), v.conjugate()
+        p = (x00 * uc - x01 * vc, x01 * u - x00 * v,
+             x10 * uc - x11 * vc, x11 * u - x10 * v)
+        lam = -p[1] / p[0]
+    Phi = phi_sign * abs(lam)
+    varphi = np.angle(phi_sign * lam.conjugate())
+    Lambda = 1.0 / (p[0].real ** 2 + p[0].imag ** 2)
+    return (u * bu + v * bv.conjugate(), u * bv + v * bu.conjugate(),
+            (Phi, varphi, Lambda), det, p)
+
+
 class MapSource:
     """Where the counterpart coefficients come from: a Dyson map along the drive.
 
     dyson_source "approximate" uses the closed-form map trajectory at the
-    given chi and varphi0; "integrated" co-integrates the hermitization
-    flow from constraint0.  The argument the other source needs is
-    ignored.  One source serves any number of evolve and
-    bogoliubov_ode_oracle calls.  period is the time after which W and T
-    repeat: the drive period for the approximate source on resonance,
-    else inf.  closed_form tells whether at needs no integrated state (the
-    approximate source).  at, raw_coefficients and residual take a scalar
-    t, or arrays of times.
+    given chi and varphi0; "integrated" evolves the exact map from
+    constraint0, which must be a Dyson map (_map_matrix).  The
+    argument the other source needs is ignored.  One source serves any
+    number of evolve and bogoliubov_ode_oracle calls.  period is the time
+    after which the generator repeats: the drive period on the integrated
+    source, whose generator is the drive's own, and on the approximate
+    source on resonance, else inf.  closed_form tells whether at needs no
+    map coordinates (the approximate source), and map0 holds the
+    integrated map's start (Phi, varphi, Lambda), else ().  at,
+    raw_coefficients, residual and generator take a scalar t, or arrays of
+    times.
+
+    generator(t) gives (a, b, c) of the traceless generator [[a, b], [c,
+    -a]] whose time-ordered exponential evolve multiplies out, and
+    read_product(y, base) reads (u, v, (Phi, varphi, Lambda), det S, P)
+    off that product y = (y00, y01, y10, y11) since base; base0 is the
+    base at the start.  On the approximate source the generator is the
+    counterpart's, (-i*W, -2i*conj(T), 2i*T), its product carries x = (u,
+    conj(v)) in its first column, and base0, the map coordinates (), det S
+    and P are None.  On the integrated source it is A = i*[[omega,
+    -2*alpha], [2*beta, -omega]], with omega, alpha and beta the drive's
+    own: the Heisenberg flow of G*a*G^-1 under H, so the product is M_G^T,
+    and the map comes from the metric's polar decomposition
+    (_metric_reading).
     """
 
     def __init__(self, p: DriveParams, dyson_source: str = "approximate",
@@ -336,7 +428,7 @@ class MapSource:
             s0 = _finite_start(DysonState.from_chi(chi, 1.0, varphi0))
             # chi is frozen, so the pointwise chi = 1 guard is checked once.
             guard_chi(chi, " at every tau")
-            self.chi0, self._map0 = chi, ()
+            self.chi0, self.map0, self.base0 = chi, (), None
             self.closed_form = True
             self.period = p.period() if p.on_resonance() else math.inf
             # Phi and Lambda are frozen; adding 0*t gives them the shape of t.
@@ -344,6 +436,14 @@ class MapSource:
                                               varphi0 + 2.0 * p.omega0 * t,
                                               s0.Lambda + 0.0 * t)
             self._rates = lambda *_: (0.0, 2.0 * p.omega0, 0.0)
+
+            def generator(t):
+                m = self.at(t, ())
+                return -1j * m.W, -2j * m.T.conjugate(), 2j * m.T
+
+            self.generator = generator
+            self.read_product = lambda y, base: (y[0], y[2].conjugate(), (),
+                                                 None, None)
         elif dyson_source == "integrated":
             if constraint0 is None:
                 raise ValueError("integrated dyson_source requires constraint0")
@@ -352,12 +452,23 @@ class MapSource:
                 _check_guards(t, Phi, varphi, Lambda)
                 return _flow_rates(p, w, zs, Phi, Lambda, cos(varphi), sinphi)
 
+            def generator(t):
+                alpha, beta = couplings(t, p)
+                return 1j * drive_omega(t, p), -2j * alpha, 2j * beta
+
             s0 = _finite_start(constraint0)
-            self.chi0, self._map0 = s0.chi, (s0.Phi, s0.varphi, s0.Lambda)
-            self.period = math.inf
+            self.chi0, self.map0 = s0.chi, (s0.Phi, s0.varphi, s0.Lambda)
+            self.base0 = (tuple(complex(x) for x in _map_matrix(s0).ravel()),
+                          (1.0 + 0.0j, 0.0j))
+            self.period = p.period()
             self.closed_form = False
             self._coordinates = lambda t, y: (y[0], y[1], y[2])
             self._rates = rates
+            self.generator = generator
+            # tr P = (1 - chi)/sqrt(Lambda) keeps its sign up to the crossing,
+            # and Phi is signed as at the start.
+            signs = (math.copysign(1.0, 1.0 - s0.chi), math.copysign(1.0, s0.Phi))
+            self.read_product = lambda y, base: _metric_reading(y, base, signs)
         else:
             raise ValueError(f"dyson_source must be 'approximate' or "
                              f"'integrated', got {dyson_source!r}")
@@ -390,7 +501,7 @@ class MapSource:
     def residual(self, t, m: MapPoint):
         """|Im W| + |V - conj(T)| of raw_coefficients.
 
-        It vanishes on the hermitization flow up to integration error and
+        It vanishes on the hermitization flow up to the map's error and
         reports the closed form's constraint violation for the approximate
         source.
         """
@@ -399,23 +510,26 @@ class MapSource:
 
     def integrate(self, rhs, y0, t_grid: np.ndarray, rtol: float,
                   atol: float) -> MapRun:
-        """Integrate a route along the map from y0, reported on t_grid.
+        """Integrate a route along the map from y0 with DOP853, reported on
+        t_grid.
 
         rhs(m, y) returns the rates of the route's components y (a list of
         floats, as many as y0) at the map point m (scalar t).  The map's
-        own state is integrated alongside and returned on the grid; routes
-        stacked in one y0 share one map evaluation per stage.  The empty
-        route (rhs returning (), y0 = ()) integrates the map alone.  A
-        step that carries the integrated flow across chi = 1 or Phi = 0
-        raises ChiSingular or PhiZero at the crossing; with that guard set,
-        MapRun.steps holds every accepted step.
+        own state is integrated alongside and returned on the grid: on the
+        integrated source that is the nonlinear hermitization flow of
+        (Phi, varphi, Lambda), the independent reference for the metric
+        route that evolve takes.  Routes stacked in one y0 share one map
+        evaluation per stage.  The empty route (rhs returning (), y0 = ())
+        integrates the map alone.  A step that carries the integrated flow
+        across chi = 1 or Phi = 0 raises ChiSingular or PhiZero at the
+        crossing (guard_flow_crossings).
 
         Steps are capped at a sixteenth of the drive period.  The error
         control alone takes longer steps, and against a tight-tolerance
         reference they lose a factor of about 20 in N on the integrated
         source and 2 on the approximate one; the cap costs little time.
         """
-        n = len(self._map0)
+        n = len(self.map0)
 
         def full_rhs(t, y):
             # Python floats: arithmetic on numpy scalars is several times slower.
@@ -423,9 +537,7 @@ class MapSource:
             m = self.at(t, y)
             return np.array([*m.rates[:n], *rhs(m, y[n:])])
 
-        sol = integrate(IvpProblem(full_rhs, t_grid, np.array(self._map0 + tuple(y0)),
+        sol = integrate(IvpProblem(full_rhs, t_grid, np.array(self.map0 + tuple(y0)),
                                    None if self.closed_form else guard_flow_crossings),
                         rtol=rtol, atol=atol, max_step=self.p.period() / 16.0)
-        return MapRun(sol.t, self.at(sol.t, sol.y.T), sol.y[:, n:], sol.stats,
-                      sol.steps)
-
+        return MapRun(sol.t, self.at(sol.t, sol.y.T), sol.y[:, n:], sol.stats)

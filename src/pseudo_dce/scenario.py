@@ -248,8 +248,7 @@ class RunRecord:
     """Results of one run: columns plus provenance and timing.
 
     r_final and N_final are kept whatever columns the config selects, and
-    stats is evolve's work: Magnus steps on a closed-form map, else the
-    integration of the map and the (u, v) oracle that the Magnus steps read.
+    stats is evolve's work: its Magnus steps, on either map source.
     """
 
     name: str
@@ -279,7 +278,7 @@ def run(cfg: ScenarioConfig, out_dir=None, name: str = "run") -> RunRecord:
     else:
         r_analytic = phi_analytic = np.full(t_grid.size, np.nan)
 
-    traj = evolve(src, t_grid, rtol=cfg.rtol, atol=cfg.atol)
+    traj = evolve(src, t_grid)
     # N = |v|^2 overflows from r ~ 355 on, where (u, v) are still finite;
     # such a column is refused below, not written as inf.
     with np.errstate(over="ignore"):
@@ -301,11 +300,7 @@ def run(cfg: ScenarioConfig, out_dir=None, name: str = "run") -> RunRecord:
             "residual_hermiticity": src.residual(traj.t, traj.m),
         }
         if "N_oracle" in cfg.outputs:
-            # evolve carries the oracle on the integrated map.
-            if traj.oracle is None:
-                _, v = bogoliubov_ode_oracle(src, t_grid, rtol=cfg.rtol, atol=cfg.atol)
-            else:
-                _, v = traj.oracle
+            _, v = bogoliubov_ode_oracle(src, t_grid, rtol=cfg.rtol, atol=cfg.atol)
             columns["N_oracle"] = np.abs(v) ** 2
     selected = {k: columns[k] for k in cfg.outputs}
     # N_numeric is checked whatever is selected: N_final reads it.

@@ -24,7 +24,7 @@ import numpy as np
 from .drive import (DriveParams, ZetaMode, couplings, heaviside,
                     omega as drive_omega, zeta_signed)
 from .dyson import DysonState, bogoliubov_matrix, epsilon_from_phi, phi_from_z
-from .dynamics import (amplification_factor, analytic_squeeze,
+from .dynamics import (_uv_rates, amplification_factor, analytic_squeeze,
                        bogoliubov_ode_oracle, evolve)
 from .fock import (FockSpace, eta_matrix, metric, nonhermitian_expectation,
                    map_observable, propagate, drive_hamiltonian,
@@ -158,6 +158,7 @@ def check_bogoliubov_det() -> tuple[bool, str]:
 
 def check_polar_general_rhs() -> tuple[bool, str]:
     p = _MODERATE
+    src = _moderate_source()
     worst = 0.0
     rng = np.random.default_rng(7)
     for _ in range(200):
@@ -171,7 +172,7 @@ def check_polar_general_rhs() -> tuple[bool, str]:
         d1 = constraint_rhs_polar(s, p, t)
         d2 = constraint_rhs_general(s, om, alpha, beta)
         worst = max(worst, float(np.abs(d1 - d2).max()))
-        m = MapSource(p, "integrated", constraint0=s).at(t, (s.Phi, s.varphi, s.Lambda))
+        m = src.at(t, (s.Phi, s.varphi, s.Lambda))
         c2 = hermitized_coefficients_general(s, om, alpha, beta)
         worst = max(worst, abs(m.W - c2.W), abs(m.T - c2.T()))
     return _bound("polar vs general", worst, 1e-12)
@@ -226,9 +227,11 @@ def check_analytic_r() -> tuple[bool, str]:
 def identity_suite_trajectories() -> list[tuple[str, np.ndarray, np.ndarray]]:
     """The verification suite for the |u|^2 - |v|^2 = 1 identity.
 
-    Returns (label, u, v) triples.  The "Magnus uv" legs are the pairs that
-    evolve multiplies out of Magnus steps on the frozen-chi map and on the
-    integrated moderate map.
+    Returns (label, u, v) triples.  The "Magnus uv" leg is the pair that
+    evolve multiplies out of Magnus steps on the frozen-chi map; the
+    "metric uv" leg is the pair evolve reads off the Magnus product of the
+    drive's own propagator G on the integrated moderate map, through the
+    metric's polar decomposition.
     Trajectories are capped where float64 can still resolve the identity:
     the roundoff floor is eps*cosh(r)^2, which crosses 1e-9 near r = 7.
     """
@@ -243,7 +246,7 @@ def identity_suite_trajectories() -> list[tuple[str, np.ndarray, np.ndarray]]:
     traj = evolve(_FIG1_SOURCE, t30)
     out.append(("Magnus uv r<=7", traj.u, traj.v))
     traj = evolve(_moderate_source(), np.linspace(0.0, 20.0, 801))
-    out.append(("integrated Magnus uv tau<=20", traj.u, traj.v))
+    out.append(("integrated metric uv tau<=20", traj.u, traj.v))
     return out
 
 
@@ -262,16 +265,18 @@ def check_route_agreement() -> tuple[bool, str]:
     """evolve's N = |v|^2 vs the Bogoliubov oracle's, tau <= 20, on both
     map sources.
 
-    evolve multiplies out Magnus steps of the linear (u, v) flow.  On the
-    frozen-chi fig1 map the oracle integrates that flow with DOP853 over one
-    drive period and composes the rest; on the integrated moderate map it
-    integrates the flow along the map over the whole span.  Relative
-    comparison above N = 1e-3 (below it, near the vacuum's N = 0, ratios
-    say little), absolute below.
+    On the frozen-chi fig1 map evolve multiplies out Magnus steps of the
+    linear (u, v) flow, and the oracle integrates that flow with DOP853 over
+    one drive period and composes the rest.  On the integrated moderate map
+    both discretize the drive's own propagator G, a Magnus product against
+    DOP853 over one drive period, and read (u, v) off it by one polar
+    formula; metric_route compares that route with the nonlinear flow.
+    Relative comparison above N = 1e-3 (below it, near the vacuum's N = 0,
+    ratios say little), absolute below.
     """
     tg = np.linspace(0.0, 20.0, 801)
     ok, details = True, []
-    for label, src in (("", _FIG1_SOURCE), ("moderate map ", _moderate_source())):
+    for label, src in (("", _FIG1_SOURCE), ("moderate map G ", _moderate_source())):
         n = evolve(src, tg).mean_photon()
         _, v = bogoliubov_ode_oracle(src, tg, rtol=1e-11, atol=1e-14)
         diff = np.abs(n - np.abs(v) ** 2)
@@ -282,6 +287,36 @@ def check_route_agreement() -> tuple[bool, str]:
         ok = ok and ok1 and ok2
         details += [d1, d2]
     return ok, "; ".join(details)
+
+
+def check_metric_route() -> tuple[bool, str]:
+    """evolve's metric route against the nonlinear flow on the moderate
+    map, tau <= 25.
+
+    evolve reads (u, v) and the map off the Magnus product of the drive's
+    own propagator G (MapSource.read_product).  The reference integrates
+    the hermitization flow of (Phi, varphi, Lambda) (_flow_rates) with the
+    (u, v) oracle riding on its W and T (_counterpart), at rtol 1e-12.  The
+    two routes share only the drive, so this check is what ties
+    _counterpart and _flow_rates to the metric route.  Measured: N
+    2.5e-12 relative above N = 1e-3 (the reference's own error), Phi and
+    chi 1.8e-13 relative, varphi 1.5e-13 rad, and U unitary to 9e-16.
+    """
+    src = _moderate_source()
+    tg = np.linspace(0.0, 25.0, 1601)
+    traj = evolve(src, tg)
+    flow = src.integrate(_uv_rates, (1.0, 0.0, 0.0, 0.0), tg, rtol=1e-12, atol=1e-15)
+    n_flow = flow.y[:, 2] ** 2 + flow.y[:, 3] ** 2
+    hi = n_flow > 1e-3
+    checks = [
+        ("N rel", np.abs(traj.mean_photon() - n_flow)[hi] / n_flow[hi], 3e-11),
+        ("Phi rel", np.abs(traj.m.Phi - flow.m.Phi) / np.abs(flow.m.Phi), 2e-12),
+        ("chi rel", np.abs(traj.m.chi - flow.m.chi) / np.abs(flow.m.chi), 2e-12),
+        ("varphi", np.abs(traj.m.varphi - flow.m.varphi), 2e-12),
+        ("unitarity", np.abs(np.abs(traj.u) ** 2 - np.abs(traj.v) ** 2 - 1.0), 1e-14),
+    ]
+    results = [_bound(label, float(x.max()), limit) for label, x, limit in checks]
+    return all(ok for ok, _ in results), "; ".join(d for _, d in results)
 
 
 def check_integrator_order() -> tuple[bool, str]:
@@ -536,6 +571,7 @@ _FAST_CHECKS: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
     ("analytic_r", check_analytic_r),
     ("bogoliubov_identity", check_bogoliubov_identity),
     ("route_agreement", check_route_agreement),
+    ("metric_route", check_metric_route),
     ("integrator_order", check_integrator_order),
     ("determinism", check_determinism),
     ("quasi_hermiticity_spot", check_quasi_hermiticity_spot),

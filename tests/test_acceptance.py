@@ -311,7 +311,8 @@ def test_criterion_11_budgets_and_exit_codes(tmp_path, monkeypatch, capsys):
     code_bad = cli.main(["run", "--config", str(cfg_bad),
                          "--out", str(tmp_path)])
     cfg_sim = tmp_path / "sim.cfg"
-    cfg_sim.write_text("tau_max = 10\ndyson_source = integrated\n")
+    # The exact map from chi = 1.0002, |z| = 1 crosses chi = 1 at tau = 2.2888.
+    cfg_sim.write_text("tau_max = 10\ndyson_source = integrated\nz_abs = 1\n")
     code_sim = cli.main(["run", "--config", str(cfg_sim),
                          "--out", str(tmp_path)])
     # The real suite passes, so the verification-failure code is exercised

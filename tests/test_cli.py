@@ -13,7 +13,10 @@ from pseudo_dce import cli
 from pseudo_dce.verify import VerifyReport
 
 FAST_CFG = "tau_max = 10\n"
-FAILING_CFG = "tau_max = 10\ndyson_source = integrated\n"
+# The exact map from chi = 1.0002, |z| = 1 crosses chi = 1 near tau = 2.2888.
+FAILING_CFG = "tau_max = 10\ndyson_source = integrated\nz_abs = 1\n"
+# The default |z| = 1 - 1e-6 gives no Dyson map at chi = 1.0002 (Lambda < 0).
+INADMISSIBLE_CFG = "tau_max = 10\ndyson_source = integrated\n"
 SHORT_CFG = "tau_max = 1\n"
 # The integrated moderate map of the benchmark's kappa sweep.
 MODERATE_CFG = ("alpha0_tilde = 0.6\nbeta0_tilde = 0.2\nchi = -2.25\nz_abs = 0.8\n"
@@ -130,7 +133,16 @@ class TestRunCommand:
         cfg = write_cfg(tmp_path, FAILING_CFG)
         code = cli.main(["run", "--config", cfg, "--out", str(tmp_path)])
         assert code == 2
-        assert "ChiSingular" in capsys.readouterr().err
+        assert "ChiSingular: the map crosses chi = 1 at tau = 2.2888" in capsys.readouterr().err
+
+    def test_inadmissible_integrated_start_exits_two_with_one_line(self, tmp_path,
+                                                                  capsys):
+        cfg = write_cfg(tmp_path, INADMISSIBLE_CFG)
+        code = cli.main(["run", "--config", cfg, "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("pseudo-dce: NonPositiveLambda: ")
+        assert "chi = 1.0002" in err[0] and "needs |z| > 0.99999999500" in err[0]
 
     def test_photon_number_overflow_exits_two(self, tmp_path, capsys):
         # |v|^2 overflows near tau = 79 while (u, v) stay finite.

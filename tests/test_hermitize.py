@@ -5,7 +5,8 @@ import pytest
 
 from pseudo_dce.drive import couplings, omega as drive_omega, zeta_signed
 from pseudo_dce.dyson import DysonState, z_abs_from
-from pseudo_dce.errors import ChiSingular, PhiZero, ZeroLambda
+from pseudo_dce.errors import (ChiSingular, NonPositiveLambda, OutOfDomain, PhiZero,
+                               ZeroLambda)
 from pseudo_dce.fock import FockSpace, drive_hamiltonian, eta_matrix
 from pseudo_dce.hermitize import (MapSource,
                                   approx_dyson_trajectory,
@@ -183,18 +184,18 @@ def linear_step(y_old, y_new) -> Step:
 class TestFlowCrossingGuard:
 
     def test_chi_crossing_inside_a_step_is_caught(self, fig1_params):
-        # The fig1 flow takes chi from 1.0002 below 1 near tau = 2.28 while
+        # The fig1 flow takes chi from 1.0002 below 1 near tau = 2.2888 while
         # no grid point (nor rhs sample) comes within the 1e-9 guard.
-        s0 = ScenarioConfig().constraint0()
-        with pytest.raises(ChiSingular, match=r"tau = 2\.2"):
+        s0 = ScenarioConfig(z_abs=1.0).constraint0()
+        with pytest.raises(ChiSingular, match=r"tau = 2\.2888"):
             MapSource(fig1_params, "integrated", constraint0=s0).integrate(
                 lambda m, y: (), (), np.linspace(0.0, 3.0, 601), 1e-9, 1e-12)
 
     def test_crossing_time_has_at_most_12_digits(self, fig1_params):
         # chi - 1 cancels at the 1e-16 level near the crossing, and
         # bisection and brentq land 1.3e-12 apart: digits beyond 12 are noise.
-        s0 = ScenarioConfig().constraint0()
-        with pytest.raises(ChiSingular, match=r"tau = 2\.2") as info:
+        s0 = ScenarioConfig(z_abs=1.0).constraint0()
+        with pytest.raises(ChiSingular, match=r"tau = 2\.2888") as info:
             MapSource(fig1_params, "integrated", constraint0=s0).integrate(
                 lambda m, y: (), (), np.linspace(0.0, 3.0, 601), 1e-9, 1e-12)
         tau = str(info.value).split("tau = ")[1].split(" ")[0]
@@ -216,15 +217,33 @@ class TestFlowCrossingGuard:
         guard_flow_crossings(linear_step([0.5, 0.0, -3.0], [0.5, 0.0, -2.0]))
 
     def test_integrated_evolve_stops_at_the_crossing(self, fig1_params):
-        # Either guard may trip first: the crossing one or a stage that
-        # lands within 1e-9 of chi = 1.
+        # evolve finds the first grid interval where det S = tr(P)^2 turns
+        # negative and bisects it; the oracle names the first grid point
+        # past it.
         src = MapSource(fig1_params, "integrated",
-                        constraint0=ScenarioConfig().constraint0())
+                        constraint0=ScenarioConfig(z_abs=1.0).constraint0())
         tg = np.linspace(0.0, 3.0, 601)
-        with pytest.raises(ChiSingular, match=r"tau = "):
+        with pytest.raises(ChiSingular, match=r"tau = 2\.2888"):
             evolve(src, tg)
-        with pytest.raises(ChiSingular, match=r"tau = "):
+        with pytest.raises(ChiSingular, match=r"tau = 2\.29"):
             bogoliubov_ode_oracle(src, tg)
+
+    def test_metric_crossing_matches_the_flow_guard(self, fig1_params):
+        # From chi0 = 1.0002, |z| = 1 the metric route's branch point and
+        # the flow's chi = 1 crossing are one time: measured 3e-11 apart.
+        src = MapSource(fig1_params, "integrated",
+                        constraint0=ScenarioConfig(z_abs=1.0).constraint0())
+        tg = ScenarioConfig(tau_max=10.0).time_grid()
+
+        def crossing(run) -> float:
+            with pytest.raises(ChiSingular) as info:
+                run()
+            return float(str(info.value).split("tau = ")[1].split(" ")[0])
+
+        t_map = crossing(lambda: evolve(src, tg))
+        t_flow = crossing(lambda: src.integrate(lambda m, y: (), (), tg, 1e-12, 1e-15))
+        assert abs(t_map - t_flow) < 1e-9
+        assert abs(t_map - 2.2888) < 1e-4
 
 
 class TestMapSource:
@@ -280,6 +299,26 @@ class TestMapSource:
         want = src.at(tg, np.array([run.m.Phi, run.m.varphi, run.m.Lambda]))
         for got, ref in zip(run.m, want):
             assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("chi, z_abs, error, need", [
+        (1.0002, 1.0 - 1e-6, NonPositiveLambda, "chi > 1 needs |z| > 0.99999999500"),
+        (0.5, 1.0, OutOfDomain, "no |z| gives a map for chi in (-1, 1)"),
+    ])
+    def test_integrated_source_refuses_a_start_that_is_no_map(
+            self, fig1_params, chi, z_abs, error, need):
+        # The default config's start has Lambda = -1.99e-6; chi = 0.5 at
+        # |z| = 1 inverts to the map strength eps_map = -3.
+        with pytest.raises(error, match="start is not a Dyson map") as info:
+            MapSource(fig1_params, "integrated",
+                      constraint0=DysonState.from_chi(chi, z_abs, VARPHI0))
+        assert f"chi = {chi!r}" in str(info.value) and need in str(info.value)
+
+    def test_integrated_source_accepts_admissible_starts(self, fig1_params):
+        # Every chi0 < -1 is a map; chi0 > 1 is one above the least |z|.
+        for chi, z_abs in ((-2.25, 0.8), (-1.01, 0.05), (1.0002, 1.0), (3.0, 0.9)):
+            src = MapSource(fig1_params, "integrated",
+                            constraint0=DysonState.from_chi(chi, z_abs, VARPHI0))
+            assert src.map0[2] > 0.0
 
     def test_bad_source_rejected(self, fig1_params):
         with pytest.raises(ValueError, match="dyson_source"):

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import CHI_FIG, VARPHI0
 from pseudo_dce import dynamics, hermitize
-from pseudo_dce.dynamics import _GAUSS_NODES, _uv_rates, bogoliubov_ode_oracle, evolve
+from pseudo_dce.dynamics import bogoliubov_ode_oracle, evolve
 from pseudo_dce.errors import NonFiniteState, StepRejected
 from pseudo_dce.hermitize import MapSource
 from pseudo_dce.integrate import (_A, _C, _D, _E3, _E5, IvpProblem, dense_at,
@@ -235,31 +235,6 @@ def test_kept_steps_reproduce_the_grid_bit_for_bit(guarded):
         assert len(sol.steps) == sol.stats.n_steps
 
 
-def test_evolve_reads_the_map_a_denser_grid_reports(monkeypatch):
-    """On a sweep cell evolve's W and T at the Gauss nodes, read from the
-    dense output of its one integration, equal those an integration that
-    also reports the nodes gives there."""
-    cfg = ScenarioConfig(alpha0_tilde=0.6, beta0_tilde=0.2, chi=-2.25, z_abs=0.8,
-                         dyson_source="integrated", tau_max=25.0, kappa=2.0)
-    src = MapSource(cfg.drive_params(), "integrated", constraint0=cfg.constraint0())
-    t = cfg.time_grid()
-    magnus_uv, seen = dynamics._magnus_uv, []
-
-    def spy(t, coeffs, phase0):
-        seen.append(coeffs)
-        return magnus_uv(t, coeffs, phase0)
-
-    monkeypatch.setattr(dynamics, "_magnus_uv", spy)
-    traj = evolve(src, t)
-    nodes = t[:-1, None] + np.diff(t)[:, None] * _GAUSS_NODES
-    W, T = seen[0](nodes)
-    grid = np.unique(np.append(t, nodes))
-    run = src.integrate(_uv_rates, (1.0, 0.0, 0.0, 0.0), grid, 1e-9, 1e-12)
-    i = np.searchsorted(grid, nodes)
-    assert run.stats == traj.stats
-    assert W.tobytes() == run.m.W[i].tobytes() and T.tobytes() == run.m.T[i].tobytes()
-
-
 def test_work_on_the_paper_runs_is_pinned(fig1_params, moderate_params,
                                           moderate_state0, monkeypatch):
     """Steps, rejections and nfev are deterministic; a refactor that keeps
@@ -279,7 +254,8 @@ def test_work_on_the_paper_runs_is_pinned(fig1_params, moderate_params,
     assert (flow.n_steps, flow.n_rejected, flow.nfev) == (256, 0, 3842)
 
     # One cell of the benchmark's kappa sweep on the integrated moderate map
-    # at its default grid: the oracle rides in evolve's one integration.
+    # at its default grid: evolve integrates nothing, and the N_oracle
+    # column integrates G over one drive period.
     work = []
 
     def counted(problem, **kwargs):
@@ -288,9 +264,10 @@ def test_work_on_the_paper_runs_is_pinned(fig1_params, moderate_params,
         return sol
 
     monkeypatch.setattr(hermitize, "integrate", counted)
+    monkeypatch.setattr(dynamics, "integrate", counted)
     run(ScenarioConfig(alpha0_tilde=0.6, beta0_tilde=0.2, chi=-2.25, z_abs=0.8,
                        dyson_source="integrated", tau_max=25.0, kappa=2.0))
-    assert work == [(130, 0, 1952)]
+    assert work == [(19, 0, 284)]
 
 
 def test_grid_fill_memory_is_bounded():

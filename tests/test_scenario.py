@@ -12,7 +12,7 @@ from hypothesis import given, settings
 
 import pseudo_dce
 from pseudo_dce import scenario
-from pseudo_dce.dynamics import evolve
+from pseudo_dce.dynamics import bogoliubov_ode_oracle, evolve
 from pseudo_dce.errors import (NonFiniteState, ParseError, PseudoDceError,
                                ValidationError)
 from pseudo_dce.hermitize import MapSource
@@ -199,8 +199,9 @@ class TestRun:
                      id="integrated"),
     ])
     def test_n_numeric_does_not_depend_on_outputs(self, overrides):
-        # W and T do not repeat here, so the oracle rides in evolve's
-        # integration whether or not N_oracle is asked for.
+        # N_oracle runs the oracle, which integrates the whole span off
+        # resonance and one drive period of G on the integrated map; the
+        # Magnus product does not see it.
         cols = ("tau", "N_numeric")
         alone = run(fast_config(outputs=cols, **overrides)).column("N_numeric")
         both = run(fast_config(outputs=cols + ("N_oracle",), **overrides))
@@ -222,7 +223,7 @@ class TestRun:
         cfg = ScenarioConfig(**overrides)
         src = MapSource(cfg.drive_params(), cfg.dyson_source, chi=cfg.chi,
                         varphi0=cfg.varphi0, constraint0=cfg.constraint0())
-        traj = evolve(src, cfg.time_grid(), rtol=cfg.rtol, atol=cfg.atol)
+        traj = evolve(src, cfg.time_grid())
         rec = run(cfg)
         assert rec.column("N_numeric").tobytes() == (np.abs(traj.v) ** 2).tobytes()
         assert (rec.column("residual_hermiticity").tobytes()
@@ -264,13 +265,12 @@ class TestRun:
 
     def test_oracle_overflow_is_refused_on_the_integrated_map(self, monkeypatch):
         # No integrated-map run short enough for a test reaches r ~ 355, so
-        # the riding oracle's v is scaled until its |v|^2 overflows.
+        # the oracle's v is scaled until its |v|^2 overflows.
         def scaled(*args, **kwargs):
-            traj = evolve(*args, **kwargs)
-            u, v = traj.oracle
-            return dataclasses.replace(traj, oracle=(u, v * 1e160))
+            u, v = bogoliubov_ode_oracle(*args, **kwargs)
+            return u, v * 1e160
 
-        monkeypatch.setattr(scenario, "evolve", scaled)
+        monkeypatch.setattr(scenario, "bogoliubov_ode_oracle", scaled)
         cfg = fast_config(alpha0_tilde=0.6, beta0_tilde=0.2, chi=-2.25, z_abs=0.8,
                           dyson_source="integrated", tau_max=2.0)
         alone = dataclasses.replace(cfg, outputs=("tau", "N_numeric"))
@@ -328,9 +328,10 @@ class TestSweep:
         assert abs(finals[0.02] / finals[0.01] - 2.0) < 0.1
 
     def test_failed_cell_is_marked(self):
-        # The locked-map flow runs into the chi = 1 singularity in this
-        # regime, so the cell must degrade to a failure row, not a crash.
-        base = fast_config(dyson_source="integrated")
+        # The exact map from chi = 1.0002, |z| = 1 runs into the chi = 1
+        # branch point near tau = 2.2888, so the cell must degrade to a
+        # failure row, not a crash.
+        base = fast_config(dyson_source="integrated", z_abs=1.0)
         records, summary = sweep(base, "beta0_tilde", [1e-3], out_dir=None)
         assert isinstance(records[0], SweepFailure)
         assert "ChiSingular" in records[0].error
@@ -417,7 +418,7 @@ def check(after):
 
 import pseudo_dce
 check("import pseudo_dce")
-from pseudo_dce.scenario import ScenarioConfig, run_preset, sweep
+from pseudo_dce.scenario import ScenarioConfig, run, run_preset, sweep
 from pseudo_dce.verify import run_verify
 with tempfile.TemporaryDirectory() as out:
     run_preset("fig1", out_dir=out)
@@ -432,15 +433,20 @@ check("run_verify fast")
 import numpy as np
 from pseudo_dce.errors import ChiSingular
 from pseudo_dce.hermitize import MapSource
-fig1 = ScenarioConfig()
-try:  # the step guard bisects the chi = 1 crossing near tau = 2.29
-    MapSource(fig1.drive_params(), "integrated",
-              constraint0=fig1.constraint0()).integrate(
-        lambda m, y: (), (), np.linspace(0.0, 3.0, 601), 1e-9, 1e-12)
+fig1 = ScenarioConfig(z_abs=1.0, dyson_source="integrated", tau_max=3.0)
+src = MapSource(fig1.drive_params(), "integrated", constraint0=fig1.constraint0())
+try:  # the step guard bisects the chi = 1 crossing near tau = 2.2888
+    src.integrate(lambda m, y: (), (), np.linspace(0.0, 3.0, 601), 1e-9, 1e-12)
 except ChiSingular:
-    check("the integrated map across chi = 1")
+    check("the integrated flow across chi = 1")
 else:
     raise AssertionError("the fig1 flow crossed chi = 1 unguarded")
+try:  # so does the metric route's, at the branch point of its polar formula
+    run(fig1)
+except ChiSingular:
+    check("the metric route across chi = 1")
+else:
+    raise AssertionError("the fig1 map crossed chi = 1 unguarded")
 """
 
 
