@@ -17,8 +17,8 @@ every preset uses, the generator is the flow above.  On the integrated
 source it is the drive's own H, whose product G gives (u, v) and the
 exact map through the linear metric equation (hermitize's
 MapSource.read_product).  bogoliubov_ode_oracle integrates the same
-generators with DOP853 over one period where they repeat, as a second
-discretization of each.
+product with DOP853 over one period where it repeats and reads it alike:
+a second discretization on either source.
 """
 
 from __future__ import annotations
@@ -126,7 +126,8 @@ def _start_phase(p: DriveParams, chi: float) -> float:
 
 
 def _uv_rates(m: MapPoint, y) -> tuple[float, float, float, float]:
-    """Rates of the oracle's (Re u, Im u, Re v, Im v) at the map point m."""
+    """Rates of (Re u, Im u, Re v, Im v) at the map point m: the (u, v)
+    route verify carries along the nonlinear flow (MapSource.integrate)."""
     u = complex(y[0], y[1])
     v = complex(y[2], y[3])
     pump = 2.0 * m.T.conjugate()
@@ -371,10 +372,10 @@ def evolve(src: MapSource, t_grid: np.ndarray) -> Trajectory:
 
 def _propagator(src: MapSource, t: np.ndarray, rtol: float,
                 atol: float) -> np.ndarray:
-    """The product of src's generator, entries (y00, y01, y10, y11) along
-    axis 0, on the grid t: its 8 real components integrated with DOP853
-    at rtol and atol, steps capped at a sixteenth of the drive period, as
-    MapSource.integrate caps them."""
+    """The product of src's generator since t[0], entries (y00, y01, y10,
+    y11) along axis 0, on the grid t: its 8 real components integrated
+    with DOP853 at rtol and atol, steps capped at a sixteenth of the drive
+    period, as MapSource.integrate caps them."""
     def rhs(t, y):
         # Python complex numbers: arithmetic on numpy scalars is slower.
         a, b, c = src.generator(float(t))
@@ -397,28 +398,18 @@ def bogoliubov_ode_oracle(src: MapSource, t_grid: np.ndarray, *,
                           ) -> tuple[np.ndarray, np.ndarray]:
     """Independent (u, v) evolution for cross-checking evolve's Magnus product.
 
-    It integrates with DOP853 the generator whose Magnus product evolve
-    multiplies out: two discretizations of one linear flow.  When the
-    generator repeats with the source's period T, the propagator from
-    t_grid[0] obeys M(n*T + s) = M(s)*M(T)^n (Floquet), so only the grid's
-    phases s in (0, T] and T itself are integrated; otherwise T is the
-    grid's span, and the integration is direct.
-
-    On the approximate source the Heisenberg flow of a(t) = u*a + v*a^dag
-    under the counterpart generator closes over (u, conj(v)):
-
-        du/dt = -i*(W*u + 2*conj(T)*conj(v)),
-        dv/dt = -i*(W*v + 2*conj(T)*conj(u)),
-
-    integrated from (u, v) = (1, 0) as a real 4-vector along the map
-    (MapSource.integrate); the propagator M = [[u, v], [conj(v), conj(u)]]
-    is read off the integrated column.  It repeats on resonance, as in
-    every preset.  On the integrated source the drive's own propagator G is
-    integrated as 8 real components (_propagator) over one drive period,
-    for every kappa, and (u, v) are read off it as evolve reads them
-    (MapSource.read_product), each point against the map and (u, v) at its
-    last whole period; past the chi = 1 branch point that raises
-    ChiSingular.  Vacuum photon number along this route is |v|^2.
+    It integrates with DOP853 the product of the generator whose Magnus
+    product evolve multiplies out (_propagator): two discretizations of one
+    linear flow.  When the generator repeats with the source's period T
+    (the approximate source on resonance, as in every preset, and the
+    integrated one for every kappa), the product from t_grid[0] obeys
+    M(n*T + s) = M(s)*M(T)^n (Floquet), so only the grid's phases s in
+    (0, T] and T itself are integrated; otherwise T is the grid's span, and
+    the integration is direct.  (u, v) are read off the product as evolve
+    reads them (MapSource.read_product), each point against the base at
+    its last whole period, itself read off one period's product from the
+    base before; past the chi = 1 branch point of the integrated source
+    that raises ChiSingular.  Vacuum photon number here is |v|^2.
     """
     t0 = t_grid[0]
     period = min(src.period, t_grid[-1] - t0)
@@ -427,29 +418,18 @@ def bogoliubov_ode_oracle(src: MapSource, t_grid: np.ndarray, *,
     end = t0 + period if whole[-1] > 0 else t_grid[-1]
     t_one, row = np.unique(np.append(np.clip(t_grid - whole * period, t0, end), end),
                            return_inverse=True)
-    powers = range(int(whole[-1]) + 1)
-    if not src.closed_form:
-        y = _propagator(src, t_one, rtol, atol)
-        # The map and (u, v) at each whole period, read off one period's G
-        # from the last: the base the points of the next period are read
-        # against, as evolve rebases its product.
-        bases = [src.base0]
-        for _ in powers[1:]:
-            u, v, _, _, p = src.read_product(y[:, -1], bases[-1])
-            bases.append((p, (u, v)))
-        k = whole.astype(int)
-        base = (tuple(np.array([b[0][i] for b in bases])[k] for i in range(4)),
-                tuple(np.array([b[1][i] for b in bases])[k] for i in range(2)))
-        u, v, _, det, _ = src.read_product(y[:, row[:-1]], base)
-        if not (det > 0.0).all():
-            tau = float(t_grid[np.argmax(~(det > 0.0))])
+    y = _propagator(src, t_one, rtol, atol)
+    u = np.empty(t_grid.size, dtype=complex)
+    v = np.empty(t_grid.size, dtype=complex)
+    base = src.base0
+    for k in range(int(whole[-1]) + 1):
+        at = whole == k
+        u[at], v[at], _, det, _ = src.read_product(y[:, row[:-1][at]], base)
+        if det is not None and not (det > 0.0).all():
+            tau = float(t_grid[at][np.argmax(~(det > 0.0))])
             raise ChiSingular(f"the map crosses chi = 1 by tau = {tau!r}")
-        return u, v
-    y = src.integrate(_uv_rates, (1.0, 0.0, 0.0, 0.0), t_one, rtol, atol).y
-    u = y[:, 0] + 1j * y[:, 1]
-    v = y[:, 2] + 1j * y[:, 3]
-    m_T = np.array([[u[-1], v[-1]], [np.conj(v[-1]), np.conj(u[-1])]])
-    a, b = np.array([np.linalg.matrix_power(m_T, k)[:, 0]  # M(T)^k (1, 0)
-                     for k in powers]).T[:, whole.astype(int)]
-    u, v = u[row[:-1]], v[row[:-1]]
-    return u * a + v * b, v * np.conj(a) + u * np.conj(b)
+        # The next period's base, read off one period's product from this
+        # one, as evolve rebases its product.
+        u_b, v_b, _, _, p = src.read_product(y[:, -1], base)
+        base = (p, (u_b, v_b))
+    return u, v

@@ -31,22 +31,23 @@ map evaluated by one set of expressions, for a scalar time inside a
 right-hand side and for the whole output grid afterwards.  Each source
 also names the traceless 2x2 generator whose Magnus product
 dynamics.evolve multiplies out, and reads (u, v) and the map off that
-product (MapSource.generator, MapSource.read_product).  On the
-approximate source the generator is the counterpart's own.  On the
-integrated source it is that of the drive's non-Hermitian H itself, and
-the map comes from the metric: rho = eta^dag*eta obeys the linear
-equation d rho/dt = i*(rho*H - H^dag*rho) exactly when h is Hermitian
-(Fring & Moussa, Phys. Rev. A 93, 042114 (2016)), so rho(t) =
+product (MapSource.generator, MapSource.read_product); the DOP853
+oracle of the dynamics module integrates the same product on either
+source.  On the approximate source the generator is the counterpart's
+own.  On the integrated source it is that of the drive's non-Hermitian H
+itself, and the map comes from the metric: rho = eta^dag*eta obeys the
+linear equation d rho/dt = i*(rho*H - H^dag*rho) exactly when h is
+Hermitian (Fring & Moussa, Phys. Rev. A 93, 042114 (2016)), so rho(t) =
 G^-dag*rho0*G^-1 with i*dG/dt = H*G, and eta(t) follows from G by a 2x2
 polar decomposition (read_product).  No nonlinear flow is integrated on
 that route.  MapSource.integrate still integrates the flow of
 (Phi, varphi, Lambda) together with a route of the caller's (the empty
 route, whose rates are (), integrates the flow alone); it is the
-independent reference that verify compares the metric route with, and
-carries the approximate source's (u, v) oracle.  The general-input
-functions (constraint_rhs_general, hermitized_coefficients_general) take
-complex omega, alpha and beta, as coefficients_general does; they are
-the independent references that the verify suite compares against.
+independent reference that verify compares the metric route with.  The
+general-input functions (constraint_rhs_general,
+hermitized_coefficients_general) take complex omega, alpha and beta, as
+coefficients_general does; they are the independent references that the
+verify suite compares against.
 Complex quantities are plain complex numbers throughout:
 HermitizedCoeffs holds the real W and the complex T.
 """
@@ -342,6 +343,13 @@ def _map_matrix(s: DysonState) -> np.ndarray:
     return m
 
 
+def _compose(u, v, base_uv):
+    """(u, v) since a base composed with the pair base_uv at the base: the
+    pair since the start.  The entries broadcast."""
+    bu, bv = base_uv
+    return u * bu + v * bv.conjugate(), u * bv + v * bu.conjugate()
+
+
 def _metric_reading(y, base, signs):
     """(u, v, (Phi, varphi, Lambda), det S, P) read off the product y =
     (y00, y01, y10, y11) of the drive's generator since the base.
@@ -368,7 +376,7 @@ def _metric_reading(y, base, signs):
     its own.
     """
     y00, y01, y10, y11 = y
-    (e00, e01, e10, e11), (bu, bv) = base
+    (e00, e01, e10, e11), base_uv = base
     x00, x01 = y11 * e00 - y10 * e10, y11 * e01 - y10 * e11
     x10, x11 = y00 * e10 - y01 * e00, y00 * e11 - y01 * e01
     s0, s1 = x00 + x11.conjugate(), x01 + x10.conjugate()
@@ -384,8 +392,7 @@ def _metric_reading(y, base, signs):
     Phi = phi_sign * abs(lam)
     varphi = np.angle(phi_sign * lam.conjugate())
     Lambda = 1.0 / (p[0].real ** 2 + p[0].imag ** 2)
-    return (u * bu + v * bv.conjugate(), u * bv + v * bu.conjugate(),
-            (Phi, varphi, Lambda), det, p)
+    return (*_compose(u, v, base_uv), (Phi, varphi, Lambda), det, p)
 
 
 class MapSource:
@@ -398,20 +405,21 @@ class MapSource:
     number of evolve and bogoliubov_ode_oracle calls.  period is the time
     after which the generator repeats: the drive period on the integrated
     source, whose generator is the drive's own, and on the approximate
-    source on resonance, else inf.  closed_form tells whether at needs no
-    map coordinates (the approximate source), and map0 holds the
-    integrated map's start (Phi, varphi, Lambda), else ().  at,
-    raw_coefficients, residual and generator take a scalar t, or arrays of
-    times.
+    source on resonance, else inf.  map0 holds the integrated map's start
+    (Phi, varphi, Lambda), else ().  at, raw_coefficients, residual and
+    generator take a scalar t, or arrays of times.
 
     generator(t) gives (a, b, c) of the traceless generator [[a, b], [c,
-    -a]] whose time-ordered exponential evolve multiplies out, and
-    read_product(y, base) reads (u, v, (Phi, varphi, Lambda), det S, P)
-    off that product y = (y00, y01, y10, y11) since base; base0 is the
-    base at the start.  On the approximate source the generator is the
-    counterpart's, (-i*W, -2i*conj(T), 2i*T), its product carries x = (u,
-    conj(v)) in its first column, and base0, the map coordinates (), det S
-    and P are None.  On the integrated source it is A = i*[[omega,
+    -a]] whose time-ordered exponential evolve multiplies out and
+    bogoliubov_ode_oracle integrates, and read_product(y, base) reads
+    (u, v, (Phi, varphi, Lambda), det S, P) off that product y = (y00,
+    y01, y10, y11) since base = (P_b, (u_b, v_b)), the map's matrix and
+    the counterpart's (u, v) there; base0 is the base at the start.  On
+    the approximate source the generator is the counterpart's, (-i*W,
+    -2i*conj(T), 2i*T), the first column of its product holds (u,
+    conj(v)) since the base, which _compose composes with (u_b, v_b), and
+    the map coordinates are (), and P_b, det S and P None.  On the
+    integrated source it is A = i*[[omega,
     -2*alpha], [2*beta, -omega]], with omega, alpha and beta the drive's
     own: the Heisenberg flow of G*a*G^-1 under H, so the product is M_G^T,
     and the map comes from the metric's polar decomposition
@@ -428,8 +436,7 @@ class MapSource:
             s0 = _finite_start(DysonState.from_chi(chi, 1.0, varphi0))
             # chi is frozen, so the pointwise chi = 1 guard is checked once.
             guard_chi(chi, " at every tau")
-            self.chi0, self.map0, self.base0 = chi, (), None
-            self.closed_form = True
+            self.chi0, self.map0, self.base0 = chi, (), (None, (1.0 + 0.0j, 0.0j))
             self.period = p.period() if p.on_resonance() else math.inf
             # Phi and Lambda are frozen; adding 0*t gives them the shape of t.
             self._coordinates = lambda t, y: (s0.Phi + 0.0 * t,
@@ -442,8 +449,8 @@ class MapSource:
                 return -1j * m.W, -2j * m.T.conjugate(), 2j * m.T
 
             self.generator = generator
-            self.read_product = lambda y, base: (y[0], y[2].conjugate(), (),
-                                                 None, None)
+            self.read_product = lambda y, base: (
+                *_compose(y[0], y[2].conjugate(), base[1]), (), None, None)
         elif dyson_source == "integrated":
             if constraint0 is None:
                 raise ValueError("integrated dyson_source requires constraint0")
@@ -461,7 +468,6 @@ class MapSource:
             self.base0 = (tuple(complex(x) for x in _map_matrix(s0).ravel()),
                           (1.0 + 0.0j, 0.0j))
             self.period = p.period()
-            self.closed_form = False
             self._coordinates = lambda t, y: (y[0], y[1], y[2])
             self._rates = rates
             self.generator = generator
@@ -538,6 +544,6 @@ class MapSource:
             return np.array([*m.rates[:n], *rhs(m, y[n:])])
 
         sol = integrate(IvpProblem(full_rhs, t_grid, np.array(self.map0 + tuple(y0)),
-                                   None if self.closed_form else guard_flow_crossings),
+                                   guard_flow_crossings if self.map0 else None),
                         rtol=rtol, atol=atol, max_step=self.p.period() / 16.0)
         return MapRun(sol.t, self.at(sol.t, sol.y.T), sol.y[:, n:], sol.stats)

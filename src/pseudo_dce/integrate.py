@@ -3,11 +3,10 @@
 DOP853, the explicit Runge-Kutta 8(5,3) pair of Dormand and Prince (Hairer,
 Nørsett & Wanner, Solving ODEs I, §II.10), on real state vectors, written
 with numpy alone.  An accepted step is a Step record, its ends and its
-7th-order dense output; a guard is handed each one, and the solution keeps
-them: every accepted step when a guard is set, else the steps that hold
-grid points.  dense_at reads such records at any times: the reporting grid,
-filled once after the run; a guard's own step; or the solution's steps
-anywhere in the span.  The grid's ends are the span.
+7th-order dense output; a guard is handed each one, and the run keeps the
+steps that hold grid points.  dense_at reads such records at any times:
+the reporting grid, filled once after the run from the kept steps, or a
+guard's own step.  The grid's ends are the span.
 
 The loop does scipy.integrate.DOP853's arithmetic in scipy's order: the
 same stage sums, initial-step rule, error norm, step-factor rule,
@@ -175,14 +174,11 @@ class IntegrationStats:
 
 @dataclass(frozen=True)
 class IvpSolution:
-    """Solution samples: t of shape (m,), y of shape (m, y0.size); steps, the
-    Step records for dense_at: every accepted step if the problem has a
-    guard, else those that hold grid points."""
+    """Solution samples: t of shape (m,), y of shape (m, y0.size)."""
 
     t: np.ndarray
     y: np.ndarray
     stats: IntegrationStats
-    steps: list
 
 
 def _check_finite(t: float, y: np.ndarray):
@@ -403,9 +399,10 @@ def integrate(p: IvpProblem, rtol: float = 1e-9, atol: float = 1e-12,
         nfev += 3
         if p.guard is not None:
             p.guard(step)
-        steps.append(step)
-        i = j
+        if j > i:
+            steps.append(step)
+            i = j
 
     out_y = np.vstack((p.y0, dense_at(steps, te[1:])))
     stats = IntegrationStats(n_steps, n_rejected, nfev, h_min, h_max)
-    return IvpSolution(te.copy(), out_y, stats, steps)
+    return IvpSolution(te.copy(), out_y, stats)

@@ -56,6 +56,10 @@ _CSV_BLOCK_ROWS = 256
 # 15 float64 columns at 1e7 points take 1.2 GB, over 3,000 times a preset grid.
 _MAX_GRID_POINTS = 10_000_000
 
+# Least atol a config accepts: below about 1e-155 DOP853's first step is 0
+# (rms(f0/scale) overflows), and below 1e-170 the oracle fails at t = 0.
+_ATOL_FLOOR = 1e-150
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -95,6 +99,9 @@ class ScenarioConfig:
             if not (getattr(self, name) > 0.0):
                 raise ValidationError(
                     f"{name} must be > 0, got {getattr(self, name)}")
+        if self.atol < _ATOL_FLOOR:
+            raise ValidationError(
+                f"atol must be at least {_ATOL_FLOOR}, got {self.atol}")
         if self.zeta_mode not in ("exact", "approximate"):
             raise ValidationError(
                 f"zeta_mode must be 'exact' or 'approximate', got {self.zeta_mode!r}"

@@ -265,12 +265,13 @@ def check_route_agreement() -> tuple[bool, str]:
     """evolve's N = |v|^2 vs the Bogoliubov oracle's, tau <= 20, on both
     map sources.
 
-    On the frozen-chi fig1 map evolve multiplies out Magnus steps of the
-    linear (u, v) flow, and the oracle integrates that flow with DOP853 over
-    one drive period and composes the rest.  On the integrated moderate map
-    both discretize the drive's own propagator G, a Magnus product against
-    DOP853 over one drive period, and read (u, v) off it by one polar
-    formula; metric_route compares that route with the nonlinear flow.
+    On either map both discretize the product of the source's generator,
+    a Magnus product against DOP853 over one drive period with the rest
+    composed period by period, and read (u, v) off it by the source's
+    read_product.  On the frozen-chi fig1 map that product is the
+    counterpart's propagator; on the integrated moderate map it is the
+    drive's own G, read by one polar formula, and metric_route compares
+    that route with the nonlinear flow.
     Relative comparison above N = 1e-3 (below it, near the vacuum's N = 0,
     ratios say little), absolute below.
     """

@@ -10,6 +10,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from pseudo_dce import cli
+from pseudo_dce.dynamics import bogoliubov_ode_oracle
+from pseudo_dce.errors import StepRejected
+from pseudo_dce.hermitize import MapSource
+from pseudo_dce.scenario import load_config
 from pseudo_dce.verify import VerifyReport
 
 FAST_CFG = "tau_max = 10\n"
@@ -154,9 +158,7 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("text", [
         pytest.param("omega0 = 1e300\n", id="omega0-approximate"),
-        pytest.param("atol = 1e-300\n", id="atol-approximate"),
         pytest.param(MODERATE_CFG + "omega0 = 1e300\n", id="omega0-integrated"),
-        pytest.param(MODERATE_CFG + "atol = 1e-300\n", id="atol-integrated"),
         pytest.param("chi = 1e300\n", id="chi-overflows-Lambda"),
         pytest.param("chi = -1e300\n", id="negative-chi-overflows-Lambda"),
     ])
@@ -169,6 +171,25 @@ class TestRunCommand:
         assert code == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("pseudo-dce: "), err
+
+    @pytest.mark.parametrize("text", [
+        pytest.param("", id="atol-approximate"),
+        pytest.param(MODERATE_CFG, id="atol-integrated"),
+    ])
+    def test_unusable_atol_exits_one_with_one_line(self, tmp_path, capsys, text):
+        # No run can use such an atol: the oracle's first step fails at
+        # t = 0, after a first-step probe that overflows without a warning.
+        # So the config refuses it.
+        cfg = load_config(write_cfg(tmp_path, text))
+        src = MapSource(cfg.drive_params(), cfg.dyson_source, chi=cfg.chi,
+                        varphi0=cfg.varphi0, constraint0=cfg.constraint0())
+        with pytest.raises(StepRejected, match=r"\(t = 0\.0\)"):
+            bogoliubov_ode_oracle(src, cfg.time_grid(), rtol=cfg.rtol, atol=1e-300)
+        code = cli.main(["run", "--config", write_cfg(tmp_path, text + "atol = 1e-300\n"),
+                         "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["pseudo-dce: atol must be at least 1e-150, got 1e-300"]
 
     def test_config_and_preset_conflict(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, FAST_CFG)

@@ -185,9 +185,10 @@ def test_recorded_steps_reproduce_the_grid():
     """dense_at on a run's kept steps gives its reported grid bit for bit,
     points within the snap of a step end included."""
     def record(problem):
+        steps = []
         sol = integrate(IvpProblem(problem.rhs, problem.t_eval, problem.y0,
-                                   guard=lambda step: None), max_step=0.3)
-        return sol, sol.steps
+                                   guard=steps.append), max_step=0.3)
+        return sol, steps
 
     _, steps = record(IvpProblem(osc_rhs, span(6.0), np.array([1.0, 0.5])))
     ends = np.array([s.t_new for s in steps[:-1]])
@@ -208,31 +209,36 @@ def test_recorded_steps_reproduce_the_grid():
 
 
 def test_kept_steps_without_a_guard_hold_the_grid():
-    """Without a guard a run keeps exactly the steps that hold grid points:
-    those a guard would see whose span (t_old, t_new] meets the grid."""
+    """Without a guard a run fills its grid from the steps that hold grid
+    points alone: those a guard would see whose span (t_old, t_new] meets
+    the grid."""
     te = np.array([0.0, 0.05, 0.07, 2.0, 2.01, 5.5, 6.0])
     y0 = np.array([1.0, 0.5])
-    every = integrate(IvpProblem(osc_rhs, te, y0, guard=lambda step: None),
+    steps = []
+    every = integrate(IvpProblem(osc_rhs, te, y0, guard=steps.append),
                       max_step=0.3)
     sol = integrate(IvpProblem(osc_rhs, te, y0), max_step=0.3)
-    holding = [s for s in every.steps
+    holding = [s for s in steps
                if np.any((te > s.t_old + s.snap) & (te <= s.t_new + s.snap))]
-    assert [s.t_new for s in sol.steps] == [s.t_new for s in holding]
-    assert len(sol.steps) < len(every.steps)
+    assert len(holding) < len(steps)
+    # The start is y0 itself; every later point is read off a holding step.
+    assert dense_at(holding, te[1:]).tobytes() == sol.y[1:].tobytes()
+    assert sol.y.tobytes() == every.y.tobytes()
     assert sol.stats.n_steps == every.stats.n_steps
 
 
 @pytest.mark.parametrize("guarded", [False, True])
 def test_kept_steps_reproduce_the_grid_bit_for_bit(guarded):
-    """dense_at on sol.steps equals sol.y byte for byte, with or without a
-    guard, and a guard's run keeps one record per accepted step."""
+    """dense_at on the steps a guard sees equals sol.y byte for byte, with
+    or without a guard on the run that reports sol.y, and the guard sees one
+    record per accepted step."""
     te = np.linspace(0.0, 20.0, 1281)
-    problem = IvpProblem(osc_rhs, te, np.array([1.0, 0.5]),
-                         guard=(lambda step: None) if guarded else None)
-    sol = integrate(problem, max_step=0.7)
-    assert dense_at(sol.steps, te).tobytes() == sol.y.tobytes()
-    if guarded:
-        assert len(sol.steps) == sol.stats.n_steps
+    y0 = np.array([1.0, 0.5])
+    steps = []
+    seen = integrate(IvpProblem(osc_rhs, te, y0, guard=steps.append), max_step=0.7)
+    sol = seen if guarded else integrate(IvpProblem(osc_rhs, te, y0), max_step=0.7)
+    assert dense_at(steps, te).tobytes() == sol.y.tobytes()
+    assert len(steps) == seen.stats.n_steps
 
 
 def test_work_on_the_paper_runs_is_pinned(fig1_params, moderate_params,
@@ -373,14 +379,15 @@ class TestScipyParity:
         assert sol.y.tobytes() == ref.y.T.tobytes()
 
     def test_fig1_oracle_rhs(self, fig1_params, monkeypatch):
-        # The (u, v) oracle's integration of one drive period on fig1's map.
+        # The oracle's integration of the counterpart propagator's 8 real
+        # components over one drive period on fig1's map.
         problems = []
 
         def capture(problem, **kwargs):
             problems.append((problem, kwargs))
             return integrate(problem, **kwargs)
 
-        monkeypatch.setattr(hermitize, "integrate", capture)
+        monkeypatch.setattr(dynamics, "integrate", capture)
         bogoliubov_ode_oracle(MapSource(fig1_params, chi=CHI_FIG, varphi0=VARPHI0),
                               np.linspace(0.0, 4.0 * math.pi, 401))
         (problem, kwargs), = problems

@@ -124,6 +124,7 @@ class TestValidation:
         pytest.param(dict(kappa=True), id="kwargs17"),
         pytest.param(dict(rtol="1e-9"), id="kwargs18"),
         pytest.param(dict(varphi0="pi/2"), id="kwargs19"),
+        pytest.param(dict(atol=1e-160), id="kwargs20"),
     ])
     def test_rejected(self, kwargs):
         with pytest.raises(ValidationError):
