@@ -409,8 +409,10 @@ def bogoliubov_ode_oracle(src: MapSource, t_grid: np.ndarray, *,
     reads them (MapSource.read_product), each point against the base at
     its last whole period, itself read off one period's product from the
     base before; past the chi = 1 branch point of the integrated source
-    that raises ChiSingular.  Vacuum photon number here is |v|^2.
+    that raises ChiSingular.  Vacuum photon number here is |v|^2.  t_grid
+    is a time grid (as_time_grid), as for evolve.
     """
+    t_grid = as_time_grid(t_grid, "t_grid")
     t0 = t_grid[0]
     period = min(src.period, t_grid[-1] - t0)
     # Whole periods before each point; its phase lies in (0, T].

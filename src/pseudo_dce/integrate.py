@@ -3,10 +3,10 @@
 DOP853, the explicit Runge-Kutta 8(5,3) pair of Dormand and Prince (Hairer,
 Nørsett & Wanner, Solving ODEs I, §II.10), on real state vectors, written
 with numpy alone.  An accepted step is a Step record, its ends and its
-7th-order dense output; a guard is handed each one, and the run keeps the
-steps that hold grid points.  dense_at reads such records at any times:
-the reporting grid, filled once after the run from the kept steps, or a
-guard's own step.  The grid's ends are the span.
+7th-order dense output, which is local to the step (§II.6); a guard is
+handed each one.  A step that holds points of the reporting grid writes
+them as it is accepted, and nothing keeps it after that.  The grid's ends
+are the span.
 
 The loop does scipy.integrate.DOP853's arithmetic in scipy's order: the
 same stage sums, initial-step rule, error norm, step-factor rule,
@@ -29,8 +29,6 @@ from .errors import NonFiniteState, StepRejected
 
 # Grid points within this fraction of the span of a step end take its value.
 _GRID_SNAP = 1e-14
-# Output floats (points times components) per block of dense_at.
-_FILL_FLOATS = 1 << 12
 
 # The Dormand-Prince 8(5,3) tableau.  Row s of _A weighs the stages before
 # stage s: rows 1-11 make the step's stages, row 12 is the 8th-order
@@ -241,7 +239,7 @@ def _error_norm(KT13, h, scale):
 
 
 def _dense_output(rhs, K, KT, t_old, y_old, h, y_new, f_new):
-    """The rows F (7, n) of the step's 7th-order interpolant, for _dense_eval.
+    """The rows F (7, n) of the step's 7th-order interpolant, for Step.
 
     Builds stages 13-15 into K from the step's stages 0-12: three rhs calls.
     KT[s] is the view K[:s].T.
@@ -258,23 +256,14 @@ def _dense_output(rhs, K, KT, t_old, y_old, h, y_new, f_new):
     return F
 
 
-def _dense_eval(t, t_old, h, y_old, F):
-    """The interpolant at m points, each in its own step: t, t_old, h (m, 1),
-    y_old (m, n), F (7, m, n)."""
-    x = (t - t_old) / h
-    x1 = 1 - x
-    y = np.zeros_like(y_old)
-    for k, row in enumerate(F[::-1]):
-        y += row
-        y *= x if k % 2 == 0 else x1
-    y += y_old
-    return y
-
-
 class Step(NamedTuple):
     """An accepted step from t_old to t_new (h = t_new - t_old), the rows F
-    of its interpolant (_dense_output) and the snap of its integration;
-    called as step(t), it is dense_at of this step alone."""
+    of its interpolant (_dense_output) and the snap of its integration.
+
+    Called as step(t), it is the state, shape t.shape + (n,), at the times
+    t in the step: its interpolant, or y_new where t >= t_new - snap.  The
+    run fills its grid points this way, and the guard reads it.
+    """
 
     t_old: float
     h: float
@@ -285,34 +274,25 @@ class Step(NamedTuple):
     snap: float
 
     def __call__(self, t):
-        return dense_at((self,), t)
-
-
-def dense_at(steps: Sequence[Step], t) -> np.ndarray:
-    """The state, shape t.shape + (n,), at the times t from the dense output
-    of steps, records of one integration in time order, covering the times
-    read.  A time is read from the first step with t <= t_new + snap, and
-    is y_new where t >= t_new - snap; the points are evaluated _FILL_FLOATS
-    outputs at a time.
-    """
-    t_old, h, y_old, F, t_new, y_new, snap = (np.array(c) for c in zip(*steps))
-    t_old, h, F, snap = t_old[:, None], h[:, None], F.swapaxes(0, 1), snap[0]
-    x = np.ravel(t)
-    out = np.empty((x.size, y_old.shape[1]))
-    block = max(1, _FILL_FLOATS // y_old.shape[1])
-    for a in range(0, x.size, block):
-        xa = x[a:a + block]
-        k = np.searchsorted(t_new + snap, xa)
-        y = _dense_eval(xa[:, None], t_old[k], h[k], y_old[k], F[:, k])
-        on_end = xa >= t_new[k] - snap
-        y[on_end] = y_new[k[on_end]]
-        out[a:a + block] = y
-    return out.reshape(np.shape(t) + out.shape[1:])
+        t = np.asarray(t, dtype=float)
+        x = (t.reshape(-1, 1) - self.t_old) / self.h
+        x1 = 1 - x
+        y = np.zeros((x.shape[0], self.y_old.size))
+        for k, row in enumerate(self.F[::-1]):
+            y += row
+            y *= x if k % 2 == 0 else x1
+        y += self.y_old
+        y[t.ravel() >= self.t_new - self.snap] = self.y_new
+        return y.reshape(t.shape + y.shape[1:])
 
 
 def integrate(p: IvpProblem, rtol: float = 1e-9, atol: float = 1e-12,
               max_step: Optional[float] = None) -> IvpSolution:
     """Integrate the problem with DOP853 and report it on p.t_eval.
+
+    Each accepted step that holds grid points writes them from its own
+    dense output as it is accepted: a point goes to the first step with
+    t <= t_new + snap, so each row is written once.  No step is kept.
 
     max_step defaults to no cap, so the error control alone sets the step.
     rtol is raised to 100 eps (2.2e-14) if set below.  A step that falls
@@ -341,9 +321,11 @@ def integrate(p: IvpProblem, rtol: float = 1e-9, atol: float = 1e-12,
     K = np.zeros((16, y.size))
     # The stage views the step sums read, KT[s] = K[:s].T, made once.
     KT = [K[:s].T for s in range(16)]
-    # te[i:] lie beyond the kept steps; te_at reads te as floats, uncopied.
+    # te[i:] lie beyond the steps taken; te_at reads te as floats, uncopied.
     te_at = memoryview(te)
-    i, steps, t = 1, [], t0
+    out_y = np.empty((te.size, y.size))
+    out_y[0] = y
+    i, t = 1, t0
     nfev, n_steps, n_rejected = 2, 0, 0
     h_min, h_max = math.inf, 0.0
     while t < t1:
@@ -400,9 +382,8 @@ def integrate(p: IvpProblem, rtol: float = 1e-9, atol: float = 1e-12,
         if p.guard is not None:
             p.guard(step)
         if j > i:
-            steps.append(step)
+            out_y[i:j] = step(te[i:j])
             i = j
 
-    out_y = np.vstack((p.y0, dense_at(steps, te[1:])))
     stats = IntegrationStats(n_steps, n_rejected, nfev, h_min, h_max)
     return IvpSolution(te.copy(), out_y, stats)

@@ -310,6 +310,18 @@ class TestMagnusProduct:
         with pytest.raises(ValueError, match="t_grid"):
             evolve(frozen(fig1_params), np.array(tg))
 
+    @pytest.mark.parametrize("tg", [[0.0], [0.0, 0.0, 1.0], [0.0, math.inf],
+                                    [0.0, 2.0, 1.0]])
+    def test_oracle_bad_grid_rejected(self, fig1_params, tg):
+        """The oracle reads its grid as evolve does: a bad one raises
+        ValueError naming t_grid, and a list is read as its array."""
+        with pytest.raises(ValueError, match="t_grid"):
+            bogoliubov_ode_oracle(frozen(fig1_params), np.array(tg))
+        good = [0.0, 0.5, 1.0]
+        from_list = bogoliubov_ode_oracle(frozen(fig1_params), good)
+        from_array = bogoliubov_ode_oracle(frozen(fig1_params), np.array(good))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(from_list, from_array))
+
 
 def moderate_cell(kappa=1.97):
     """A cell of the benchmark's kappa sweep (off resonance by default):

@@ -9,8 +9,7 @@ from pseudo_dce import dynamics, hermitize
 from pseudo_dce.dynamics import bogoliubov_ode_oracle, evolve
 from pseudo_dce.errors import NonFiniteState, StepRejected
 from pseudo_dce.hermitize import MapSource
-from pseudo_dce.integrate import (_A, _C, _D, _E3, _E5, IvpProblem, dense_at,
-                                  integrate)
+from pseudo_dce.integrate import _A, _C, _D, _E3, _E5, IvpProblem, integrate
 from pseudo_dce.scenario import ScenarioConfig, run
 
 
@@ -181,9 +180,21 @@ def test_guard_sees_every_accepted_step():
     assert all(a[1] == b[0] for a, b in zip(seen, seen[1:]))
 
 
+def read_grid(steps, t):
+    """The times t read as a run fills its grid: each from its own step, the
+    first of steps (one integration's, in time order) with t <= t_new + snap.
+    """
+    k = np.searchsorted([s.t_new + s.snap for s in steps], t)
+    out = np.empty((t.size, steps[0].y_old.size))
+    for n, step in enumerate(steps):
+        out[k == n] = step(t[k == n])
+    return out
+
+
 def test_recorded_steps_reproduce_the_grid():
-    """dense_at on a run's kept steps gives its reported grid bit for bit,
-    points within the snap of a step end included."""
+    """Each step the guard sees, read at its own grid points, gives the
+    run's rows bit for bit, in reversed order too; points within the snap
+    of a step end read its y_new."""
     def record(problem):
         steps = []
         sol = integrate(IvpProblem(problem.rhs, problem.t_eval, problem.y0,
@@ -198,46 +209,51 @@ def test_recorded_steps_reproduce_the_grid():
     te = np.unique(np.concatenate([np.linspace(0.0, 6.0, 97), near]))
     sol, steps = record(IvpProblem(osc_rhs, te, np.array([1.0, 0.5])))
     assert np.all(np.isin(near, te))
-    assert dense_at(steps, te).tobytes() == sol.y.tobytes()
-    assert dense_at(steps, te[::-1]).tobytes() == sol.y[::-1].tobytes()
+    assert read_grid(steps, te).tobytes() == sol.y.tobytes()
+    assert read_grid(steps, te[::-1]).tobytes() == sol.y[::-1].tobytes()
     # Within the snap of a step end, the end state, not the interpolant's.
     on_ends = sol.y[np.searchsorted(te, near)].reshape(3, ends.size, 2)
     assert np.all(on_ends == np.array([s.y_new for s in steps[:-1]]))
-    # A step called as y_at(t) reads itself alone.
+    # A step read at one time gives one state.
     mid = 0.5 * (steps[3].t_old + steps[3].t_new)
-    assert steps[3](mid).tobytes() == dense_at(steps, mid).tobytes()
+    assert steps[3](mid).tobytes() == steps[3](np.array([mid]))[0].tobytes()
 
 
 def test_kept_steps_without_a_guard_hold_the_grid():
-    """Without a guard a run fills its grid from the steps that hold grid
-    points alone: those a guard would see whose span (t_old, t_new] meets
-    the grid."""
+    """Without a guard a run builds dense output only on the steps that hold
+    grid points, those a guard would see whose span (t_old, t_new] meets the
+    grid, and each fills its own points: no step is kept."""
     te = np.array([0.0, 0.05, 0.07, 2.0, 2.01, 5.5, 6.0])
     y0 = np.array([1.0, 0.5])
     steps = []
     every = integrate(IvpProblem(osc_rhs, te, y0, guard=steps.append),
                       max_step=0.3)
     sol = integrate(IvpProblem(osc_rhs, te, y0), max_step=0.3)
-    holding = [s for s in steps
-               if np.any((te > s.t_old + s.snap) & (te <= s.t_new + s.snap))]
+    owned = [(te > s.t_old + s.snap) & (te <= s.t_new + s.snap) for s in steps]
+    holding = [(s, own) for s, own in zip(steps, owned) if own.any()]
     assert len(holding) < len(steps)
-    # The start is y0 itself; every later point is read off a holding step.
-    assert dense_at(holding, te[1:]).tobytes() == sol.y[1:].tobytes()
+    # The start is y0 itself; every later point is read off one holding step.
+    assert np.array_equal(sum(own.astype(int) for _, own in holding),
+                          np.r_[0, np.ones(te.size - 1, dtype=int)])
+    for s, own in holding:
+        assert s(te[own]).tobytes() == sol.y[own].tobytes()
     assert sol.y.tobytes() == every.y.tobytes()
     assert sol.stats.n_steps == every.stats.n_steps
+    # Three rhs calls of dense output per step that is read.
+    assert every.stats.nfev - sol.stats.nfev == 3 * (len(steps) - len(holding))
 
 
 @pytest.mark.parametrize("guarded", [False, True])
 def test_kept_steps_reproduce_the_grid_bit_for_bit(guarded):
-    """dense_at on the steps a guard sees equals sol.y byte for byte, with
-    or without a guard on the run that reports sol.y, and the guard sees one
-    record per accepted step."""
+    """The steps a guard sees, each read at its own grid points, give sol.y
+    byte for byte, with or without a guard on the run that reports sol.y,
+    and the guard sees one record per accepted step."""
     te = np.linspace(0.0, 20.0, 1281)
     y0 = np.array([1.0, 0.5])
     steps = []
     seen = integrate(IvpProblem(osc_rhs, te, y0, guard=steps.append), max_step=0.7)
     sol = seen if guarded else integrate(IvpProblem(osc_rhs, te, y0), max_step=0.7)
-    assert dense_at(steps, te).tobytes() == sol.y.tobytes()
+    assert read_grid(steps, te).tobytes() == sol.y.tobytes()
     assert len(steps) == seen.stats.n_steps
 
 
@@ -277,9 +293,8 @@ def test_work_on_the_paper_runs_is_pinned(fig1_params, moderate_params,
 
 
 def test_grid_fill_memory_is_bounded():
-    """A long grid is evaluated a block at a time: besides the output, the
-    one array it is copied from and its time column, the fill's temporaries
-    stay small."""
+    """A long grid is filled a step at a time: besides the output and its
+    time column, the fill's temporaries stay small."""
     problem = IvpProblem(rhs=osc_rhs, t_eval=np.linspace(0.0, 2.0 * math.pi, 10**6),
                          y0=np.array([1.0, 0.0]))
     tracemalloc.start()
@@ -290,6 +305,22 @@ def test_grid_fill_memory_is_bounded():
         tracemalloc.stop()
     assert peak < 3 * sol.y.nbytes
     assert abs(float(sol.y[-1, 0]) - 1.0) < 1e-7
+
+
+def test_grid_fill_memory_is_bounded_when_one_step_holds_the_grid():
+    """A step that holds most of a long grid fills it in one piece: besides
+    the output, its temporaries stay under twice the output."""
+    problem = IvpProblem(rhs=lambda t, y: np.array([1.0, 0.0]),
+                         t_eval=np.linspace(0.0, 1.0, 10**6), y0=np.array([1.0, 0.0]))
+    tracemalloc.start()
+    try:
+        sol = integrate(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.stats.n_steps == 3
+    assert peak < 3 * sol.y.nbytes
+    assert np.abs(sol.y[-1] - [2.0, 0.0]).max() < 1e-12
 
 
 @pytest.mark.parametrize("bad_te", [
