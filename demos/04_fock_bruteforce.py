@@ -119,7 +119,7 @@ def main():
         m = src.at(ts, ())
         return m.W, m.T, m.T.conjugate()
 
-    prop = propagate(coeffs, f_big.vacuum(), tg, f_big, rtol=1e-10)
+    prop = propagate(coeffs, f_big.vacuum(), tg, f_big)
     n_fock = prop.mean_photon(f_big)
     n_sq = traj.mean_photon()
     mask = (n_sq > 1e-3) & (traj.r <= r_trust)

@@ -239,7 +239,7 @@ CoeffFn = Callable[[float], tuple[complex, complex, complex]]
 
 
 def propagate(coeffs: CoeffFn, psi0: np.ndarray, t_grid: np.ndarray,
-              f: FockSpace, rtol: float = 1e-9, atol: float = 1e-12
+              f: FockSpace, rtol: float = 1e-10, atol: float = 1e-13
               ) -> PropagationResult:
     """Integrate i dpsi/dt = H(t) psi with H = c_n*(n+1/2) + c2*a^2 + c2d*a^dag^2.
 
@@ -259,9 +259,8 @@ def propagate(coeffs: CoeffFn, psi0: np.ndarray, t_grid: np.ndarray,
 
     and psi = exp(-i*theta*(n+1/2)) phi is rebuilt on the reporting grid
     only.  The free rotation, whose top level turns at about Re(c_n)*dim
-    even while it holds no population, no longer limits the step: the
-    phases left turn at 2*Re(c_n), and the couplings grow only with the
-    levels the state occupies.
+    even while empty, no longer limits the step: the phases left turn at
+    2*Re(c_n), and the couplings grow only with the levels occupied.
 
     Parity rule: H never mixes even and odd levels, so only the parity
     sectors psi0 occupies are integrated; the other sector's amplitudes
@@ -269,12 +268,17 @@ def propagate(coeffs: CoeffFn, psi0: np.ndarray, t_grid: np.ndarray,
     sqrt((n+1)(n+2)) phi_{n+2} and its adjoint are applied as shifted,
     weighted slices, so one right-hand-side call costs O(dim).
 
-    Steps are capped at span/300, a measured constant.  On the fig1
-    vacuum at dims 128 and 264, each run to its trust bound with the
-    default tolerances, the photon number's worst relative error against
-    a tight-tolerance squeeze reference is 1.27e-11 under the cap (317
-    and 400 steps); span/250 gives 1.60e-11 (274, 366 steps), span/200
-    2.10e-11 (233, 334) and no cap 5.90e-11 (165, 287).
+    rtol and atol are DOP853's, and nothing caps the step.  The default
+    is the third row below: on the fig1 vacuum at dims 128 and 264, each
+    run to its trust bound, nfev summed over both, and the photon number's
+    worst relative error against a tight-tolerance squeeze reference:
+
+        rule                          steps (128, 264)  nfev    error
+        rtol 1e-9, cap span/300       317, 400          9,124   1.27e-11
+        rtol 1e-9, no cap             165, 287          6,286   5.90e-11
+        rtol 1e-10, atol 1e-13        219, 382          7,960   6.80e-12
+        rtol 3e-11, atol 3e-14        254, 443          9,040   1.86e-12
+        rtol 1e-11, atol 1e-14        291, 509          10,264  8.7e-13
     """
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (f.dim,):
@@ -284,13 +288,11 @@ def propagate(coeffs: CoeffFn, psi0: np.ndarray, t_grid: np.ndarray,
         raise ValidationError("psi0 is the zero vector; it has no norm to propagate")
     # With one sector occupied only its levels are integrated; inside the
     # sector a^2 is a shift by one, across both sectors a shift by two.
-    if len(occupied) == 1:
-        sector, shift = slice(occupied[0], None, 2), 1
-    else:
-        sector, shift = slice(None), 2
+    sector, shift = ((slice(occupied[0], None, 2), 1) if len(occupied) == 1
+                     else (slice(None), 2))
     levels = f.n_levels[sector]
     n_half = levels + 0.5
-    # Complex, so that weight * phi needs no cast of weight on each call.
+    # Complex, so that scaling weight needs no cast of it on each call.
     weight = np.sqrt((levels[:-shift] + 1.0) * (levels[:-shift] + 2.0)).astype(complex)
 
     def rhs(t, y):
@@ -301,32 +303,26 @@ def propagate(coeffs: CoeffFn, psi0: np.ndarray, t_grid: np.ndarray,
         d = np.empty_like(y)
         d[-1] = c_n.real
         dphi = d[:-1].view(complex)
-        np.multiply(c_n.imag * n_half, phi, out=dphi)
-        # dphi[:-shift] += (-1j*c2*turn) * (weight*phi[shift:]), and its
-        # adjoint, scaled and added in place.
-        lo, hi = dphi[:-shift], dphi[shift:]
-        up = weight * phi[shift:]
-        np.multiply(-1j * c2 * turn, up, out=up)
-        np.add(lo, up, out=lo)
-        down = weight * phi[:-shift]
-        np.multiply(-1j * c2d * turn.conjugate(), down, out=down)
-        np.add(hi, down, out=hi)
+        # dphi is the a^2 band (0 on the top shift levels) plus its adjoint.
+        np.multiply(weight * (-1j * c2 * turn), phi[shift:], out=dphi[:-shift])
+        dphi[-shift:] = 0.0
+        down = weight * (-1j * c2d * turn.conjugate())
+        down *= phi[:-shift]
+        dphi[shift:] += down
+        if c_n.imag != 0.0:
+            dphi += (c_n.imag * n_half) * phi
         return d
 
     y0 = np.append(np.ascontiguousarray(psi0[sector]).view(float), 0.0)
-    problem = IvpProblem(rhs=rhs, t_eval=t_grid, y0=y0)
-    span = problem.t_eval[-1] - problem.t_eval[0]
-    sol = integrate(problem, rtol=rtol, atol=atol, max_step=span / 300.0)
+    sol = integrate(IvpProblem(rhs=rhs, t_eval=t_grid, y0=y0), rtol=rtol, atol=atol)
 
-    theta = sol.y[:, -1]
     phi = np.ascontiguousarray(sol.y[:, :-1]).view(complex)
     amps = np.zeros((sol.t.size, f.dim), dtype=complex)
-    amps[:, sector] = phi * np.exp(-1j * np.outer(theta, n_half))
+    amps[:, sector] = phi * np.exp(-1j * np.outer(sol.y[:, -1], n_half))
     norms = np.linalg.norm(amps, axis=1)
     norm_drift = float(np.max(np.abs(norms - np.linalg.norm(psi0))))
     probs = np.abs(amps) ** 2
-    edge = probs[:, -_EDGE_LEVELS:].sum(axis=1) / probs.sum(axis=1)
-    max_edge = float(np.max(edge))
+    max_edge = float(np.max(probs[:, -_EDGE_LEVELS:].sum(axis=1) / probs.sum(axis=1)))
     return PropagationResult(t=sol.t, amplitudes=amps, norm_drift=norm_drift,
                              max_edge_population=max_edge,
                              trusted=max_edge < _edge_limit(f.dim),

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import NonFiniteState, StepRejected
+from .errors import NonFiniteState, StepRejected, ValidationError
 
 # Grid points within this fraction of the span of a step end take its value.
 _GRID_SNAP = 1e-14
@@ -295,10 +295,15 @@ def integrate(p: IvpProblem, rtol: float = 1e-9, atol: float = 1e-12,
     t <= t_new + snap, so each row is written once.  No step is kept.
 
     max_step defaults to no cap, so the error control alone sets the step.
-    rtol is raised to 100 eps (2.2e-14) if set below.  A step that falls
-    below 10 ulps of t raises StepRejected, or NonFiniteState when its
-    stages overflowed.
+    rtol is raised to 100 eps (2.2e-14) if set below.  A non-finite rtol,
+    or an atol not finite and positive, would make the step size NaN: it
+    raises ValidationError before any rhs call.  A step that falls below
+    10 ulps of t raises StepRejected, or NonFiniteState when its stages
+    overflowed.
     """
+    if not (math.isfinite(rtol) and math.isfinite(atol) and atol > 0.0):
+        raise ValidationError("rtol must be finite, and atol finite and > 0; "
+                              f"got rtol={rtol}, atol={atol}")
     te = p.t_eval
     t0, t1 = float(te[0]), float(te[-1])
     snap = _GRID_SNAP * (t1 - t0)
@@ -338,7 +343,7 @@ def integrate(p: IvpProblem, rtol: float = 1e-9, atol: float = 1e-12,
         # An overflow is reported below as NonFiniteState, not as a warning.
         with np.errstate(over="ignore", invalid="ignore"):
             while True:
-                if h_abs < min_step:
+                if not h_abs >= min_step:   # a NaN step size ends here too
                     # An overflow inside a step shows up as a step-size
                     # failure: the error estimates turn non-finite and
                     # every retry is rejected.  Tell it apart by the stage

@@ -519,7 +519,7 @@ def check_fock_three_route() -> tuple[bool, str]:
         return m.W, m.T, m.T.conjugate()
 
     tg = np.linspace(0.0, 16.0, 321)
-    res = propagate(coeffs, f.vacuum(), tg, f, rtol=1e-10, atol=1e-13)
+    res = propagate(coeffs, f.vacuum(), tg, f)
     n_fock = res.mean_photon(f)
     traj = evolve(_FIG1_SOURCE, tg)
     n_sq = np.sinh(traj.r) ** 2
@@ -534,8 +534,7 @@ def check_fock_three_route() -> tuple[bool, str]:
     for dim in (264, 512):
         stop = int(np.argmax(traj.r >= squeeze_trust_bound(dim) + 0.3)) + 1
         fd = FockSpace(dim)
-        nd = propagate(coeffs, fd.vacuum(), tg[:stop], fd, rtol=1e-10,
-                       atol=1e-13).mean_photon(fd)
+        nd = propagate(coeffs, fd.vacuum(), tg[:stop], fd).mean_photon(fd)
         crossings.append(f"{dim} {_trust_crossing(nd, n_sq[:stop], traj.r[:stop])}")
     return ok1 and ok2 and ok3, (f"{d1}; {d2}; {d3}; N leaves sinh^2 r by 1e-3 at "
                                  f"{', '.join(crossings)} (report only)")

@@ -281,19 +281,20 @@ class TestTrustRule:
     CHI = 1.0002
     VARPHI0 = 0.5 * math.pi
 
-    def fig1_vacuum(self, dim, r_end):
-        """The fig1 vacuum up to the first 0.005 grid time with r >= r_end."""
-        fine = np.linspace(0.0, 10.0, 2001)
+    def fig1_vacuum(self, dim, r_end, t_end=None, **tol):
+        """The fig1 vacuum up to t_end, by default the first 0.005 grid time
+        with r >= r_end, propagated at the tolerances tol."""
         src = MapSource(self.FIG1, chi=self.CHI, varphi0=self.VARPHI0)
-        r = evolve(src, fine).r
-        t_end = float(fine[np.argmax(r >= r_end)])
+        if t_end is None:
+            fine = np.linspace(0.0, 10.0, 2001)
+            t_end = float(fine[np.argmax(evolve(src, fine).r >= r_end)])
 
         def coeffs(t):
             m = src.at(t, ())
             return m.W, m.T, m.T.conjugate()
 
         f = FockSpace(dim)
-        return propagate(coeffs, f.vacuum(), np.linspace(0.0, t_end, 81), f)
+        return propagate(coeffs, f.vacuum(), np.linspace(0.0, t_end, 81), f, **tol)
 
     def test_trusted_up_to_the_bound(self):
         res = self.fig1_vacuum(64, squeeze_trust_bound(64))
@@ -304,14 +305,33 @@ class TestTrustRule:
         assert not res.trusted, res.max_edge_population
 
     def test_steps_do_not_scale_with_dim(self):
-        # Each dim runs to its own trust bound.  Rotating out
-        # Re(c_n)*(n+1/2) leaves no term whose frequency grows with the
-        # top level, so
-        # doubling dim costs few extra steps (317 -> 400; the
-        # Schroedinger-frame right-hand side took 642 -> 1285).
-        steps = {dim: self.fig1_vacuum(dim, squeeze_trust_bound(dim)).stats.n_steps
-                 for dim in (128, 264)}
-        assert steps[264] <= 1.5 * steps[128], steps
+        # Rotating out Re(c_n)*(n+1/2) leaves no term whose frequency grows
+        # with the top level, so over one span, up to dim 128's trust bound
+        # (tau = 7.195), a longer ladder costs no more steps (219, 199 and
+        # 184 at dims 128, 264 and 512).
+        t_end = 7.195
+        steps = {dim: self.fig1_vacuum(dim, None, t_end).stats.n_steps
+                 for dim in (128, 264, 512)}
+        assert max(steps.values()) <= 1.5 * steps[128], steps
+
+    @pytest.mark.parametrize("dim, work", [(128, (219, 9, 2978)),
+                                           (264, (382, 13, 4982))])
+    def test_work_to_the_trust_bound_is_pinned(self, dim, work):
+        # The benchmark's fock_oracle runs: DOP853's error control alone
+        # sets the step, so a change of step rule or tolerance shows here.
+        s = self.fig1_vacuum(dim, squeeze_trust_bound(dim)).stats
+        assert (s.n_steps, s.n_rejected, s.nfev) == work
+
+    def test_default_tolerances_error_is_pinned(self):
+        # Integrator error of the default run at dim 264 against a tight one
+        # (6.8e-12).  The bound sits below the 1.3e-11 of rtol 1e-9 under a
+        # span/300 step cap, so it holds the tolerances to that accuracy.
+        f = FockSpace(264)
+        r_end = squeeze_trust_bound(264)
+        n, ref = (self.fig1_vacuum(264, r_end, **tol).mean_photon(f)
+                  for tol in ({}, dict(rtol=1e-13, atol=1e-16)))
+        seen = ref > 1e-3
+        assert float(np.max(np.abs(n - ref)[seen] / ref[seen])) < 1e-11
 
     @pytest.mark.parametrize("dim", [4, 10])
     def test_small_dims_never_trusted(self, dim):

@@ -7,9 +7,11 @@ import pytest
 from conftest import CHI_FIG, VARPHI0
 from pseudo_dce import dynamics, hermitize
 from pseudo_dce.dynamics import bogoliubov_ode_oracle, evolve
-from pseudo_dce.errors import NonFiniteState, StepRejected
+from pseudo_dce.errors import NonFiniteState, StepRejected, ValidationError
+from pseudo_dce.fock import FockSpace, propagate
 from pseudo_dce.hermitize import MapSource
-from pseudo_dce.integrate import _A, _C, _D, _E3, _E5, IvpProblem, integrate
+from pseudo_dce.integrate import (_A, _C, _D, _E3, _E5, _RTOL_FLOOR, IvpProblem,
+                                  integrate)
 from pseudo_dce.scenario import ScenarioConfig, run
 
 
@@ -119,6 +121,41 @@ def test_nonfinite_initial_rhs():
     with pytest.raises(NonFiniteState, match="rhs"):
         integrate(IvpProblem(rhs=lambda t, y: np.array([math.nan]),
                              t_eval=span(1.0), y0=np.array([0.0])))
+
+
+# Each of these makes the first step size NaN (atol 0 on the vacuum's zero
+# components gives a 0/0 scale), which no retry shrinks below the minimum.
+BAD_TOLERANCES = [dict(atol=0.0), dict(atol=-1e-12), dict(atol=math.nan),
+                  dict(atol=math.inf), dict(rtol=math.nan), dict(rtol=math.inf),
+                  dict(rtol=-math.inf)]
+
+
+@pytest.mark.parametrize("tol", BAD_TOLERANCES)
+def test_bad_tolerances_refused_through_propagate(tol):
+    calls = []
+
+    def coeffs(t):
+        calls.append(t)
+        return 1.0, 0.05 + 0.02j, 0.05 - 0.02j
+
+    f = FockSpace(16)
+    with pytest.raises(ValidationError, match="tol must be finite"):
+        propagate(coeffs, f.vacuum(), np.linspace(0.0, 1.0, 5), f, **tol)
+    assert calls == []
+
+
+@pytest.mark.parametrize("tol", BAD_TOLERANCES)
+def test_bad_tolerances_refused_through_the_oracle(fig1_params, tol):
+    src = MapSource(fig1_params, chi=CHI_FIG, varphi0=VARPHI0)
+    with pytest.raises(ValidationError, match="tol must be finite"):
+        bogoliubov_ode_oracle(src, np.linspace(0.0, 5.0, 11), **tol)
+
+
+@pytest.mark.parametrize("rtol", [0.0, -1.0, 1e-16])
+def test_rtol_below_the_floor_is_raised_to_it(rtol):
+    problem = IvpProblem(rhs=osc_rhs, t_eval=span(2.0), y0=np.array([1.0, 0.0]))
+    low, floor = (integrate(problem, rtol=rt, atol=1e-14) for rt in (rtol, _RTOL_FLOOR))
+    assert low.y.tobytes() == floor.y.tobytes()
 
 
 def test_stats_are_reported():
